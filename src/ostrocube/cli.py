@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -83,6 +84,7 @@ RULE_ORDER = ("t1", "t2", "t3", "t4", "t5", "corrected")
 _VERIFY_CFG = QuadConfig(gl_order=16, panels=1, abs_tol=1e-14)
 _BOUNDS_GRID = 33
 _BOUNDS_PAD = 0.25
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 @lru_cache(maxsize=512)
@@ -107,6 +109,12 @@ class CliInvocation:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponent forms such as -1.5e-05 and
+        # would read them as options; subparsers are _Parser instances too
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
 
@@ -129,8 +137,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enclose", description="enclose the double integral of f")
     geometry(p)
-    p.add_argument("--bounds", type=str, nargs="+", default=["auto"])
-    p.add_argument("--subdivide", type=int, nargs=2, default=[1, 1],
+    p.add_argument("--bounds", type=str, nargs="+", default=("auto",))
+    p.add_argument("--subdivide", type=int, nargs=2, default=(1, 1),
                    metavar=("M", "N"))
     common(p)
 
@@ -150,7 +158,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("compare", description="compare certified error radii")
     geometry(p)
-    p.add_argument("--bounds", type=str, nargs="+", default=["auto"])
+    p.add_argument("--bounds", type=str, nargs="+", default=("auto",))
     p.add_argument("--lambda", type=float, default=0.0, dest="lam")
     p.add_argument("--tol", type=float, default=None)
     common(p)
@@ -197,8 +205,13 @@ def _validated_rules(text: str) -> list[str]:
     return [r for r in RULE_ORDER if r in rules]
 
 
+# built once and shared by every call; its list-valued defaults are tuples,
+# so no caller can change them for the next
+_PARSER = _build_parser()
+
+
 def parse_args(argv: Sequence[str]) -> CliInvocation:
-    ns = _build_parser().parse_args(list(argv))
+    ns = _PARSER.parse_args(list(argv))
     if ns.subcommand is None:
         raise UsageError("a subcommand is required: enclose, verify, identity, compare")
     opts: dict = {"out": ns.out, "no_timestamp": bool(ns.no_timestamp)}

@@ -26,6 +26,22 @@ the absolute moment, so with global bounds the total width is
 
     (upper - lower) * 25 (b-a)^2 (d-c)^2 / (1024 m n)   (+ padding).
 
+Given bounds are checked against the exact mixed partial, when f has one,
+at every cell anchor; a value outside them makes the result non-rigorous.
+Sampling can prove given bounds wrong, never right.
+
+Cost. Single-cell and composite enclosures run through one grid assembler.
+Neighbouring cells share their edge lines, so an m x n grid integrates
+(2m+1) n + (2n+1) m line segments per resolution instead of 6 m n, and the
+point terms are one (2m+1) x (2n+1) grid of values. Every evaluation of f,
+and of its mixed partial for sampled bounds, receives at most
+quadrature.BLOCK_SAMPLES values, so memory stays flat as the grid grows
+(the anchor check of given bounds takes one value per cell). Per-cell
+sums are elementwise array arithmetic in the order a cell-by-cell loop
+would use, and the totals are added cell by cell in row-major order, so
+the result is the same to the last bit as evaluating each cell on its
+own.
+
 Enclosures are built exclusively on the derived expansion; the stated one
 fails the constant-function audit.
 """
@@ -35,18 +51,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     BivariateFunction,
+    DegenerateDomain,
     DerivativeBounds,
     Enclosure,
+    EngineError,
     EvalPoint,
-    Interval1D,
     QuadConfig,
     Rectangle,
 )
-from .identity import expansion_weights, full_expansion_derived
+from .identity import full_expansion_derived
 from .kernels import abs_moment, signed_moment
-from .quadrature import estimate_bounds, integrate_1d
+
+# integrate_1d and estimate_bounds are no longer called here; they stay
+# importable from this module, where perfbench/tracing.py counts them
+from .quadrature import (  # noqa: F401
+    cell_bounds,
+    estimate_bounds,
+    gl_nodes,
+    grid_values,
+    integrate_1d,
+    line_integrals,
+    sample_mixed,
+)
 from .rules import (
     Lambda,
     default_slack,
@@ -87,49 +117,106 @@ class ComparisonReport:
     violated: dict
 
 
-def _cell_center_and_pad(
+def _axis_terms(
+    edges: np.ndarray, anchors: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Per-axis data of the cells [edges[i], edges[i+1]] anchored at
+    anchors[i]: the weights of the boundary-functional nodes (anchor, lo,
+    hi) as identity.expansion_weights gives them, and the per-axis factors
+    of kernels.signed_moment and kernels.abs_moment."""
+    lo, hi = edges[:-1], edges[1:]
+    weights = (0.75 * (hi - lo), 0.25 * (anchors - lo), 0.25 * (hi - anchors))
+    # float ** as in kernels, so every cell's moments keep their bits
+    left = np.array([(x - a) ** 2 for a, x in zip(lo.tolist(), anchors.tolist())])
+    right = np.array([(b - x) ** 2 for b, x in zip(hi.tolist(), anchors.tolist())])
+    return weights, left - right, left + right
+
+
+def _assemble(
     f: BivariateFunction,
-    r: Rectangle,
-    pt: EvalPoint,
-    db: DerivativeBounds,
+    t_edges: np.ndarray,
+    t_anchors: np.ndarray,
+    s_edges: np.ndarray,
+    s_anchors: np.ndarray,
+    midpoint,
+    halfwidth,
     q: QuadConfig,
-) -> tuple[float, float]:
-    """Assemble M*S - P + L at the base resolution, plus its noise budget."""
-    t_nodes, t_weights = expansion_weights(r.t_axis, pt.x)
-    s_nodes, s_weights = expansion_weights(r.s_axis, pt.y)
-    refined = q.refined()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cell centre M*S - P + L, noise budget and moment term h*A.
 
-    points = 0.0
-    abs_mass = 0.0
-    for tn, wt in zip(t_nodes, t_weights):
-        for sn, ws in zip(s_nodes, s_weights):
-            term = wt * ws * f.eval(tn, sn)
+    Cell (i, j) is [t_edges[i], t_edges[i+1]] x [s_edges[j], s_edges[j+1]]
+    anchored at (t_anchors[i], s_anchors[j]); `midpoint` and `halfwidth`
+    of the derivative bounds are scalars or (m, n) arrays. Each returned
+    array has shape (m, n).
+    """
+    m, n = len(t_anchors), len(s_anchors)
+    wt, t_signed, t_abs = _axis_terms(t_edges, t_anchors)
+    ws, s_signed, s_abs = _axis_terms(s_edges, s_anchors)
+    # each axis's line positions: anchors first, then edges, so a cell's
+    # nodes (anchor, lo, hi) are the rows i, m + i and m + i + 1
+    t_at = np.concatenate((t_anchors, t_edges))
+    s_at = np.concatenate((s_anchors, s_edges))
+    t_rows = (slice(0, m), slice(m, 2 * m), slice(m + 1, 2 * m + 1))
+    s_rows = (slice(0, n), slice(n, 2 * n), slice(n + 1, 2 * n + 1))
+
+    values = grid_values(f, t_at, s_at)
+    points = np.zeros((m, n))
+    abs_mass = np.zeros((m, n))
+    for rt, w_t in zip(t_rows, wt):
+        for rs, w_s in zip(s_rows, ws):
+            term = w_t[:, None] * w_s[None, :] * values[rt, rs]
             points += term
-            abs_mass += abs(term)
+            abs_mass += np.abs(term)
 
-    lines = 0.0
-    truncation = 0.0
-    for tn, wt in zip(t_nodes, t_weights):
-        base = integrate_1d(f.fix_t(tn), r.s_axis, q)
-        fine = integrate_1d(f.fix_t(tn), r.s_axis, refined)
-        lines += wt * base
-        truncation += wt * abs(base - fine)
-        abs_mass += abs(wt * base)
-    for sn, ws in zip(s_nodes, s_weights):
-        base = integrate_1d(f.fix_s(sn), r.t_axis, q)
-        fine = integrate_1d(f.fix_s(sn), r.t_axis, refined)
-        lines += ws * base
-        truncation += ws * abs(base - fine)
-        abs_mass += abs(ws * base)
+    # line integrals at the base and the refined resolution, indexed
+    # [t position, s position]: t-lines run over the s-cells and s-lines
+    # over the t-cells
+    s_nodes = [gl_nodes(s_edges[:-1], s_edges[1:], c) for c in (q, q.refined())]
+    t_nodes = [gl_nodes(t_edges[:-1], t_edges[1:], c) for c in (q, q.refined())]
+    t_base, t_fine = (line_integrals(f, "t", t_at.tolist(), *nw) for nw in s_nodes)
+    s_base, s_fine = (line_integrals(f, "s", s_at.tolist(), *nw).T for nw in t_nodes)
+    cell_lines = [(w[:, None], t_base[rt], t_fine[rt]) for rt, w in zip(t_rows, wt)]
+    cell_lines += [(w[None, :], s_base[:, rs], s_fine[:, rs]) for rs, w in zip(s_rows, ws)]
+    lines = np.zeros((m, n))
+    truncation = np.zeros((m, n))
+    for w, base, fine in cell_lines:
+        lines += w * base
+        truncation += w * np.abs(base - fine)
+        abs_mass += np.abs(w * base)
 
-    ms = db.midpoint * signed_moment(r, pt)
-    abs_mass += abs(ms)
+    ms = midpoint * (s_signed[None, :] * t_signed[:, None] / 16.0)
+    abs_mass += np.abs(ms)
     center = ms - points + lines
     # truncation from the two-resolution comparison, roundoff proportional
     # to the absolute mass of the assembled terms; the config's abs_tol
     # floor is added once per enclosure by the callers
     pad = truncation + 48.0 * _EPS * abs_mass
-    return center, pad
+    moment = halfwidth * (25.0 * s_abs[None, :] * t_abs[:, None] / 256.0)
+    return center, pad, moment
+
+
+def _bounds_hold_at(
+    f: BivariateFunction, db: DerivativeBounds, ts: np.ndarray, ss: np.ndarray
+) -> bool:
+    """False when the exact mixed partial, at some anchor of ts x ss, lies
+    outside the given bounds or cannot be evaluated. True without an exact
+    partial: only a contradiction is ever found, never a proof."""
+    if not f.has_exact_mixed:
+        return True
+    T, S = np.meshgrid(ts, ss, indexing="ij")
+    try:
+        vals = sample_mixed(f, T, S, None, fd_fallback=False)
+    except (EngineError, ArithmeticError, ValueError):
+        # a partial undefined at an anchor (DomainError from an expression,
+        # ZeroDivisionError or ValueError from a plain callable) is not
+        # bounded there, but f itself may still be integrable
+        return False
+    return bool(np.all((db.lower <= vals) & (vals <= db.upper)))
+
+
+def _row_major_sum(values: np.ndarray) -> float:
+    """0.0 + v[0] + v[1] + ..., added one value at a time in row-major order."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values.ravel())))[-1])
 
 
 def single_cell_enclosure(
@@ -141,14 +228,25 @@ def single_cell_enclosure(
     bounds_estimated: bool = False,
 ) -> EnclosureReport:
     """Enclosure of the double integral over r from one anchored rule."""
-    center, pad = _cell_center_and_pad(f, r, pt, db, q)
-    pad += q.abs_tol
-    radius = db.halfwidth * abs_moment(r, pt) + pad
+    center, pad, moment = _assemble(
+        f,
+        np.array([r.t_axis.lo, r.t_axis.hi]),
+        np.array([pt.x]),
+        np.array([r.s_axis.lo, r.s_axis.hi]),
+        np.array([pt.y]),
+        db.midpoint,
+        db.halfwidth,
+        q,
+    )
+    pad = float(pad[0, 0]) + q.abs_tol
+    radius = float(moment[0, 0]) + pad
+    center = float(center[0, 0])
+    rigorous = not bounds_estimated and _bounds_hold_at(f, db, [pt.x], [pt.y])
     return EnclosureReport(
         enclosure=Enclosure(center - radius, center + radius),
         point_used=pt,
         bounds_used=db,
-        rigorous=not bounds_estimated,
+        rigorous=rigorous,
         cells=1,
         per_cell_width=None,
         quadrature_padding=pad,
@@ -168,49 +266,42 @@ def composite_enclosure(
     """m x n equal cells, each anchored at its midpoint, summed row-major.
 
     With `bounds` given they apply globally and the result is rigorous up
-    to the declared quadrature padding; with bounds=None each cell gets
-    sampled bounds (estimate_bounds) and the result is flagged
-    non-rigorous.
+    to the declared quadrature padding, unless the exact mixed partial
+    leaves them at a cell midpoint; with bounds=None each cell gets sampled
+    bounds (cell_bounds, as estimate_bounds would give) and the result is
+    flagged non-rigorous.
     """
     if m < 1 or n < 1:
         raise ValueError(f"subdivision must be >= 1 in each axis, got {m} x {n}")
-    a, c = r.t_axis.lo, r.s_axis.lo
-    wx = r.t_axis.length / m
-    wy = r.s_axis.length / n
-    total_center = 0.0
-    total_radius = 0.0
-    total_pad = 0.0
-    widths: list[float] = []
-    hull_lo = float("inf")
-    hull_hi = float("-inf")
-    for i in range(m):
-        for j in range(n):
-            cell = Rectangle(
-                Interval1D(a + i * wx, a + (i + 1) * wx),
-                Interval1D(c + j * wy, c + (j + 1) * wy),
-            )
-            mid = cell.center
-            db = bounds if bounds is not None else estimate_bounds(
-                f, cell, grid_n=estimate_grid_n, pad_rel=estimate_pad_rel
-            )
-            hull_lo = min(hull_lo, db.lower)
-            hull_hi = max(hull_hi, db.upper)
-            center, pad = _cell_center_and_pad(f, cell, mid, db, q)
-            radius = db.halfwidth * abs_moment(cell, mid) + pad
-            total_center += center
-            total_radius += radius
-            total_pad += pad
-            widths.append(2.0 * radius)
-    total_radius += q.abs_tol
-    total_pad += q.abs_tol
+    t_edges = r.t_axis.lo + np.arange(m + 1) * (r.t_axis.length / m)
+    s_edges = r.s_axis.lo + np.arange(n + 1) * (r.s_axis.length / n)
+    if not (np.all(t_edges[:-1] < t_edges[1:]) and np.all(s_edges[:-1] < s_edges[1:])):
+        raise DegenerateDomain(f"{m} x {n} cells of {r} include one of zero width")
+    t_mids = 0.5 * (t_edges[:-1] + t_edges[1:])
+    s_mids = 0.5 * (s_edges[:-1] + s_edges[1:])
+    if bounds is None:
+        lower, upper = cell_bounds(f, t_edges, s_edges, estimate_grid_n, estimate_pad_rel)
+        hull = DerivativeBounds(lower.min(), upper.max())
+        midpoint, halfwidth = 0.5 * (upper + lower), 0.5 * (upper - lower)
+        rigorous = False
+    else:
+        hull = bounds
+        midpoint, halfwidth = bounds.midpoint, bounds.halfwidth
+        rigorous = _bounds_hold_at(f, bounds, t_mids, s_mids)
+    center, pad, moment = _assemble(
+        f, t_edges, t_mids, s_edges, s_mids, midpoint, halfwidth, q
+    )
+    radius = moment + pad
+    total_center = _row_major_sum(center)
+    total_radius = _row_major_sum(radius) + q.abs_tol
     return EnclosureReport(
         enclosure=Enclosure(total_center - total_radius, total_center + total_radius),
         point_used=r.center,
-        bounds_used=DerivativeBounds(hull_lo, hull_hi),
-        rigorous=bounds is not None,
+        bounds_used=hull,
+        rigorous=rigorous,
         cells=m * n,
-        per_cell_width=tuple(widths),
-        quadrature_padding=total_pad,
+        per_cell_width=tuple((2.0 * radius).ravel().tolist()),
+        quadrature_padding=_row_major_sum(pad) + q.abs_tol,
     )
 
 

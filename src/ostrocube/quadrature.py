@@ -21,6 +21,7 @@ from .core import (
     EngineError,
     EvalPoint,
     Interval1D,
+    InvalidBounds,
     MissingMixedPartial,
     QuadConfig,
     Rectangle,
@@ -31,11 +32,16 @@ __all__ = [
     "NonFiniteSample",
     "UnsupportedOrder",
     "GLRule",
+    "BLOCK_SAMPLES",
     "gl_rule",
+    "gl_nodes",
     "integrate_1d",
     "integrate_2d",
+    "grid_values",
+    "line_integrals",
     "mixed_partial_fd",
     "estimate_bounds",
+    "cell_bounds",
     "default_fd_steps",
     "sample_univariate",
     "sample_bivariate",
@@ -43,6 +49,12 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_FD_STEP = _EPS ** (1.0 / 3.0)
+
+# Most samples one call of an integrand receives from the grid routines
+# (grid_values, line_integrals, cell_bounds); it keeps their memory flat in
+# the grid size.
+BLOCK_SAMPLES = 8192
 
 
 class NonFiniteSample(EngineError):
@@ -108,23 +120,45 @@ def _segment_edges(lo: float, hi: float, breakpoints: Iterable[float]) -> list[f
     return [lo, *inner, hi]
 
 
+def gl_nodes(
+    lo: np.ndarray, hi: np.ndarray, q: QuadConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite-rule nodes and weights of every segment [lo[k], hi[k]].
+
+    Returns two arrays of shape lo.shape + (panels * gl_order,): row k holds
+    the panels of segment k left to right, each panel's nodes mid + half *
+    reference node and weights half * reference weight.
+    """
+    rule = gl_rule(q.gl_order)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    step = (np.asarray(hi, dtype=float)[..., None] - lo) / q.panels
+    half = 0.5 * step
+    mid = lo + np.arange(q.panels) * step + half
+    nodes = mid[..., None] + half[..., None] * rule.nodes
+    weights = np.broadcast_to(half[..., None] * rule.weights, nodes.shape)
+    shape = mid.shape[:-1] + (-1,)
+    return nodes.reshape(shape), weights.reshape(shape)
+
+
 def _axis_quadrature(
     iv: Interval1D, q: QuadConfig, breakpoints: Iterable[float] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All nodes and weights of the composite rule on one axis."""
-    rule = gl_rule(q.gl_order)
-    edges = _segment_edges(iv.lo, iv.hi, breakpoints)
-    nodes = []
-    weights = []
-    for e0, e1 in zip(edges, edges[1:]):
-        step = (e1 - e0) / q.panels
-        for p in range(q.panels):
-            left = e0 + p * step
-            half = 0.5 * step
-            mid = left + half
-            nodes.append(mid + half * rule.nodes)
-            weights.append(half * rule.weights)
-    return np.concatenate(nodes), np.concatenate(weights)
+    """All nodes and weights of the composite rule on one axis (read-only)."""
+    return _segments_quadrature(tuple(_segment_edges(iv.lo, iv.hi, breakpoints)), q)
+
+
+# The rules and identity audits integrate over the same few intervals many
+# times per anchor (every rule re-integrates the same lines), so the node
+# arrays of recent intervals are kept. An entry of the default or refined
+# configuration, split once, is at most 8 KB, so 128 entries stay under 1 MB.
+@lru_cache(maxsize=128)
+def _segments_quadrature(
+    edges: tuple[float, ...], q: QuadConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = (a.ravel() for a in gl_nodes(edges[:-1], edges[1:], q))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def as_univariate(g) -> UnivariateFunction:
@@ -206,6 +240,49 @@ def integrate_2d(
     return float(tw @ vals @ sw)
 
 
+def grid_values(f, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """f on the outer grid ts x ss, shape (len(ts), len(ss)). Each call of f
+    receives whole rows, at most BLOCK_SAMPLES values (one row if a row is
+    longer)."""
+    f = as_bivariate(f)
+    per_block = max(1, BLOCK_SAMPLES // len(ss))
+    out = np.empty((len(ts), len(ss)))
+    for k in range(0, len(ts), per_block):
+        T, S = np.meshgrid(ts[k:k + per_block], ss, indexing="ij")
+        out[k:k + per_block] = sample_bivariate(f, T, S)
+    return out
+
+
+def line_integrals(
+    f,
+    fixed_axis: str,
+    fixed: Sequence[float],
+    nodes: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Integrals of f along the cross-sections t = fixed[l] (fixed_axis "t")
+    or s = fixed[l] (fixed_axis "s"), over every segment k of a gl_nodes row.
+
+    Entry (l, k) equals, bit for bit, integrate_1d of that cross-section over
+    segment k: the cross-section is sampled with its coordinate as a scalar,
+    and each row's dot product is the one `weights @ values` computes. Each
+    call of f receives whole rows, at most BLOCK_SAMPLES values (one row if
+    a row is longer).
+    """
+    f = as_bivariate(f)
+    rows, width = nodes.shape
+    per_block = max(1, BLOCK_SAMPLES // width)
+    out = np.empty((len(fixed), rows))
+    for i, x in enumerate(fixed):
+        g = f.fix_t(x) if fixed_axis == "t" else f.fix_s(x)
+        for k in range(0, rows, per_block):
+            block = nodes[k:k + per_block]
+            vals = sample_univariate(g, block.ravel()).reshape(block.shape)
+            _check_finite(vals, g.label)
+            out[i, k:k + per_block] = np.vecdot(weights[k:k + per_block], vals)
+    return out
+
+
 def mixed_partial_fd(f, t: float, s: float, h_t: float, h_s: float) -> float:
     """Cross central difference for d2f/dtds.
 
@@ -227,19 +304,21 @@ def mixed_partial_fd(f, t: float, s: float, h_t: float, h_s: float) -> float:
 def default_fd_steps(r: Rectangle) -> tuple[float, float]:
     """cbrt(machine eps) scaled by axis length, balancing truncation
     against cancellation for the cross stencil."""
-    h = _EPS ** (1.0 / 3.0)
-    return h * r.t_axis.length, h * r.s_axis.length
+    return _FD_STEP * r.t_axis.length, _FD_STEP * r.s_axis.length
 
 
 def sample_mixed(
     f: BivariateFunction,
     T: np.ndarray,
     S: np.ndarray,
-    r: Rectangle,
+    r: Optional[Rectangle],
     fd_fallback: bool = True,
+    fd_steps: Optional[tuple] = None,
 ) -> np.ndarray:
     """Mixed-partial values on a grid: exact capability if present, else
-    the finite-difference stencil when the fallback is allowed."""
+    the finite-difference stencil when the fallback is allowed. The stencil
+    steps are default_fd_steps(r) unless fd_steps gives them (arrays that
+    broadcast against T give each cell its own)."""
     if f.has_exact_mixed:
         if f.vectorized:
             out = np.asarray(f.mixed_fn(T, S), dtype=float)
@@ -255,12 +334,63 @@ def sample_mixed(
             f"function {f.label!r} has no exact mixed partial and the "
             "finite-difference fallback is disabled"
         )
-    h_t, h_s = default_fd_steps(r)
+    h_t, h_s = default_fd_steps(r) if fd_steps is None else fd_steps
     fpp = sample_bivariate(f, T + h_t, S + h_s)
     fpm = sample_bivariate(f, T + h_t, S - h_s)
     fmp = sample_bivariate(f, T - h_t, S + h_s)
     fmm = sample_bivariate(f, T - h_t, S - h_s)
     return (fpp - fpm - fmp + fmm) / (4.0 * h_t * h_s)
+
+
+def cell_bounds(
+    f: BivariateFunction,
+    t_edges: Sequence[float],
+    s_edges: Sequence[float],
+    grid_n: int,
+    pad_rel: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled bounds on the mixed partial over every cell of a grid.
+
+    Cell (i, j) is [t_edges[i], t_edges[i+1]] x [s_edges[j], s_edges[j+1]].
+    Its bounds are the min/max over a grid_n x grid_n grid of the cell
+    (boundary lines included), widened by pad_rel * (max - min) plus an
+    absolute floor of 1e-12 on each side. Without an exact mixed partial
+    each cell uses the stencil with its own default_fd_steps. Cells are
+    sampled in row-major blocks of at most BLOCK_SAMPLES values (one cell
+    if a cell grid is larger). Returns (lower, upper), each of shape (m, n).
+    """
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    t_edges = np.asarray(t_edges, dtype=float)
+    s_edges = np.asarray(s_edges, dtype=float)
+    m, n = len(t_edges) - 1, len(s_edges) - 1
+    # one linspace call for the cells of both axes: row k spans cell k
+    starts = np.concatenate((t_edges[:-1], s_edges[:-1]))
+    ends = np.concatenate((t_edges[1:], s_edges[1:]))
+    samples = np.linspace(starts, ends, grid_n).T
+    ts, ss = samples[:m], samples[m:]
+    steps = _FD_STEP * (ends - starts)
+    h_t, h_s = steps[:m], steps[m:]
+    lo = np.empty(m * n)
+    hi = np.empty(m * n)
+    per_block = max(1, BLOCK_SAMPLES // (grid_n * grid_n))
+    for start in range(0, m * n, per_block):
+        cells = np.arange(start, min(start + per_block, m * n))
+        i, j = np.divmod(cells, n)
+        shape = (cells.size, grid_n, grid_n)
+        T = np.ascontiguousarray(np.broadcast_to(ts[i, :, None], shape))
+        S = np.ascontiguousarray(np.broadcast_to(ss[j, None, :], shape))
+        fd_steps = (h_t[i, None, None], h_s[j, None, None])
+        vals = sample_mixed(f, T, S, None, fd_fallback=True, fd_steps=fd_steps)
+        _check_finite(vals, f"mixed partial of {f.label}")
+        lo[cells] = vals.min(axis=(1, 2))
+        hi[cells] = vals.max(axis=(1, 2))
+    pad = pad_rel * (hi - lo) + 1e-12
+    lower = lo - pad
+    upper = hi + pad
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise InvalidBounds("derivative bounds must be finite")
+    return lower.reshape(m, n), upper.reshape(m, n)
 
 
 def estimate_bounds(
@@ -269,21 +399,12 @@ def estimate_bounds(
     grid_n: int = 33,
     pad_rel: float = 0.05,
 ) -> DerivativeBounds:
-    """Sampled bounds on the mixed partial over r, padded outward.
-
-    Min/max over a grid_n x grid_n grid (boundary lines included), widened
-    by pad_rel * (max - min) plus an absolute floor of 1e-12 on each side.
-    Sampling cannot certify the true extremum, so results built on these
-    bounds must be flagged non-rigorous by the caller.
+    """Sampled bounds on the mixed partial over r, padded outward: the one
+    cell of cell_bounds. Sampling cannot certify the true extremum, so
+    results built on these bounds must be flagged non-rigorous by the
+    caller.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    ts = np.linspace(r.t_axis.lo, r.t_axis.hi, grid_n)
-    ss = np.linspace(r.s_axis.lo, r.s_axis.hi, grid_n)
-    T, S = np.meshgrid(ts, ss, indexing="ij")
-    vals = sample_mixed(f, T, S, r, fd_fallback=True)
-    _check_finite(vals, f"mixed partial of {f.label}")
-    lo = float(np.min(vals))
-    hi = float(np.max(vals))
-    pad = pad_rel * (hi - lo) + 1e-12
-    return DerivativeBounds(lo - pad, hi + pad)
+    lower, upper = cell_bounds(
+        f, (r.t_axis.lo, r.t_axis.hi), (r.s_axis.lo, r.s_axis.hi), grid_n, pad_rel
+    )
+    return DerivativeBounds(lower[0, 0], upper[0, 0])

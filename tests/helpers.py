@@ -1,10 +1,13 @@
-"""Shared test machinery: independent brute-force oracles and generators.
+"""Shared test machinery: independent brute-force oracles and generators,
+and a reference copy of the cell-by-cell enclosure loop.
 
-Everything here deliberately avoids the package's Gauss-Legendre machinery
-so oracle agreement tests compare two genuinely different computations:
+The oracles deliberately avoid the package's Gauss-Legendre machinery so
+oracle agreement tests compare two genuinely different computations:
 kernel moments use kink-aligned composite trapezoid sums (exact for the
 piecewise-linear kernels), and the kernel-weighted integral uses composite
-Simpson per quadrant.
+Simpson per quadrant. The reference enclosure is the opposite: it repeats
+the package's own arithmetic one cell at a time, so the grid assembler
+must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,12 @@ import random
 
 import numpy as np
 
+from ostrocube.core import DerivativeBounds, Enclosure, Interval1D, Rectangle
+from ostrocube.enclosure import EnclosureReport
 from ostrocube.expr import Binary, Const, ExprNode, Unary, Var, XorShift64Star
+from ostrocube.identity import expansion_weights
+from ostrocube.kernels import abs_moment, signed_moment
+from ostrocube.quadrature import _check_finite, gl_rule, sample_mixed, sample_univariate
 
 
 def trapz(values: np.ndarray, xs: np.ndarray) -> float:
@@ -178,3 +186,142 @@ def random_ast(rnd: random.Random, depth: int) -> ExprNode:
     u = random_ast(rnd, depth - 2)
     arg = Binary("+", Const(round(rnd.uniform(0.5, 1.5), 3)), Binary("*", u, u))
     return Unary(rnd.choice(["log", "sqrt"]), arg)
+
+
+# ---------------------------------------------------------------------------
+# reference enclosure: the cell-by-cell loop the grid assembler replaced
+# ---------------------------------------------------------------------------
+#
+# A copy of the earlier per-cell implementation of single_cell_enclosure and
+# composite_enclosure, with its own node loop and bound sampling, kept as
+# the oracle for the byte-identity tests of the grid assembler. It does not
+# check given bounds against the mixed partial, so it always reports given
+# bounds as rigorous.
+
+
+def _reference_axis_quadrature(lo: float, hi: float, q):
+    rule = gl_rule(q.gl_order)
+    step = (hi - lo) / q.panels
+    nodes, weights = [], []
+    for p in range(q.panels):
+        left = lo + p * step
+        half = 0.5 * step
+        mid = left + half
+        nodes.append(mid + half * rule.nodes)
+        weights.append(half * rule.weights)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def reference_integrate_1d(g, iv, q) -> float:
+    nodes, weights = _reference_axis_quadrature(iv.lo, iv.hi, q)
+    vals = sample_univariate(g, nodes)
+    _check_finite(vals, g.label)
+    return float(weights @ vals)
+
+
+def reference_estimate_bounds(f, r, grid_n: int, pad_rel: float) -> DerivativeBounds:
+    ts = np.linspace(r.t_axis.lo, r.t_axis.hi, grid_n)
+    ss = np.linspace(r.s_axis.lo, r.s_axis.hi, grid_n)
+    T, S = np.meshgrid(ts, ss, indexing="ij")
+    vals = sample_mixed(f, T, S, r, fd_fallback=True)
+    _check_finite(vals, f"mixed partial of {f.label}")
+    lo = float(np.min(vals))
+    hi = float(np.max(vals))
+    pad = pad_rel * (hi - lo) + 1e-12
+    return DerivativeBounds(lo - pad, hi + pad)
+
+
+_REF_EPS = 2.220446049250313e-16
+
+
+def _reference_cell_center_and_pad(f, r, pt, db, q):
+    t_nodes, t_weights = expansion_weights(r.t_axis, pt.x)
+    s_nodes, s_weights = expansion_weights(r.s_axis, pt.y)
+    refined = q.refined()
+
+    points = 0.0
+    abs_mass = 0.0
+    for tn, wt in zip(t_nodes, t_weights):
+        for sn, ws in zip(s_nodes, s_weights):
+            term = wt * ws * f.eval(tn, sn)
+            points += term
+            abs_mass += abs(term)
+
+    lines = 0.0
+    truncation = 0.0
+    for tn, wt in zip(t_nodes, t_weights):
+        base = reference_integrate_1d(f.fix_t(tn), r.s_axis, q)
+        fine = reference_integrate_1d(f.fix_t(tn), r.s_axis, refined)
+        lines += wt * base
+        truncation += wt * abs(base - fine)
+        abs_mass += abs(wt * base)
+    for sn, ws in zip(s_nodes, s_weights):
+        base = reference_integrate_1d(f.fix_s(sn), r.t_axis, q)
+        fine = reference_integrate_1d(f.fix_s(sn), r.t_axis, refined)
+        lines += ws * base
+        truncation += ws * abs(base - fine)
+        abs_mass += abs(ws * base)
+
+    ms = db.midpoint * signed_moment(r, pt)
+    abs_mass += abs(ms)
+    center = ms - points + lines
+    pad = truncation + 48.0 * _REF_EPS * abs_mass
+    return center, pad
+
+
+def reference_single_cell(f, r, pt, db, q, bounds_estimated: bool = False) -> EnclosureReport:
+    center, pad = _reference_cell_center_and_pad(f, r, pt, db, q)
+    pad += q.abs_tol
+    radius = db.halfwidth * abs_moment(r, pt) + pad
+    return EnclosureReport(
+        enclosure=Enclosure(center - radius, center + radius),
+        point_used=pt,
+        bounds_used=db,
+        rigorous=not bounds_estimated,
+        cells=1,
+        per_cell_width=None,
+        quadrature_padding=pad,
+    )
+
+
+def reference_composite(
+    f, r, bounds, m: int, n: int, q, estimate_grid_n: int = 17, estimate_pad_rel: float = 0.1
+) -> EnclosureReport:
+    a, c = r.t_axis.lo, r.s_axis.lo
+    wx = r.t_axis.length / m
+    wy = r.s_axis.length / n
+    total_center = 0.0
+    total_radius = 0.0
+    total_pad = 0.0
+    widths = []
+    hull_lo = float("inf")
+    hull_hi = float("-inf")
+    for i in range(m):
+        for j in range(n):
+            cell = Rectangle(
+                Interval1D(a + i * wx, a + (i + 1) * wx),
+                Interval1D(c + j * wy, c + (j + 1) * wy),
+            )
+            mid = cell.center
+            db = bounds if bounds is not None else reference_estimate_bounds(
+                f, cell, estimate_grid_n, estimate_pad_rel
+            )
+            hull_lo = min(hull_lo, db.lower)
+            hull_hi = max(hull_hi, db.upper)
+            center, pad = _reference_cell_center_and_pad(f, cell, mid, db, q)
+            radius = db.halfwidth * abs_moment(cell, mid) + pad
+            total_center += center
+            total_radius += radius
+            total_pad += pad
+            widths.append(2.0 * radius)
+    total_radius += q.abs_tol
+    total_pad += q.abs_tol
+    return EnclosureReport(
+        enclosure=Enclosure(total_center - total_radius, total_center + total_radius),
+        point_used=r.center,
+        bounds_used=DerivativeBounds(hull_lo, hull_hi),
+        rigorous=bounds is not None,
+        cells=m * n,
+        per_cell_width=tuple(widths),
+        quadrature_padding=total_pad,
+    )

@@ -51,6 +51,44 @@ def test_parse_args_verify_example():
     assert inv.output_mode == "text"
 
 
+def test_parse_args_accepts_negative_numbers_in_exponent_form():
+    inv = parse_args(
+        ["enclose", "--f", "t*s", "--rect", "-1e-3", "1", "0", "1",
+         "--bounds", "-1.6721630822205803e-05", "2.0"]
+    )
+    assert inv.options["rect"] == [-1e-3, 1.0, 0.0, 1.0]
+    assert inv.options["bounds"] == [-1.6721630822205803e-05, 2.0]
+    code, doc = _capture_json(
+        ["enclose", "--f", "t*s", "--rect", "-1e-3", "1", "0", "1",
+         "--bounds", "-1.6721630822205803e-05", "2.0", "--json"]
+    )
+    assert code == 0
+    assert doc["results"]["enclosure"]["lo"] <= doc["results"]["enclosure"]["hi"]
+    inv = parse_args(["compare", "--f", "t*s", "--rect", "-2E+0", "-1.5e-1", "0", "1",
+                      "--point", "-1e0", "0.5", "--bounds", "-.5e1", "-1e-300"])
+    assert inv.options["rect"][:2] == [-2.0, -0.15]
+    assert inv.options["point"] == [-1.0, 0.5]
+    assert inv.options["bounds"] == [-5.0, -1e-300]
+
+
+def test_parse_args_calls_share_no_state():
+    first = parse_args(["enclose", "--f", "t*s", "--rect", "0", "1", "0", "1"])
+    first.options["bounds"] = [9.0, 9.0]
+    first.options["subdivide"].append(7)
+    first.options["rect"][0] = -5.0
+    other = parse_args(["verify", "--trials", "3"])
+    assert "bounds" not in other.options and "f" not in other.options
+    compare = parse_args(["compare", "--f", "t", "--rect", "0", "2", "0", "1"])
+    assert compare.options["bounds"] == "auto"
+    assert "subdivide" not in compare.options
+    again = parse_args(["enclose", "--f", "t*s", "--rect", "0", "1", "0", "1"])
+    assert again.options["bounds"] == "auto"
+    assert again.options["subdivide"] == [1, 1]
+    assert again.options["rect"] == [0.0, 1.0, 0.0, 1.0]
+    assert again.options["point"] is None
+    assert again.options is not first.options
+
+
 def test_parse_args_rejects_inverted_rect():
     with pytest.raises(UsageError):
         parse_args(["enclose", "--f", "t*s", "--rect", "1", "0", "0", "1"])
