@@ -42,7 +42,12 @@ from .core import (
     make_point,
     make_rectangle,
 )
-from .enclosure import compare_bounds, composite_enclosure, single_cell_enclosure
+from .enclosure import (
+    _bounds_hold_at,
+    compare_bounds,
+    composite_enclosure,
+    single_cell_enclosure,
+)
 from .expr import (
     DomainError,
     XorShift64Star,
@@ -52,22 +57,34 @@ from .expr import (
     random_polynomial,
     random_polynomial_1d,
     to_bivariate,
-    to_string,
     to_univariate,
 )
-from .identity import full_expansion_derived, identity_report
+from .identity import derived_from_terms, identity_report
 from .kernels import abs_moment, signed_moment
 from .quadrature import NonFiniteSample, estimate_bounds, sample_univariate
 from .rules import (
+    AnchorTerms,
     Lambda,
     PointOutsideLambdaBox,
     RuleOutcome,
+    anchor_terms,
     cheng_1d,
+    cheng_from_terms,
+    interval_terms,
     ostrowski_1d,
+    ostrowski_from_terms,
+    qiaoling_from_terms,
     qiaoling_functional,
+    quarter_rule_from_terms,
     quarter_rule_functional,
+    sarikaya_from_terms,
     sarikaya_functional,
 )
+
+# no longer called here; they stay importable from this module, where
+# perfbench/tracing.py counts them
+from .expr import to_string  # noqa: F401
+from .identity import full_expansion_derived  # noqa: F401
 
 __all__ = [
     "UsageError",
@@ -280,23 +297,29 @@ _FIXTURES_1D = (
 )
 
 
-def _corrected_outcome(
-    f: BivariateFunction,
-    r: Rectangle,
-    pt: EvalPoint,
-    db: DerivativeBounds,
-    q: QuadConfig,
-) -> RuleOutcome:
+def _corrected_from_terms(terms: AnchorTerms, db: DerivativeBounds) -> RuleOutcome:
     """Oracle-validated bound |derived - M*S| <= h*A, slack 1e-12*(1+A)."""
+    r, pt = terms.rect, terms.point
     area_moment = abs_moment(r, pt)
-    lhs = abs(full_expansion_derived(f, r, pt, q) - db.midpoint * signed_moment(r, pt))
+    lhs = abs(derived_from_terms(terms) - db.midpoint * signed_moment(r, pt))
     rhs = db.halfwidth * area_moment
     slack = 1e-12 * (1.0 + area_moment)
     return RuleOutcome(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + slack, slack=slack)
 
 
+# the rules that verify evaluates at the anchor p, from its anchor terms;
+# t4 takes its own anchor q and the lambda
+_RULES_2D = {
+    "t3": sarikaya_from_terms,
+    "t5": quarter_rule_from_terms,
+    "corrected": _corrected_from_terms,
+}
+
+
 def _eval_rule_case(rule: str, case: dict, q: QuadConfig) -> RuleOutcome:
-    """Evaluate one recorded case; re-running a record reproduces its values."""
+    """Evaluate one recorded case from its record alone; the audit's own
+    evaluation gives the same values, so re-running a record reproduces
+    them."""
     if rule in ("t1", "t2"):
         iv = Interval1D(*case["interval"])
         g = _univariate_from_text(case["expr"])
@@ -316,7 +339,7 @@ def _eval_rule_case(rule: str, case: dict, q: QuadConfig) -> RuleOutcome:
     if rule == "t5":
         return quarter_rule_functional(f, r, pt, db, q)
     if rule == "corrected":
-        return _corrected_outcome(f, r, pt, db, q)
+        return _corrected_from_terms(anchor_terms(f, r, [pt], q)[0], db)
     raise AssertionError(f"unknown rule {rule!r}")
 
 
@@ -388,34 +411,57 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
     lam = opts["lam"]
     tallies = {rule: _RuleTally() for rule in rules}
 
-    def apply(rule: str, case: dict) -> None:
+    def apply(rule: str, case: dict, outcome: RuleOutcome) -> None:
         tally = tallies[rule]
-        outcome = _eval_rule_case(rule, case, _VERIFY_CFG)
         if not outcome.satisfied and rule in ("t3", "t4"):
-            # independent recomputation before a violation is reported
+            # independent recomputation from the record before a violation
+            # is reported
             tally.rechecks += 1
             outcome = _eval_rule_case(rule, case, _VERIFY_CFG.refined())
         if not outcome.satisfied:
             tally.violations += 1
         tally.record(case, outcome)
 
-    for name, text, x, magnitude, lo, hi in _FIXTURES_1D:
-        base = {"source": f"fixture:{name}", "seed": None, "expr": text,
-                "interval": [0.0, 1.0], "x": x}
+    def audit_1d(g, base: dict, magnitude: float, lower: float, upper: float) -> None:
+        # t1 and t2 read one integral and the same point values
+        terms = interval_terms(g, Interval1D(*base["interval"]), base["x"], _VERIFY_CFG,
+                               ends="t2" in tallies)
         if "t1" in tallies:
-            apply("t1", dict(base, magnitude=magnitude))
+            apply("t1", dict(base, magnitude=magnitude),
+                  ostrowski_from_terms(terms, DerivativeBound1D.abs_bound(magnitude)))
         if "t2" in tallies:
-            apply("t2", dict(base, lower=lo, upper=hi))
+            apply("t2", dict(base, lower=lower, upper=upper),
+                  cheng_from_terms(terms, DerivativeBound1D.from_range(lower, upper)))
 
-    for name, text, lo, hi in _FIXTURES_2D:
-        base = {"source": f"fixture:{name}", "seed": None, "expr": text,
-                "rect": [0.0, 1.0, 0.0, 1.0], "point": [0.5, 0.5],
-                "lower": lo, "upper": hi}
-        for rule in ("t3", "t5", "corrected"):
-            if rule in tallies:
-                apply(rule, dict(base))
+    def audit_2d(f: BivariateFunction, r: Rectangle, db: DerivativeBounds, base: dict,
+                 p: list, q: list) -> None:
+        # t3, t5 and corrected at p, t4 at q, all from one anchor_terms call
+        p_rules = [rule for rule in _RULES_2D if rule in tallies]
+        points = ([p] if p_rules else []) + ([q] if "t4" in tallies else [])
+        terms = anchor_terms(f, r, [make_point(r, *pt) for pt in points], _VERIFY_CFG)
+        for rule in p_rules:
+            apply(rule, dict(base, point=p), _RULES_2D[rule](terms[0], db))
         if "t4" in tallies:
-            apply("t4", dict(base, **{"lambda": lam}))
+            apply("t4", dict(base, point=q, **{"lambda": lam}),
+                  qiaoling_from_terms(terms[-1], db, Lambda(lam)))
+
+    one_variable = "t1" in tallies or "t2" in tallies
+    two_variable = any(rule in tallies for rule in RULE_ORDER[2:])
+
+    for name, text, x, magnitude, lo, hi in _FIXTURES_1D:
+        if one_variable:
+            base = {"source": f"fixture:{name}", "seed": None, "expr": text,
+                    "interval": [0.0, 1.0], "x": x}
+            audit_1d(_univariate_from_text(text), base, magnitude, lo, hi)
+
+    unit = make_rectangle(0.0, 1.0, 0.0, 1.0)
+    for name, text, lo, hi in _FIXTURES_2D:
+        if two_variable:
+            base = {"source": f"fixture:{name}", "seed": None, "expr": text,
+                    "rect": [0.0, 1.0, 0.0, 1.0], "point": [0.5, 0.5],
+                    "lower": lo, "upper": hi}
+            audit_2d(_bivariate_from_text(text), unit, DerivativeBounds(lo, hi), base,
+                     [0.5, 0.5], [0.5, 0.5])
 
     for k in range(opts["trials"]):
         tseed = derive_seed(opts["seed"], k)
@@ -435,29 +481,23 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
         i_lo, i_hi = _random_interval(rng)
         x1 = rng.uniform(i_lo, i_hi)
 
-        if "t1" in tallies or "t2" in tallies:
-            iv = Interval1D(i_lo, i_hi)
-            d_lo, d_hi = _sampled_deriv_range(poly1, iv)
+        # the records carry each polynomial's text; the audit evaluates the
+        # generated trees, which give the same values as the parsed text
+        if one_variable:
+            g = to_univariate(poly1)
+            d_lo, d_hi = _sampled_deriv_range(poly1, Interval1D(i_lo, i_hi))
             base1 = {"source": f"trial:{k}", "seed": tseed,
-                     "expr": to_string(poly1), "interval": [i_lo, i_hi], "x": x1}
-            if "t1" in tallies:
-                apply("t1", dict(base1, magnitude=max(abs(d_lo), abs(d_hi))))
-            if "t2" in tallies:
-                apply("t2", dict(base1, lower=d_lo, upper=d_hi))
+                     "expr": g.label, "interval": [i_lo, i_hi], "x": x1}
+            audit_1d(g, base1, max(abs(d_lo), abs(d_hi)), d_lo, d_hi)
 
-        if any(rule in tallies for rule in ("t3", "t4", "t5", "corrected")):
-            text2 = to_string(poly2)
-            f2 = _bivariate_from_text(text2)
+        if two_variable:
+            f2 = to_bivariate(poly2)
             rect = make_rectangle(t_lo, t_hi, s_lo, s_hi)
             db = estimate_bounds(f2, rect, grid_n=_BOUNDS_GRID, pad_rel=_BOUNDS_PAD)
             base2 = {"source": f"trial:{k}", "seed": tseed,
-                     "expr": text2, "rect": [t_lo, t_hi, s_lo, s_hi],
+                     "expr": f2.label, "rect": [t_lo, t_hi, s_lo, s_hi],
                      "lower": db.lower, "upper": db.upper}
-            for rule in ("t3", "t5", "corrected"):
-                if rule in tallies:
-                    apply(rule, dict(base2, point=[px, py]))
-            if "t4" in tallies:
-                apply("t4", dict(base2, point=[qx, qy], **{"lambda": lam}))
+            audit_2d(f2, rect, db, base2, [px, py], [qx, qy])
 
     report = VerifyReport(
         rules={rule: tallies[rule].summary() for rule in rules},
@@ -571,7 +611,9 @@ def _run_compare(opts: dict) -> tuple[dict, dict, int]:
         "violated": report.violated,
     }
     violations = sum(1 for v in report.violated.values() if v)
-    flags = {"rigorous": not estimated, "violations": violations}
+    # the same anchor check that enclose --point makes
+    rigorous = not estimated and _bounds_hold_at(f, db, [pt.x], [pt.y])
+    flags = {"rigorous": rigorous, "violations": violations}
     return results, flags, 0
 
 

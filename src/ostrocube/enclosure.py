@@ -63,23 +63,29 @@ from .core import (
     QuadConfig,
     Rectangle,
 )
-from .identity import full_expansion_derived
+from .identity import derived_from_terms
 from .kernels import abs_moment, signed_moment
-
-# integrate_1d and estimate_bounds are no longer called here; they stay
-# importable from this module, where perfbench/tracing.py counts them
-from .quadrature import (  # noqa: F401
+from .quadrature import (
     cell_bounds,
-    estimate_bounds,
     gl_nodes,
     grid_values,
-    integrate_1d,
     line_integrals,
     sample_mixed,
 )
 from .rules import (
     Lambda,
+    anchor_terms,
     default_slack,
+    qiaoling_from_terms,
+    quarter_rule_from_terms,
+    sarikaya_from_terms,
+)
+
+# no longer called here; they stay importable from this module, where
+# perfbench/tracing.py counts them
+from .identity import full_expansion_derived  # noqa: F401
+from .quadrature import estimate_bounds, integrate_1d  # noqa: F401
+from .rules import (  # noqa: F401
     qiaoling_functional,
     quarter_rule_functional,
     sarikaya_functional,
@@ -318,14 +324,16 @@ def compare_bounds(
 
     All radii share the rule-statement normalization (divided by the
     area). `corrected` is the oracle-validated radius h*A/area; its lhs is
-    |derived expansion - M*S| / area.
+    |derived expansion - M*S| / area. The four rules read one set of
+    anchor terms (rules.anchor_terms).
     """
     area = r.area
-    t3 = sarikaya_functional(f, r, pt, db, q, slack=slack)
-    t4 = qiaoling_functional(f, r, pt, db, lam, q, slack=slack)
-    t5 = quarter_rule_functional(f, r, pt, db, q, slack=slack)
+    terms = anchor_terms(f, r, [pt], q)[0]
+    t3 = sarikaya_from_terms(terms, db, slack=slack)
+    t4 = qiaoling_from_terms(terms, db, lam, slack=slack)
+    t5 = quarter_rule_from_terms(terms, db, slack=slack)
     corrected_lhs = abs(
-        full_expansion_derived(f, r, pt, q) - db.midpoint * signed_moment(r, pt)
+        derived_from_terms(terms) - db.midpoint * signed_moment(r, pt)
     ) / area
     corrected_rhs = db.halfwidth * abs_moment(r, pt) / area
     corrected_slack = default_slack(corrected_rhs) if slack is None else float(slack)

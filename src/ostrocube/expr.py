@@ -14,9 +14,10 @@ sqrt. 'pi' and 'e' are named constants. Numbers require a digit before any
 decimal point ("2.5", "1e-3"; not ".5").
 
 Evaluation accepts scalars or numpy arrays. Differentiation is symbolic
-(product/quotient/chain rules) followed by constant-folding simplification;
-`to_bivariate` packages an expression together with its exact mixed partial
-for the rest of the system.
+(product/quotient/chain rules), with constant-folding simplification
+applied to each node as it is built; `to_bivariate` packages an
+expression together with its exact mixed partial for the rest of the
+system.
 
 The seeded polynomial corpus used by the verification harness also lives
 here, driven by an explicit xorshift64* generator so that corpora are
@@ -371,67 +372,6 @@ def _provably_positive(e: ExprNode) -> bool:
     return False
 
 
-def _diff(e: ExprNode, var: str) -> ExprNode:
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if e.name == var else _ZERO
-    if isinstance(e, Unary):
-        du = _diff(e.child, var)
-        u = e.child
-        if e.op == "neg":
-            return Unary("neg", du)
-        if e.op == "sin":
-            return Binary("*", Unary("cos", u), du)
-        if e.op == "cos":
-            return Unary("neg", Binary("*", Unary("sin", u), du))
-        if e.op == "exp":
-            return Binary("*", Unary("exp", u), du)
-        if e.op == "log":
-            return Binary("/", du, u)
-        if e.op == "sqrt":
-            return Binary("/", du, Binary("*", Const(2.0), Unary("sqrt", u)))
-        raise AssertionError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        if e.op in ("+", "-"):
-            return Binary(e.op, _diff(e.left, var), _diff(e.right, var))
-        if e.op == "*":
-            return Binary(
-                "+",
-                Binary("*", _diff(e.left, var), e.right),
-                Binary("*", e.left, _diff(e.right, var)),
-            )
-        if e.op == "/":
-            num = Binary(
-                "-",
-                Binary("*", _diff(e.left, var), e.right),
-                Binary("*", e.left, _diff(e.right, var)),
-            )
-            return Binary("/", num, Binary("^", e.right, Const(2.0)))
-        if e.op == "^":
-            base, expo = e.left, e.right
-            if isinstance(expo, Const):
-                n = expo.value
-                power = Binary("^", base, Const(n - 1.0))
-                return Binary(
-                    "*", Binary("*", Const(n), power), _diff(base, var)
-                )
-            if _provably_positive(base):
-                # b^e = exp(e log b):  d = b^e (e' log b + e b'/b)
-                inner = Binary(
-                    "+",
-                    Binary("*", _diff(expo, var), Unary("log", base)),
-                    Binary("*", expo, Binary("/", _diff(base, var), base)),
-                )
-                return Binary("*", e, inner)
-            raise UnsupportedDerivative(
-                "cannot differentiate '^' with a non-constant exponent over a "
-                "base that may be negative"
-            )
-        raise AssertionError(f"unknown binary op {e.op!r}")
-    raise AssertionError(f"unknown node {e!r}")
-
-
 def _fold_unary(op: str, value: float) -> Optional[float]:
     try:
         if op == "neg":
@@ -472,57 +412,170 @@ def _fold_binary(op: str, a: float, b: float) -> Optional[float]:
     raise AssertionError(f"unknown binary op {op!r}")
 
 
-def simplify(e: ExprNode) -> ExprNode:
-    """Constant folding plus the unit laws x*1, x+0, x-0, x^1, x^0, x*0."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Unary):
-        child = simplify(e.child)
-        if isinstance(child, Const):
-            folded = _fold_unary(e.op, child.value)
-            if folded is not None and math.isfinite(folded):
-                return Const(folded)
-        return Unary(e.op, child)
-    assert isinstance(e, Binary)
-    left = simplify(e.left)
-    right = simplify(e.right)
-    if isinstance(left, Const) and isinstance(right, Const):
-        folded = _fold_binary(e.op, left.value, right.value)
+def _unary_rule(op: str, child: ExprNode) -> ExprNode:
+    """simplify of Unary(op, child) once child is simplified."""
+    if isinstance(child, Const):
+        folded = _fold_unary(op, child.value)
         if folded is not None and math.isfinite(folded):
             return Const(folded)
-    if e.op == "+":
+    return Unary(op, child)
+
+
+def _binary_rule(op: str, left: ExprNode, right: ExprNode) -> ExprNode:
+    """simplify of Binary(op, left, right) once both sides are simplified."""
+    if isinstance(left, Const) and isinstance(right, Const):
+        folded = _fold_binary(op, left.value, right.value)
+        if folded is not None and math.isfinite(folded):
+            return Const(folded)
+    if op == "+":
         if _is_const(left, 0.0):
             return right
         if _is_const(right, 0.0):
             return left
-    elif e.op == "-":
+    elif op == "-":
         if _is_const(right, 0.0):
             return left
         if _is_const(left, 0.0):
             return Unary("neg", right)
-    elif e.op == "*":
+    elif op == "*":
         if _is_const(left, 0.0) or _is_const(right, 0.0):
             return _ZERO
         if _is_const(left, 1.0):
             return right
         if _is_const(right, 1.0):
             return left
-    elif e.op == "/":
+    elif op == "/":
+        # 0 / u is 0 wherever u is nonzero, as x * 0 is 0 wherever x is
+        # defined; a literal 0 / 0 is kept so that it still fails
+        if _is_const(left, 0.0) and not _is_const(right, 0.0):
+            return _ZERO
         if _is_const(right, 1.0):
             return left
-    elif e.op == "^":
+    elif op == "^":
         if _is_const(right, 1.0):
             return left
         if _is_const(right, 0.0):
             return _ONE
-    return Binary(e.op, left, right)
+    return Binary(op, left, right)
+
+
+def _simplify(e: ExprNode, memo: dict) -> ExprNode:
+    """simplify(e), memoised by id in memo; the trees whose subtrees are
+    keyed there must stay alive as long as memo is used."""
+    out = memo.get(id(e))
+    if out is None:
+        if isinstance(e, (Const, Var)):
+            out = e
+        elif isinstance(e, Unary):
+            out = _unary_rule(e.op, _simplify(e.child, memo))
+        else:
+            out = _binary_rule(e.op, _simplify(e.left, memo), _simplify(e.right, memo))
+        memo[id(e)] = out
+    return out
+
+
+def simplify(e: ExprNode) -> ExprNode:
+    """Constant folding plus the unit laws x*1, x+0, x-0, x^1, x^0, x*0, 0/x."""
+    return _simplify(e, {})
+
+
+_TWO = Const(2.0)
 
 
 def differentiate(e: ExprNode, var: str) -> ExprNode:
-    """Symbolic derivative with respect to 't' or 's', simplified."""
+    """Symbolic derivative with respect to 't' or 's', simplified.
+
+    One pass: each derivative node goes through simplify's rule for its
+    kind as it is built, and the original subtrees that a rule copies
+    (product, quotient and chain rules) are simplified once each. The
+    result is the tree that simplifying the unsimplified derivative gives.
+    """
     if var not in ("t", "s"):
         raise ValueError(f"var must be 't' or 's', got {var!r}")
-    return simplify(_diff(e, var))
+    simplified: dict[int, ExprNode] = {}
+
+    def simp(node: ExprNode) -> ExprNode:
+        # node is a subtree of e, alive for the whole call
+        return _simplify(node, simplified)
+
+    def d(node: ExprNode) -> ExprNode:
+        if isinstance(node, Const):
+            return _ZERO
+        if isinstance(node, Var):
+            return _ONE if node.name == var else _ZERO
+        if isinstance(node, Unary):
+            du = d(node.child)
+            op = node.op
+            if op == "neg":
+                return _unary_rule("neg", du)
+            u = simp(node.child)
+            if op == "sin":
+                return _binary_rule("*", _unary_rule("cos", u), du)
+            if op == "cos":
+                return _unary_rule("neg", _binary_rule("*", _unary_rule("sin", u), du))
+            if op == "exp":
+                return _binary_rule("*", _unary_rule("exp", u), du)
+            if op == "log":
+                return _binary_rule("/", du, u)
+            if op == "sqrt":
+                return _binary_rule(
+                    "/", du, _binary_rule("*", _TWO, _unary_rule("sqrt", u))
+                )
+            raise AssertionError(f"unknown unary op {op!r}")
+        if isinstance(node, Binary):
+            op, left, right = node.op, node.left, node.right
+            if op in ("+", "-"):
+                return _binary_rule(op, d(left), d(right))
+            if op == "*":
+                dl = d(left)
+                dr = d(right)
+                return _binary_rule(
+                    "+",
+                    _binary_rule("*", dl, simp(right)),
+                    _binary_rule("*", simp(left), dr),
+                )
+            if op == "/":
+                dl = d(left)
+                dr = d(right)
+                num = _binary_rule(
+                    "-",
+                    _binary_rule("*", dl, simp(right)),
+                    _binary_rule("*", simp(left), dr),
+                )
+                return _binary_rule("/", num, _binary_rule("^", simp(right), _TWO))
+            if op == "^":
+                if isinstance(right, Const):
+                    n = right.value
+                    power = _binary_rule("^", simp(left), Const(n - 1.0))
+                    return _binary_rule("*", _binary_rule("*", right, power), d(left))
+                if _provably_positive(left):
+                    # b^e = exp(e log b):  d = b^e (e' log b + e b'/b)
+                    inner = _binary_rule(
+                        "+",
+                        _binary_rule("*", d(right), _unary_rule("log", simp(left))),
+                        _binary_rule("*", simp(right), _binary_rule("/", d(left), simp(left))),
+                    )
+                    return _binary_rule("*", simp(node), inner)
+                raise UnsupportedDerivative(
+                    "cannot differentiate '^' with a non-constant exponent over a "
+                    "base that may be negative"
+                )
+            raise AssertionError(f"unknown binary op {op!r}")
+        raise AssertionError(f"unknown node {node!r}")
+
+    return d(e)
+
+
+def _differentiable(e: ExprNode) -> bool:
+    """Whether differentiate(e, ...) succeeds: it fails only on '^' with a
+    non-constant exponent over a base that is not provably positive."""
+    if isinstance(e, Unary):
+        return _differentiable(e.child)
+    if isinstance(e, Binary):
+        if e.op == "^" and not isinstance(e.right, Const) and not _provably_positive(e.left):
+            return False
+        return _differentiable(e.left) and _differentiable(e.right)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -604,23 +657,29 @@ def to_bivariate(e: ExprNode) -> BivariateFunction:
 
 
 def to_univariate(e: ExprNode, var: str = "t") -> UnivariateFunction:
-    """Package an expression as g(var), binding the other variable to 0."""
+    """Package an expression as g(var), binding the other variable to 0.
+
+    The derivative is taken on the first call of deriv_fn, so a caller
+    that never asks for it does not pay for it.
+    """
     if var not in ("t", "s"):
         raise ValueError(f"var must be 't' or 's', got {var!r}")
-    deriv: Optional[ExprNode]
-    try:
-        deriv = differentiate(e, var)
-    except UnsupportedDerivative:
-        deriv = None
 
     def _bind(expr: ExprNode):
         if var == "t":
             return lambda v, _e=expr: _eval(_e, v, 0.0)
         return lambda v, _e=expr: _eval(_e, 0.0, v)
 
+    derived: list = []
+
+    def deriv_fn(v):
+        if not derived:
+            derived.append(_bind(differentiate(e, var)))
+        return derived[0](v)
+
     return UnivariateFunction(
         fn=_bind(e),
-        deriv_fn=None if deriv is None else _bind(deriv),
+        deriv_fn=deriv_fn if _differentiable(e) else None,
         vectorized=True,
         label=to_string(e),
     )

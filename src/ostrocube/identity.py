@@ -21,6 +21,11 @@ three ways:
   terms on {x,a,b} x {y,c,d}, minus six node/line-integral terms, plus the
   full double integral.
 
+Both full expansions are arithmetic over one `rules.AnchorTerms` sample
+set (`verbatim_from_terms`, `derived_from_terms`), so an identity report
+evaluates the point values, six lines and split double integral of its
+anchor once for the two of them.
+
 The derived form must agree with the oracle (that agreement is the
 acceptance gate); the stated form does not. Two distinct defects are
 observable: the per-quadrant stated expansions flip the signs of their
@@ -51,6 +56,7 @@ from .quadrature import (
     integrate_2d,
     sample_mixed,
 )
+from .rules import AnchorTerms, anchor_terms
 
 __all__ = [
     "Quadrant",
@@ -60,7 +66,9 @@ __all__ = [
     "quadrant_expansion_verbatim",
     "quadrant_expansion_derived",
     "quadrant_oracle",
+    "verbatim_from_terms",
     "full_expansion_verbatim",
+    "derived_from_terms",
     "full_expansion_derived",
     "assembly_residue",
     "identity_report",
@@ -242,31 +250,24 @@ def quadrant_expansion_derived(
     return points - lines_s - lines_t + dbl
 
 
-def full_expansion_verbatim(
-    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig
-) -> float:
-    """The stated assembled expansion, un-normalized (no division by the
-    area; the t5 rule statement equals this divided by the area, minus its
-    derivative-midpoint term)."""
+def verbatim_from_terms(terms: AnchorTerms) -> float:
+    """full_expansion_verbatim at terms.point."""
+    r, pt = terms.rect, terms.point
     a, b = r.t_axis.lo, r.t_axis.hi
     c, d = r.s_axis.lo, r.s_axis.hi
     x, y = pt.x, pt.y
+    (f_xy, f_xc, f_xd), (f_ay, f_ac, f_ad), (f_by, f_bc, f_bd) = terms.values
+    int_ty, int_tc, int_td = terms.along_t
+    int_xs, int_as, int_bs = terms.along_s
     kx = 3.0 * (x - a) - (b - x)
     ky = 3.0 * (y - c) - (d - y)
     brace = (
-        kx * ky * f.eval(x, y)
-        + (3.0 * (b - x) * f.eval(b, y) - (x - a) * f.eval(a, y)) * ky
-        + (3.0 * (d - y) * f.eval(x, d) - (y - c) * f.eval(x, c)) * kx
-        + ((y - c) * f.eval(a, c) - 3.0 * (d - y) * f.eval(a, d)) * (x - a)
-        + (3.0 * (d - y) * f.eval(b, d) - (y - c) * f.eval(b, c)) * (b - x)
+        kx * ky * f_xy
+        + (3.0 * (b - x) * f_by - (x - a) * f_ay) * ky
+        + (3.0 * (d - y) * f_xd - (y - c) * f_xc) * kx
+        + ((y - c) * f_ac - 3.0 * (d - y) * f_ad) * (x - a)
+        + (3.0 * (d - y) * f_bd - (y - c) * f_bc) * (b - x)
     )
-    int_xs = integrate_1d(f.fix_t(x), r.s_axis, q)
-    int_ty = integrate_1d(f.fix_s(y), r.t_axis, q)
-    int_as = integrate_1d(f.fix_t(a), r.s_axis, q)
-    int_bs = integrate_1d(f.fix_t(b), r.s_axis, q)
-    int_tc = integrate_1d(f.fix_s(c), r.t_axis, q)
-    int_td = integrate_1d(f.fix_s(d), r.t_axis, q)
-    dbl = integrate_2d(f, r, q, split=pt)
     lines = (
         kx * int_xs
         + ky * int_ty
@@ -275,7 +276,16 @@ def full_expansion_verbatim(
         + 3.0 * (d - y) * int_td
         - (y - c) * int_tc
     )
-    return brace / 16.0 - lines / 4.0 + dbl
+    return brace / 16.0 - lines / 4.0 + terms.double
+
+
+def full_expansion_verbatim(
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig
+) -> float:
+    """The stated assembled expansion, un-normalized (no division by the
+    area; the t5 rule statement equals this divided by the area, minus its
+    derivative-midpoint term)."""
+    return verbatim_from_terms(anchor_terms(f, r, [pt], q)[0])
 
 
 def expansion_weights(iv: Interval1D, anchor: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -291,29 +301,28 @@ def expansion_weights(iv: Interval1D, anchor: float) -> tuple[tuple[float, ...],
     return nodes, weights
 
 
+def derived_from_terms(terms: AnchorTerms) -> float:
+    """full_expansion_derived at terms.point; the nodes of
+    expansion_weights are the order of the terms' values and lines."""
+    _, t_weights = expansion_weights(terms.rect.t_axis, terms.point.x)
+    _, s_weights = expansion_weights(terms.rect.s_axis, terms.point.y)
+    points = sum(
+        wt * ws * value
+        for wt, row in zip(t_weights, terms.values)
+        for ws, value in zip(s_weights, row)
+    )
+    lines_t = sum(wt * line for wt, line in zip(t_weights, terms.along_s))
+    lines_s = sum(ws * line for ws, line in zip(s_weights, terms.along_t))
+    return points - lines_t - lines_s + terms.double
+
+
 def full_expansion_derived(
     f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig
 ) -> float:
     """The re-derived expansion, un-normalized: tensor product of the two
     per-axis boundary functionals applied to f. Validated against
     kernel_weighted_integral before anything downstream trusts it."""
-    t_nodes, t_weights = expansion_weights(r.t_axis, pt.x)
-    s_nodes, s_weights = expansion_weights(r.s_axis, pt.y)
-    points = sum(
-        wt * ws * f.eval(tn, sn)
-        for tn, wt in zip(t_nodes, t_weights)
-        for sn, ws in zip(s_nodes, s_weights)
-    )
-    lines_t = sum(
-        wt * integrate_1d(f.fix_t(tn), r.s_axis, q)
-        for tn, wt in zip(t_nodes, t_weights)
-    )
-    lines_s = sum(
-        ws * integrate_1d(f.fix_s(sn), r.t_axis, q)
-        for sn, ws in zip(s_nodes, s_weights)
-    )
-    dbl = integrate_2d(f, r, q, split=pt)
-    return points - lines_t - lines_s + dbl
+    return derived_from_terms(anchor_terms(f, r, [pt], q)[0])
 
 
 def assembly_residue(f: BivariateFunction, r: Rectangle, pt: EvalPoint) -> float:
@@ -370,8 +379,9 @@ def identity_report(
             oracle=quadrant_oracle(f, r, pt, quad, q, fd_fallback=False),
         )
     oracle = sum(c.oracle for c in per_quadrant.values())
-    verbatim = full_expansion_verbatim(f, r, pt, q)
-    derived = full_expansion_derived(f, r, pt, q)
+    terms = anchor_terms(f, r, [pt], q)[0]
+    verbatim = verbatim_from_terms(terms)
+    derived = derived_from_terms(terms)
     disc_verbatim = abs(verbatim - oracle)
     disc_derived = abs(derived - oracle)
     for comp in per_quadrant.values():

@@ -21,13 +21,26 @@ A variant transcription of t3 halves its double-integral term, which also
 breaks constant annihilation; this implementation carries the
 self-consistent coefficient 1/((b-a)(d-c)), under which the rule holds
 with zero observed violations.
+
+Every two-variable rule at an anchor (x, y) is arithmetic over the same
+samples of f: the 3 x 3 point values on {x, a, b} x {y, c, d}, six line
+integrals and the double integral split at the anchor. `anchor_terms`
+takes them once per anchor (`AnchorTerms`), for several anchors of one
+rectangle at a time, so the edge lines t = a, b and s = c, d are
+integrated once for all of them; the `*_from_terms` functions apply each
+rule's hand-written sum to them, and the `*_functional` functions are the
+one-anchor case. The 1D rules t1 and t2 likewise read one integral and
+their point values (`interval_terms`, `IntervalTerms`). Every result keeps
+the bits of evaluating the rule's terms one by one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import (
     BivariateFunction,
@@ -42,20 +55,35 @@ from .core import (
     Rectangle,
     UnivariateFunction,
 )
-from .quadrature import integrate_1d, integrate_2d
+from .quadrature import (
+    _axis_quadrature,
+    grid_values,
+    integrate_1d,
+    integrate_2d,
+    line_integrals,
+)
 
 __all__ = [
     "PointOutsideLambdaBox",
     "RuleOutcome",
     "Lambda",
+    "IntervalTerms",
+    "AnchorTerms",
     "default_slack",
+    "interval_terms",
+    "anchor_terms",
+    "ostrowski_from_terms",
+    "cheng_from_terms",
     "ostrowski_1d",
     "cheng_1d",
     "sarikaya_H",
+    "sarikaya_from_terms",
     "sarikaya_functional",
+    "qiaoling_from_terms",
     "qiaoling_functional",
     "quarter_rule_anchor_weight",
     "quarter_rule_boundary_term",
+    "quarter_rule_from_terms",
     "quarter_rule_functional",
 ]
 
@@ -109,6 +137,69 @@ def _require_inside(iv: Interval1D, x: float) -> float:
     return x
 
 
+@dataclass(frozen=True)
+class IntervalTerms:
+    """The samples of g that t1 and t2 at a point x of iv are built from:
+    g at x, iv.lo and iv.hi and the integral of g over iv. at_lo and at_hi
+    are None when only t1 is wanted, which needs neither."""
+
+    iv: Interval1D
+    x: float
+    at_x: float
+    at_lo: Optional[float]
+    at_hi: Optional[float]
+    integral: float
+
+
+def interval_terms(
+    g: UnivariateFunction, iv: Interval1D, x: float, q: QuadConfig, ends: bool = True
+) -> IntervalTerms:
+    """IntervalTerms of g at x; the endpoint values only if `ends`."""
+    x = _require_inside(iv, x)
+    return IntervalTerms(
+        iv=iv,
+        x=x,
+        at_x=g.eval(x),
+        at_lo=g.eval(iv.lo) if ends else None,
+        at_hi=g.eval(iv.hi) if ends else None,
+        integral=integrate_1d(g, iv, q),
+    )
+
+
+def ostrowski_from_terms(
+    terms: IntervalTerms, m: DerivativeBound1D, slack: Optional[float] = None
+) -> RuleOutcome:
+    """t1 at terms.x."""
+    if m.kind != "abs":
+        raise InvalidBounds("ostrowski_1d needs an abs-kind derivative bound")
+    iv, x = terms.iv, terms.x
+    length = iv.length
+    avg = terms.integral / length
+    lhs = abs(terms.at_x - avg)
+    u = x - iv.midpoint
+    rhs = (0.25 + u * u / (length * length)) * length * m.magnitude
+    return _outcome(lhs, rhs, slack)
+
+
+def cheng_from_terms(
+    terms: IntervalTerms, b1: DerivativeBound1D, slack: Optional[float] = None
+) -> RuleOutcome:
+    """t2 at terms.x; needs the endpoint values."""
+    if b1.kind != "range":
+        raise InvalidBounds("cheng_1d needs a range-kind derivative bound")
+    iv, x = terms.iv, terms.x
+    a, b = iv.lo, iv.hi
+    length = iv.length
+    avg = terms.integral / length
+    lhs = abs(
+        0.5 * terms.at_x
+        - ((x - b) * terms.at_hi - (x - a) * terms.at_lo) / (2.0 * length)
+        - avg
+    )
+    rhs = ((x - a) ** 2 + (b - x) ** 2) / (8.0 * length) * (b1.upper - b1.lower)
+    return _outcome(lhs, rhs, slack)
+
+
 def ostrowski_1d(
     f: UnivariateFunction,
     iv: Interval1D,
@@ -118,15 +209,7 @@ def ostrowski_1d(
     slack: Optional[float] = None,
 ) -> RuleOutcome:
     """Deviation of a point value from the interval average, |f'| <= M."""
-    x = _require_inside(iv, x)
-    if m.kind != "abs":
-        raise InvalidBounds("ostrowski_1d needs an abs-kind derivative bound")
-    length = iv.length
-    avg = integrate_1d(f, iv, q) / length
-    lhs = abs(f.eval(x) - avg)
-    u = x - iv.midpoint
-    rhs = (0.25 + u * u / (length * length)) * length * m.magnitude
-    return _outcome(lhs, rhs, slack)
+    return ostrowski_from_terms(interval_terms(f, iv, x, q, ends=False), m, slack)
 
 
 def cheng_1d(
@@ -138,65 +221,121 @@ def cheng_1d(
     slack: Optional[float] = None,
 ) -> RuleOutcome:
     """Trapezoid-corrected deviation bounded by the derivative spread."""
-    x = _require_inside(iv, x)
-    if b1.kind != "range":
-        raise InvalidBounds("cheng_1d needs a range-kind derivative bound")
-    a, b = iv.lo, iv.hi
-    length = iv.length
-    avg = integrate_1d(f, iv, q) / length
-    lhs = abs(
-        0.5 * f.eval(x)
-        - ((x - b) * f.eval(b) - (x - a) * f.eval(a)) / (2.0 * length)
-        - avg
-    )
-    rhs = ((x - a) ** 2 + (b - x) ** 2) / (8.0 * length) * (b1.upper - b1.lower)
-    return _outcome(lhs, rhs, slack)
+    return cheng_from_terms(interval_terms(f, iv, x, q), b1, slack)
 
 
 def _axes(r: Rectangle) -> tuple[float, float, float, float]:
     return r.t_axis.lo, r.t_axis.hi, r.s_axis.lo, r.s_axis.hi
 
 
-def sarikaya_H(f: BivariateFunction, r: Rectangle, pt: EvalPoint) -> float:
-    """Boundary-value combination of the midpoint-kernel rule: one corner
-    block over the area plus one edge block per axis."""
+Values3x3 = tuple[tuple[float, float, float], ...]
+
+
+@dataclass(frozen=True)
+class AnchorTerms:
+    """The samples of f that every two-variable rule at one anchor (x, y)
+    of r = [a, b] x [c, d] is built from.
+
+    values[i][j] is f at ((x, a, b)[i], (y, c, d)[j]); along_t[j] is the
+    integral over t of f(t, (y, c, d)[j]); along_s[i] is the integral over s
+    of f((x, a, b)[i], s); double is the double integral over r, split at
+    the anchor lines. Each equals, bit for bit, the scalar evaluation,
+    integrate_1d or integrate_2d call that it replaces.
+    """
+
+    rect: Rectangle
+    point: EvalPoint
+    values: Values3x3
+    along_t: tuple[float, float, float]
+    along_s: tuple[float, float, float]
+    double: float
+
+
+def _anchor_values(
+    f: BivariateFunction, r: Rectangle, anchors: Sequence[EvalPoint]
+) -> list[Values3x3]:
+    """f on {x, a, b} x {y, c, d} for every anchor, from one grid."""
+    a, b, c, d = _axes(r)
+    k = len(anchors)
+    ts = [pt.x for pt in anchors] + [a, b]
+    ss = [pt.y for pt in anchors] + [c, d]
+    grid = grid_values(f, np.array(ts), np.array(ss)).tolist()
+    return [
+        tuple(tuple(grid[i][j] for j in (n, k, k + 1)) for i in (n, k, k + 1))
+        for n in range(k)
+    ]
+
+
+def _lines(
+    f: BivariateFunction, fixed_axis: str, fixed: list, iv: Interval1D, q: QuadConfig
+) -> list[float]:
+    """Integrals over iv of the cross-sections of f at each fixed
+    coordinate (quadrature.line_integrals), one line at a time."""
+    nodes, weights = _axis_quadrature(iv, q)
+    return line_integrals(f, fixed_axis, fixed, nodes[None, :], weights[None, :])[:, 0].tolist()
+
+
+def anchor_terms(
+    f: BivariateFunction, r: Rectangle, anchors: Sequence[EvalPoint], q: QuadConfig
+) -> list[AnchorTerms]:
+    """AnchorTerms of every anchor: one grid of point values, the lines
+    s = y, t = x of each anchor plus the four edge lines (shared by all
+    anchors), and one split double integral per anchor."""
+    a, b, c, d = _axes(r)
+    k = len(anchors)
+    values = _anchor_values(f, r, anchors)
+    along_t = _lines(f, "s", [pt.y for pt in anchors] + [c, d], r.t_axis, q)
+    along_s = _lines(f, "t", [pt.x for pt in anchors] + [a, b], r.s_axis, q)
+    return [
+        AnchorTerms(
+            rect=r,
+            point=pt,
+            values=values[n],
+            along_t=(along_t[n], along_t[k], along_t[k + 1]),
+            along_s=(along_s[n], along_s[k], along_s[k + 1]),
+            double=integrate_2d(f, r, q, split=pt),
+        )
+        for n, pt in enumerate(anchors)
+    ]
+
+
+def _sarikaya_H(r: Rectangle, pt: EvalPoint, v: Values3x3) -> float:
     a, b, c, d = _axes(r)
     x, y = pt.x, pt.y
+    (_, f_xc, f_xd), (f_ay, f_ac, f_ad), (f_by, f_bc, f_bd) = v
     corner = (
-        (x - a) * ((y - c) * f.eval(a, c) + (d - y) * f.eval(a, d))
-        + (b - x) * ((y - c) * f.eval(b, c) + (d - y) * f.eval(b, d))
+        (x - a) * ((y - c) * f_ac + (d - y) * f_ad)
+        + (b - x) * ((y - c) * f_bc + (d - y) * f_bd)
     ) / r.area
-    edge_t = ((x - a) * f.eval(a, y) + (b - x) * f.eval(b, y)) / r.t_axis.length
-    edge_s = ((y - c) * f.eval(x, c) + (d - y) * f.eval(x, d)) / r.s_axis.length
+    edge_t = ((x - a) * f_ay + (b - x) * f_by) / r.t_axis.length
+    edge_s = ((y - c) * f_xc + (d - y) * f_xd) / r.s_axis.length
     return corner + edge_t + edge_s
 
 
-def sarikaya_functional(
-    f: BivariateFunction,
-    r: Rectangle,
-    pt: EvalPoint,
-    db: DerivativeBounds,
-    q: QuadConfig,
-    slack: Optional[float] = None,
+def sarikaya_H(f: BivariateFunction, r: Rectangle, pt: EvalPoint) -> float:
+    """Boundary-value combination of the midpoint-kernel rule: one corner
+    block over the area plus one edge block per axis."""
+    return _sarikaya_H(r, pt, _anchor_values(f, r, [pt])[0])
+
+
+def sarikaya_from_terms(
+    terms: AnchorTerms, db: DerivativeBounds, slack: Optional[float] = None
 ) -> RuleOutcome:
+    """t3 at terms.point."""
+    r, pt = terms.rect, terms.point
     a, b, c, d = _axes(r)
     x, y = pt.x, pt.y
     area = r.area
-    int_ty = integrate_1d(f.fix_s(y), r.t_axis, q)
-    int_xs = integrate_1d(f.fix_t(x), r.s_axis, q)
-    int_tc = integrate_1d(f.fix_s(c), r.t_axis, q)
-    int_td = integrate_1d(f.fix_s(d), r.t_axis, q)
-    int_as = integrate_1d(f.fix_t(a), r.s_axis, q)
-    int_bs = integrate_1d(f.fix_t(b), r.s_axis, q)
-    dbl = integrate_2d(f, r, q, split=pt)
+    int_ty, int_tc, int_td = terms.along_t
+    int_xs, int_as, int_bs = terms.along_s
     lhs = abs(
-        0.25 * f.eval(x, y)
-        + 0.25 * sarikaya_H(f, r, pt)
+        0.25 * terms.values[0][0]
+        + 0.25 * _sarikaya_H(r, pt, terms.values)
         - int_ty / (2.0 * r.t_axis.length)
         - int_xs / (2.0 * r.s_axis.length)
         - ((y - c) * int_tc + (d - y) * int_td) / (2.0 * area)
         - ((x - a) * int_as + (b - x) * int_bs) / (2.0 * area)
-        + dbl / area
+        + terms.double / area
     )
     rhs = (
         ((x - a) ** 2 + (b - x) ** 2)
@@ -207,9 +346,66 @@ def sarikaya_functional(
     return _outcome(lhs, rhs, slack)
 
 
+def sarikaya_functional(
+    f: BivariateFunction,
+    r: Rectangle,
+    pt: EvalPoint,
+    db: DerivativeBounds,
+    q: QuadConfig,
+    slack: Optional[float] = None,
+) -> RuleOutcome:
+    return sarikaya_from_terms(anchor_terms(f, r, [pt], q)[0], db, slack)
+
+
 def _lambda_box(iv: Interval1D, lam: float) -> tuple[float, float]:
     shrink = 0.5 * lam * iv.length
     return iv.lo + shrink, iv.hi - shrink
+
+
+def _require_lambda_box(r: Rectangle, pt: EvalPoint, lv: float) -> None:
+    x, y = pt.x, pt.y
+    tol_t = 1e-12 * r.t_axis.length
+    tol_s = 1e-12 * r.s_axis.length
+    x_lo, x_hi = _lambda_box(r.t_axis, lv)
+    y_lo, y_hi = _lambda_box(r.s_axis, lv)
+    if not (x_lo - tol_t <= x <= x_hi + tol_t and y_lo - tol_s <= y <= y_hi + tol_s):
+        raise PointOutsideLambdaBox(
+            f"point ({x}, {y}) outside [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}] "
+            f"for lambda={lv}"
+        )
+
+
+def qiaoling_from_terms(
+    terms: AnchorTerms, db: DerivativeBounds, lam: Lambda, slack: Optional[float] = None
+) -> RuleOutcome:
+    """t4 at terms.point, which must lie in the shrunken box."""
+    r, pt = terms.rect, terms.point
+    lv = lam.value
+    _require_lambda_box(r, pt, lv)
+    w0 = 1.0 - lv
+    half = 0.5 * lv
+    (f_xy, f_xc, f_xd), (f_ay, f_ac, f_ad), (f_by, f_bc, f_bd) = terms.values
+    int_ty, int_tc, int_td = terms.along_t
+    int_xs, int_as, int_bs = terms.along_s
+    u = pt.x - r.t_axis.midpoint
+    v = pt.y - r.s_axis.midpoint
+    lhs = abs(
+        w0 * w0 * f_xy
+        + half * w0 * (f_ay + f_by + f_xc + f_xd)
+        + half * half * (f_ac + f_bc + f_ad + f_bd)
+        - (w0 * int_ty + half * (int_tc + int_td)) / r.t_axis.length
+        - (w0 * int_xs + half * (int_as + int_bs)) / r.s_axis.length
+        - db.midpoint * w0 * w0 * u * v
+        + terms.double / r.area
+    )
+    shape = lv * lv + w0 * w0
+    rhs = (
+        db.halfwidth
+        / r.area
+        * (shape * r.t_axis.length ** 2 / 4.0 + u * u)
+        * (shape * r.s_axis.length ** 2 / 4.0 + v * v)
+    )
+    return _outcome(lhs, rhs, slack)
 
 
 def qiaoling_functional(
@@ -222,46 +418,8 @@ def qiaoling_functional(
     slack: Optional[float] = None,
 ) -> RuleOutcome:
     """Lambda-weighted rule; the anchor must lie in the shrunken box."""
-    a, b, c, d = _axes(r)
-    x, y = pt.x, pt.y
-    lv = lam.value
-    tol_t = 1e-12 * r.t_axis.length
-    tol_s = 1e-12 * r.s_axis.length
-    x_lo, x_hi = _lambda_box(r.t_axis, lv)
-    y_lo, y_hi = _lambda_box(r.s_axis, lv)
-    if not (x_lo - tol_t <= x <= x_hi + tol_t and y_lo - tol_s <= y <= y_hi + tol_s):
-        raise PointOutsideLambdaBox(
-            f"point ({x}, {y}) outside [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}] "
-            f"for lambda={lv}"
-        )
-    w0 = 1.0 - lv
-    half = 0.5 * lv
-    int_ty = integrate_1d(f.fix_s(y), r.t_axis, q)
-    int_xs = integrate_1d(f.fix_t(x), r.s_axis, q)
-    int_tc = integrate_1d(f.fix_s(c), r.t_axis, q)
-    int_td = integrate_1d(f.fix_s(d), r.t_axis, q)
-    int_as = integrate_1d(f.fix_t(a), r.s_axis, q)
-    int_bs = integrate_1d(f.fix_t(b), r.s_axis, q)
-    dbl = integrate_2d(f, r, q, split=pt)
-    u = x - r.t_axis.midpoint
-    v = y - r.s_axis.midpoint
-    lhs = abs(
-        w0 * w0 * f.eval(x, y)
-        + half * w0 * (f.eval(a, y) + f.eval(b, y) + f.eval(x, c) + f.eval(x, d))
-        + half * half * (f.eval(a, c) + f.eval(b, c) + f.eval(a, d) + f.eval(b, d))
-        - (w0 * int_ty + half * (int_tc + int_td)) / r.t_axis.length
-        - (w0 * int_xs + half * (int_as + int_bs)) / r.s_axis.length
-        - db.midpoint * w0 * w0 * u * v
-        + dbl / r.area
-    )
-    shape = lv * lv + w0 * w0
-    rhs = (
-        db.halfwidth
-        / r.area
-        * (shape * r.t_axis.length ** 2 / 4.0 + u * u)
-        * (shape * r.s_axis.length ** 2 / 4.0 + v * v)
-    )
-    return _outcome(lhs, rhs, slack)
+    _require_lambda_box(r, pt, lam.value)
+    return qiaoling_from_terms(anchor_terms(f, r, [pt], q)[0], db, lam, slack)
 
 
 def quarter_rule_anchor_weight(r: Rectangle, pt: EvalPoint) -> float:
@@ -271,22 +429,60 @@ def quarter_rule_anchor_weight(r: Rectangle, pt: EvalPoint) -> float:
     return (3.0 * (x - a) - (b - x)) * (3.0 * (y - c) - (d - y)) / r.area
 
 
+def _quarter_rule_boundary_term(r: Rectangle, pt: EvalPoint, v: Values3x3) -> float:
+    a, b, c, d = _axes(r)
+    x, y = pt.x, pt.y
+    (_, f_xc, f_xd), (f_ay, f_ac, f_ad), (f_by, f_bc, f_bd) = v
+    ky = 3.0 * (y - c) - (d - y)
+    kx = 3.0 * (x - a) - (b - x)
+    blocks = (
+        (3.0 * (b - x) * f_by - (x - a) * f_ay) * ky
+        + (3.0 * (d - y) * f_xd - (y - c) * f_xc) * kx
+        + ((y - c) * f_ac - 3.0 * (d - y) * f_ad) * (x - a)
+        + (3.0 * (d - y) * f_bd - (y - c) * f_bc) * (b - x)
+    )
+    return blocks / r.area
+
+
 def quarter_rule_boundary_term(
     f: BivariateFunction, r: Rectangle, pt: EvalPoint
 ) -> float:
     """Boundary-value combination H of the quarter-kernel rule: the four
     stated blocks summed, divided by the area."""
+    return _quarter_rule_boundary_term(r, pt, _anchor_values(f, r, [pt])[0])
+
+
+def quarter_rule_from_terms(
+    terms: AnchorTerms, db: DerivativeBounds, slack: Optional[float] = None
+) -> RuleOutcome:
+    """t5 at terms.point, as catalogued (see quarter_rule_functional)."""
+    r, pt = terms.rect, terms.point
     a, b, c, d = _axes(r)
     x, y = pt.x, pt.y
-    ky = 3.0 * (y - c) - (d - y)
+    area = r.area
+    int_ty, int_tc, int_td = terms.along_t
+    int_xs, int_as, int_bs = terms.along_s
     kx = 3.0 * (x - a) - (b - x)
-    blocks = (
-        (3.0 * (b - x) * f.eval(b, y) - (x - a) * f.eval(a, y)) * ky
-        + (3.0 * (d - y) * f.eval(x, d) - (y - c) * f.eval(x, c)) * kx
-        + ((y - c) * f.eval(a, c) - 3.0 * (d - y) * f.eval(a, d)) * (x - a)
-        + (3.0 * (d - y) * f.eval(b, d) - (y - c) * f.eval(b, c)) * (b - x)
+    ky = 3.0 * (y - c) - (d - y)
+    signed_factor = ((y - c) ** 2 - (d - y) ** 2) * ((x - a) ** 2 - (b - x) ** 2)
+    lhs = abs(
+        quarter_rule_anchor_weight(r, pt) * terms.values[0][0] / 16.0
+        + _quarter_rule_boundary_term(r, pt, terms.values) / 16.0
+        - kx * int_xs / (4.0 * area)
+        - ky * int_ty / (4.0 * area)
+        - (3.0 * (b - x) * int_bs - (x - a) * int_as) / (4.0 * area)
+        - (3.0 * (d - y) * int_td - (y - c) * int_tc) / (4.0 * area)
+        - signed_factor * (db.upper + db.lower) / (32.0 * area)
+        + terms.double / area
     )
-    return blocks / r.area
+    rhs = (
+        25.0
+        * ((y - c) ** 2 + (d - y) ** 2)
+        * ((x - a) ** 2 + (b - x) ** 2)
+        / (512.0 * area)
+        * (db.upper - db.lower)
+    )
+    return _outcome(lhs, rhs, slack)
 
 
 def quarter_rule_functional(
@@ -303,34 +499,4 @@ def quarter_rule_functional(
     derivative spread on the unit square the lhs evaluates to 3/16 while
     the rhs is 0.
     """
-    a, b, c, d = _axes(r)
-    x, y = pt.x, pt.y
-    area = r.area
-    int_xs = integrate_1d(f.fix_t(x), r.s_axis, q)
-    int_ty = integrate_1d(f.fix_s(y), r.t_axis, q)
-    int_as = integrate_1d(f.fix_t(a), r.s_axis, q)
-    int_bs = integrate_1d(f.fix_t(b), r.s_axis, q)
-    int_tc = integrate_1d(f.fix_s(c), r.t_axis, q)
-    int_td = integrate_1d(f.fix_s(d), r.t_axis, q)
-    dbl = integrate_2d(f, r, q, split=pt)
-    kx = 3.0 * (x - a) - (b - x)
-    ky = 3.0 * (y - c) - (d - y)
-    signed_factor = ((y - c) ** 2 - (d - y) ** 2) * ((x - a) ** 2 - (b - x) ** 2)
-    lhs = abs(
-        quarter_rule_anchor_weight(r, pt) * f.eval(x, y) / 16.0
-        + quarter_rule_boundary_term(f, r, pt) / 16.0
-        - kx * int_xs / (4.0 * area)
-        - ky * int_ty / (4.0 * area)
-        - (3.0 * (b - x) * int_bs - (x - a) * int_as) / (4.0 * area)
-        - (3.0 * (d - y) * int_td - (y - c) * int_tc) / (4.0 * area)
-        - signed_factor * (db.upper + db.lower) / (32.0 * area)
-        + dbl / area
-    )
-    rhs = (
-        25.0
-        * ((y - c) ** 2 + (d - y) ** 2)
-        * ((x - a) ** 2 + (b - x) ** 2)
-        / (512.0 * area)
-        * (db.upper - db.lower)
-    )
-    return _outcome(lhs, rhs, slack)
+    return quarter_rule_from_terms(anchor_terms(f, r, [pt], q)[0], db, slack)

@@ -1,5 +1,6 @@
 """Shared test machinery: independent brute-force oracles and generators,
-and a reference copy of the cell-by-cell enclosure loop.
+a reference copy of the cell-by-cell enclosure loop, and reference copies
+of the per-rule bodies and of the raw symbolic derivative.
 
 The oracles deliberately avoid the package's Gauss-Legendre machinery so
 oracle agreement tests compare two genuinely different computations:
@@ -7,7 +8,11 @@ kernel moments use kink-aligned composite trapezoid sums (exact for the
 piecewise-linear kernels), and the kernel-weighted integral uses composite
 Simpson per quadrant. The reference enclosure is the opposite: it repeats
 the package's own arithmetic one cell at a time, so the grid assembler
-must match it bit for bit.
+must match it bit for bit. The reference rules likewise evaluate every
+point, line and double integral of a rule on their own, so the shared
+anchor terms must match them bit for bit, and the reference derivative
+builds the unsimplified tree that simplify must turn into the one-pass
+derivative.
 """
 
 from __future__ import annotations
@@ -18,10 +23,25 @@ import numpy as np
 
 from ostrocube.core import DerivativeBounds, Enclosure, Interval1D, Rectangle
 from ostrocube.enclosure import EnclosureReport
-from ostrocube.expr import Binary, Const, ExprNode, Unary, Var, XorShift64Star
+from ostrocube.expr import (
+    Binary,
+    Const,
+    ExprNode,
+    UnsupportedDerivative,
+    Unary,
+    Var,
+    XorShift64Star,
+)
 from ostrocube.identity import expansion_weights
 from ostrocube.kernels import abs_moment, signed_moment
-from ostrocube.quadrature import _check_finite, gl_rule, sample_mixed, sample_univariate
+from ostrocube.quadrature import (
+    _check_finite,
+    gl_rule,
+    integrate_1d,
+    integrate_2d,
+    sample_mixed,
+    sample_univariate,
+)
 
 
 def trapz(values: np.ndarray, xs: np.ndarray) -> float:
@@ -325,3 +345,250 @@ def reference_composite(
         per_cell_width=tuple(widths),
         quadrature_padding=total_pad,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference rules: each rule evaluating its own points, lines and integral
+# ---------------------------------------------------------------------------
+#
+# Copies of the rule bodies that the shared anchor terms replaced. Each
+# returns (lhs, rhs) for the rules, or the un-normalized value for the
+# expansions, and must agree to the last bit with the package.
+
+
+def _ref_lines(f, r, x, y, q):
+    """(int_ty, int_xs, int_tc, int_td, int_as, int_bs, dbl) at anchor (x, y)."""
+    a, b, c, d = r.t_axis.lo, r.t_axis.hi, r.s_axis.lo, r.s_axis.hi
+    return (
+        integrate_1d(f.fix_s(y), r.t_axis, q),
+        integrate_1d(f.fix_t(x), r.s_axis, q),
+        integrate_1d(f.fix_s(c), r.t_axis, q),
+        integrate_1d(f.fix_s(d), r.t_axis, q),
+        integrate_1d(f.fix_t(a), r.s_axis, q),
+        integrate_1d(f.fix_t(b), r.s_axis, q),
+    )
+
+
+def reference_sarikaya(f, r, pt, db, q):
+    a, b, c, d = r.t_axis.lo, r.t_axis.hi, r.s_axis.lo, r.s_axis.hi
+    x, y = pt.x, pt.y
+    area = r.area
+    int_ty, int_xs, int_tc, int_td, int_as, int_bs = _ref_lines(f, r, x, y, q)
+    dbl = integrate_2d(f, r, q, split=pt)
+    corner = (
+        (x - a) * ((y - c) * f.eval(a, c) + (d - y) * f.eval(a, d))
+        + (b - x) * ((y - c) * f.eval(b, c) + (d - y) * f.eval(b, d))
+    ) / r.area
+    edge_t = ((x - a) * f.eval(a, y) + (b - x) * f.eval(b, y)) / r.t_axis.length
+    edge_s = ((y - c) * f.eval(x, c) + (d - y) * f.eval(x, d)) / r.s_axis.length
+    h = corner + edge_t + edge_s
+    lhs = abs(
+        0.25 * f.eval(x, y)
+        + 0.25 * h
+        - int_ty / (2.0 * r.t_axis.length)
+        - int_xs / (2.0 * r.s_axis.length)
+        - ((y - c) * int_tc + (d - y) * int_td) / (2.0 * area)
+        - ((x - a) * int_as + (b - x) * int_bs) / (2.0 * area)
+        + dbl / area
+    )
+    rhs = (
+        ((x - a) ** 2 + (b - x) ** 2)
+        * ((y - c) ** 2 + (d - y) ** 2)
+        / (32.0 * area)
+        * (db.upper - db.lower)
+    )
+    return lhs, rhs
+
+
+def reference_qiaoling(f, r, pt, db, lv, q):
+    a, b, c, d = r.t_axis.lo, r.t_axis.hi, r.s_axis.lo, r.s_axis.hi
+    x, y = pt.x, pt.y
+    w0 = 1.0 - lv
+    half = 0.5 * lv
+    int_ty, int_xs, int_tc, int_td, int_as, int_bs = _ref_lines(f, r, x, y, q)
+    dbl = integrate_2d(f, r, q, split=pt)
+    u = x - r.t_axis.midpoint
+    v = y - r.s_axis.midpoint
+    lhs = abs(
+        w0 * w0 * f.eval(x, y)
+        + half * w0 * (f.eval(a, y) + f.eval(b, y) + f.eval(x, c) + f.eval(x, d))
+        + half * half * (f.eval(a, c) + f.eval(b, c) + f.eval(a, d) + f.eval(b, d))
+        - (w0 * int_ty + half * (int_tc + int_td)) / r.t_axis.length
+        - (w0 * int_xs + half * (int_as + int_bs)) / r.s_axis.length
+        - db.midpoint * w0 * w0 * u * v
+        + dbl / r.area
+    )
+    shape = lv * lv + w0 * w0
+    rhs = (
+        db.halfwidth
+        / r.area
+        * (shape * r.t_axis.length ** 2 / 4.0 + u * u)
+        * (shape * r.s_axis.length ** 2 / 4.0 + v * v)
+    )
+    return lhs, rhs
+
+
+def reference_quarter_rule(f, r, pt, db, q):
+    a, b, c, d = r.t_axis.lo, r.t_axis.hi, r.s_axis.lo, r.s_axis.hi
+    x, y = pt.x, pt.y
+    area = r.area
+    int_ty, int_xs, int_tc, int_td, int_as, int_bs = _ref_lines(f, r, x, y, q)
+    dbl = integrate_2d(f, r, q, split=pt)
+    kx = 3.0 * (x - a) - (b - x)
+    ky = 3.0 * (y - c) - (d - y)
+    weight = kx * ky / r.area
+    blocks = (
+        (3.0 * (b - x) * f.eval(b, y) - (x - a) * f.eval(a, y)) * ky
+        + (3.0 * (d - y) * f.eval(x, d) - (y - c) * f.eval(x, c)) * kx
+        + ((y - c) * f.eval(a, c) - 3.0 * (d - y) * f.eval(a, d)) * (x - a)
+        + (3.0 * (d - y) * f.eval(b, d) - (y - c) * f.eval(b, c)) * (b - x)
+    )
+    signed_factor = ((y - c) ** 2 - (d - y) ** 2) * ((x - a) ** 2 - (b - x) ** 2)
+    lhs = abs(
+        weight * f.eval(x, y) / 16.0
+        + blocks / r.area / 16.0
+        - kx * int_xs / (4.0 * area)
+        - ky * int_ty / (4.0 * area)
+        - (3.0 * (b - x) * int_bs - (x - a) * int_as) / (4.0 * area)
+        - (3.0 * (d - y) * int_td - (y - c) * int_tc) / (4.0 * area)
+        - signed_factor * (db.upper + db.lower) / (32.0 * area)
+        + dbl / area
+    )
+    rhs = (
+        25.0
+        * ((y - c) ** 2 + (d - y) ** 2)
+        * ((x - a) ** 2 + (b - x) ** 2)
+        / (512.0 * area)
+        * (db.upper - db.lower)
+    )
+    return lhs, rhs
+
+
+def reference_full_expansion_derived(f, r, pt, q):
+    t_nodes, t_weights = expansion_weights(r.t_axis, pt.x)
+    s_nodes, s_weights = expansion_weights(r.s_axis, pt.y)
+    points = sum(
+        wt * ws * f.eval(tn, sn)
+        for tn, wt in zip(t_nodes, t_weights)
+        for sn, ws in zip(s_nodes, s_weights)
+    )
+    lines_t = sum(
+        wt * integrate_1d(f.fix_t(tn), r.s_axis, q)
+        for tn, wt in zip(t_nodes, t_weights)
+    )
+    lines_s = sum(
+        ws * integrate_1d(f.fix_s(sn), r.t_axis, q)
+        for sn, ws in zip(s_nodes, s_weights)
+    )
+    dbl = integrate_2d(f, r, q, split=pt)
+    return points - lines_t - lines_s + dbl
+
+
+def reference_full_expansion_verbatim(f, r, pt, q):
+    a, b, c, d = r.t_axis.lo, r.t_axis.hi, r.s_axis.lo, r.s_axis.hi
+    x, y = pt.x, pt.y
+    kx = 3.0 * (x - a) - (b - x)
+    ky = 3.0 * (y - c) - (d - y)
+    brace = (
+        kx * ky * f.eval(x, y)
+        + (3.0 * (b - x) * f.eval(b, y) - (x - a) * f.eval(a, y)) * ky
+        + (3.0 * (d - y) * f.eval(x, d) - (y - c) * f.eval(x, c)) * kx
+        + ((y - c) * f.eval(a, c) - 3.0 * (d - y) * f.eval(a, d)) * (x - a)
+        + (3.0 * (d - y) * f.eval(b, d) - (y - c) * f.eval(b, c)) * (b - x)
+    )
+    int_ty, int_xs, int_tc, int_td, int_as, int_bs = _ref_lines(f, r, x, y, q)
+    dbl = integrate_2d(f, r, q, split=pt)
+    lines = (
+        kx * int_xs
+        + ky * int_ty
+        + 3.0 * (b - x) * int_bs
+        - (x - a) * int_as
+        + 3.0 * (d - y) * int_td
+        - (y - c) * int_tc
+    )
+    return brace / 16.0 - lines / 4.0 + dbl
+
+
+def reference_corrected(f, r, pt, db, q):
+    """The verify harness's corrected rule: |derived - M*S| against h*A."""
+    lhs = abs(reference_full_expansion_derived(f, r, pt, q) - db.midpoint * signed_moment(r, pt))
+    return lhs, db.halfwidth * abs_moment(r, pt)
+
+
+# ---------------------------------------------------------------------------
+# reference derivative: the raw, unsimplified symbolic derivative
+# ---------------------------------------------------------------------------
+
+
+def _ref_provably_positive(e: ExprNode) -> bool:
+    if isinstance(e, Const):
+        return e.value > 0.0
+    return isinstance(e, Unary) and e.op == "exp"
+
+
+def reference_diff(e: ExprNode, var: str) -> ExprNode:
+    """Product/quotient/chain rules with no simplification at all;
+    simplify(reference_diff(e, v)) must equal differentiate(e, v)."""
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Var):
+        return Const(1.0) if e.name == var else Const(0.0)
+    if isinstance(e, Unary):
+        du = reference_diff(e.child, var)
+        u = e.child
+        if e.op == "neg":
+            return Unary("neg", du)
+        if e.op == "sin":
+            return Binary("*", Unary("cos", u), du)
+        if e.op == "cos":
+            return Unary("neg", Binary("*", Unary("sin", u), du))
+        if e.op == "exp":
+            return Binary("*", Unary("exp", u), du)
+        if e.op == "log":
+            return Binary("/", du, u)
+        if e.op == "sqrt":
+            return Binary("/", du, Binary("*", Const(2.0), Unary("sqrt", u)))
+        raise AssertionError(f"unknown unary op {e.op!r}")
+    assert isinstance(e, Binary)
+    if e.op in ("+", "-"):
+        return Binary(e.op, reference_diff(e.left, var), reference_diff(e.right, var))
+    if e.op == "*":
+        return Binary(
+            "+",
+            Binary("*", reference_diff(e.left, var), e.right),
+            Binary("*", e.left, reference_diff(e.right, var)),
+        )
+    if e.op == "/":
+        num = Binary(
+            "-",
+            Binary("*", reference_diff(e.left, var), e.right),
+            Binary("*", e.left, reference_diff(e.right, var)),
+        )
+        return Binary("/", num, Binary("^", e.right, Const(2.0)))
+    if e.op == "^":
+        base, expo = e.left, e.right
+        if isinstance(expo, Const):
+            n = expo.value
+            power = Binary("^", base, Const(n - 1.0))
+            return Binary("*", Binary("*", Const(n), power), reference_diff(base, var))
+        if _ref_provably_positive(base):
+            inner = Binary(
+                "+",
+                Binary("*", reference_diff(expo, var), Unary("log", base)),
+                Binary("*", expo, Binary("/", reference_diff(base, var), base)),
+            )
+            return Binary("*", e, inner)
+        raise UnsupportedDerivative("non-constant exponent over a base that may be negative")
+    raise AssertionError(f"unknown binary op {e.op!r}")
+
+
+def tree_key(e: ExprNode):
+    """Structural key of a tree that, unlike ==, tells Const(-0.0) from
+    Const(0.0)."""
+    if isinstance(e, Const):
+        return ("const", e.value.hex())
+    if isinstance(e, Var):
+        return ("var", e.name)
+    if isinstance(e, Unary):
+        return ("unary", e.op, tree_key(e.child))
+    return ("binary", e.op, tree_key(e.left), tree_key(e.right))

@@ -192,6 +192,33 @@ def test_compare_json():
     assert doc["flags"]["violations"] == 1
 
 
+def test_compare_checks_given_bounds_at_the_anchor():
+    # the exact partial -cos(1/t)/t^2 is 1.654 at the centre, outside [-1, 1]
+    code, doc = _capture_json(
+        ["compare", "--f", "sin(1/t)*s", "--rect", "0.001", "1", "0", "1",
+         "--bounds", "-1", "1", "--json", "--no-timestamp"]
+    )
+    assert code == 0
+    assert doc["flags"]["rigorous"] is False
+    code, doc = _capture_json(
+        ["compare", "--f", "t*s", "--rect", "0", "1", "0", "1",
+         "--bounds", "1", "1", "--json", "--no-timestamp"]
+    )
+    assert doc["flags"]["rigorous"] is True
+
+
+@pytest.mark.parametrize("text", ["sqrt(t)+sqrt(s)", "log(t+1)+sqrt(s)"])
+def test_enclose_auto_bounds_with_identically_zero_partial(text):
+    # the mixed partial used to keep 0 / (2 sqrt(t)) terms, which failed
+    # with "division by zero" at t = 0
+    code, doc = _capture_json(
+        ["enclose", "--f", text, "--rect", "0", "1", "0", "1",
+         "--subdivide", "2", "2", "--json", "--no-timestamp"]
+    )
+    assert code == 0
+    assert doc["flags"]["rigorous"] is False
+
+
 def test_numerical_failure_exit_code():
     # log goes negative inside the rectangle -> DomainError -> exit 1
     code, _ = _capture(
@@ -247,6 +274,16 @@ def test_golden_identity_document():
             "--point", "0.5", "0.5", "--json", "--no-timestamp"]
     _, text = _capture(argv)
     assert text == (DATA / "golden_identity.json").read_text()
+
+
+@pytest.mark.parametrize("extra, golden", [
+    ([], "golden_verify.json"),
+    (["--lambda", "0.5"], "golden_verify_lambda.json"),
+])
+def test_golden_verify_document(extra, golden):
+    argv = ["verify", "--trials", "200", "--seed", "42", *extra, "--json", "--no-timestamp"]
+    _, text = _capture(argv)
+    assert text == (DATA / golden).read_text()
 
 
 def test_golden_enclose_document():

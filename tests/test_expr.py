@@ -202,6 +202,24 @@ def test_to_univariate_binds_dummy():
     assert g.deriv(3.0) == pytest.approx(6.0, abs=1e-13)
 
 
+def test_to_univariate_differentiates_on_first_deriv_call(monkeypatch):
+    import ostrocube.expr as expr_module
+
+    calls = []
+    real = expr_module.differentiate
+    monkeypatch.setattr(expr_module, "differentiate",
+                        lambda e, var: calls.append(var) or real(e, var))
+    g = to_univariate(parse_expression("s^3 + 2*s"), var="s")
+    assert g.has_exact_deriv and calls == []
+    assert g.eval(2.0) == 12.0
+    assert calls == []
+    assert g.deriv(2.0) == 14.0
+    assert g.deriv(1.0) == 5.0
+    assert calls == ["s"]
+    assert not to_univariate(parse_expression("t^t")).has_exact_deriv
+    assert to_univariate(parse_expression("exp(t)^t")).has_exact_deriv
+
+
 def test_unsupported_derivative():
     e = parse_expression("t^s")
     with pytest.raises(UnsupportedDerivative):
@@ -252,6 +270,25 @@ def test_simplify_unit_laws():
     assert simplify(Binary("^", t, Const(1.0))) == t
     assert simplify(Binary("*", t, Const(0.0))) == Const(0.0)
     assert simplify(Binary("+", Const(2.0), Const(3.0))) == Const(5.0)
+
+
+def test_simplify_folds_zero_over_anything_but_literal_zero():
+    u = parse_expression("2 * sqrt(t)")
+    assert simplify(Binary("/", Const(0.0), u)) == Const(0.0)
+    assert simplify(Binary("/", Const(-0.0), u)) == Const(0.0)
+    kept = Binary("/", Const(0.0), Const(0.0))
+    assert simplify(kept) == kept
+    with pytest.raises(DomainError):
+        eval_expr(kept, 1.0, 1.0)
+
+
+def test_mixed_partials_of_singular_sums_have_no_division():
+    for text in ("sqrt(t)+sqrt(s)", "log(t+1)+sqrt(s)", "log(t-1)"):
+        mixed = differentiate(differentiate(parse_expression(text), "t"), "s")
+        assert mixed == Const(0.0), text
+    # still open: this partial divides by 2 sqrt(t), which is 0 at t = 0
+    mixed = differentiate(differentiate(parse_expression("t*sqrt(t)*s"), "t"), "s")
+    assert to_string(mixed) == "sqrt(t) + t * (1 / (2 * sqrt(t)))"
 
 
 def test_simplify_preserves_values():
