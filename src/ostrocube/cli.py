@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -39,6 +40,7 @@ from .core import (
     Interval1D,
     QuadConfig,
     Rectangle,
+    UnivariateFunction,
     make_point,
     make_rectangle,
 )
@@ -52,18 +54,15 @@ from .expr import (
     DomainError,
     XorShift64Star,
     derive_seed,
-    differentiate,
     parse_expression,
     random_polynomial,
     random_polynomial_1d,
     to_bivariate,
     to_univariate,
 )
-from .identity import derived_from_terms, identity_report
-from .kernels import abs_moment, signed_moment
+from .identity import corrected_from_terms, identity_report
 from .quadrature import NonFiniteSample, estimate_bounds, sample_univariate
 from .rules import (
-    AnchorTerms,
     Lambda,
     PointOutsideLambdaBox,
     RuleOutcome,
@@ -83,7 +82,7 @@ from .rules import (
 
 # no longer called here; they stay importable from this module, where
 # perfbench/tracing.py counts them
-from .expr import to_string  # noqa: F401
+from .expr import differentiate, to_string  # noqa: F401
 from .identity import full_expansion_derived  # noqa: F401
 
 __all__ = [
@@ -268,14 +267,16 @@ def parse_args(argv: Sequence[str]) -> CliInvocation:
             expect_hold=_validated_rules(ns.expect_hold) if ns.expect_hold else [],
         )
     elif ns.subcommand == "identity":
-        if ns.tol <= 0:
-            raise UsageError(f"--tol must be > 0, got {ns.tol}")
+        if not (math.isfinite(ns.tol) and ns.tol > 0):
+            raise UsageError(f"--tol must be finite and > 0, got {ns.tol}")
         opts["tol"] = float(ns.tol)
     elif ns.subcommand == "compare":
         opts["bounds"] = _parse_bounds(ns.bounds)
         if not 0.0 <= ns.lam <= 1.0:
             raise UsageError(f"--lambda must lie in [0, 1], got {ns.lam}")
         opts["lam"] = float(ns.lam)
+        if ns.tol is not None and not (math.isfinite(ns.tol) and ns.tol >= 0):
+            raise UsageError(f"--tol must be finite and >= 0, got {ns.tol}")
         opts["tol"] = None if ns.tol is None else float(ns.tol)
     mode = "json" if getattr(ns, "json_mode", False) else "text"
     return CliInvocation(subcommand=ns.subcommand, options=opts, output_mode=mode)
@@ -297,22 +298,12 @@ _FIXTURES_1D = (
 )
 
 
-def _corrected_from_terms(terms: AnchorTerms, db: DerivativeBounds) -> RuleOutcome:
-    """Oracle-validated bound |derived - M*S| <= h*A, slack 1e-12*(1+A)."""
-    r, pt = terms.rect, terms.point
-    area_moment = abs_moment(r, pt)
-    lhs = abs(derived_from_terms(terms) - db.midpoint * signed_moment(r, pt))
-    rhs = db.halfwidth * area_moment
-    slack = 1e-12 * (1.0 + area_moment)
-    return RuleOutcome(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + slack, slack=slack)
-
-
 # the rules that verify evaluates at the anchor p, from its anchor terms;
 # t4 takes its own anchor q and the lambda
 _RULES_2D = {
     "t3": sarikaya_from_terms,
     "t5": quarter_rule_from_terms,
-    "corrected": _corrected_from_terms,
+    "corrected": corrected_from_terms,
 }
 
 
@@ -339,16 +330,15 @@ def _eval_rule_case(rule: str, case: dict, q: QuadConfig) -> RuleOutcome:
     if rule == "t5":
         return quarter_rule_functional(f, r, pt, db, q)
     if rule == "corrected":
-        return _corrected_from_terms(anchor_terms(f, r, [pt], q)[0], db)
+        return corrected_from_terms(anchor_terms(f, r, [pt], q)[0], db)
     raise AssertionError(f"unknown rule {rule!r}")
 
 
-def _sampled_deriv_range(expr, iv: Interval1D) -> tuple[float, float]:
-    """Padded range of the exact symbolic derivative over the interval."""
-    deriv = differentiate(expr, "t")
-    g = to_univariate(deriv)
-    ts = np.linspace(iv.lo, iv.hi, 129)
-    vals = sample_univariate(g, ts)
+def _sampled_deriv_range(g: UnivariateFunction, iv: Interval1D) -> tuple[float, float]:
+    """Padded range of g's exact symbolic derivative over the interval,
+    sampled through g.deriv_fn with no label of its own."""
+    deriv = UnivariateFunction(fn=g.deriv_fn, vectorized=True)
+    vals = sample_univariate(deriv, np.linspace(iv.lo, iv.hi, 129))
     lo = float(np.min(vals))
     hi = float(np.max(vals))
     pad = _BOUNDS_PAD * (hi - lo) + 1e-12
@@ -485,7 +475,7 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
         # generated trees, which give the same values as the parsed text
         if one_variable:
             g = to_univariate(poly1)
-            d_lo, d_hi = _sampled_deriv_range(poly1, Interval1D(i_lo, i_hi))
+            d_lo, d_hi = _sampled_deriv_range(g, Interval1D(i_lo, i_hi))
             base1 = {"source": f"trial:{k}", "seed": tseed,
                      "expr": g.label, "interval": [i_lo, i_hi], "x": x1}
             audit_1d(g, base1, max(abs(d_lo), abs(d_hi)), d_lo, d_hi)

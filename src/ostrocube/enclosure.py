@@ -63,8 +63,7 @@ from .core import (
     QuadConfig,
     Rectangle,
 )
-from .identity import derived_from_terms
-from .kernels import abs_moment, signed_moment
+from .identity import corrected_from_terms
 from .quadrature import (
     cell_bounds,
     gl_nodes,
@@ -74,8 +73,8 @@ from .quadrature import (
 )
 from .rules import (
     Lambda,
+    _outcome,
     anchor_terms,
-    default_slack,
     qiaoling_from_terms,
     quarter_rule_from_terms,
     sarikaya_from_terms,
@@ -100,6 +99,10 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+# sampling grid and relative pad of the per-cell bounds that
+# composite_enclosure estimates when none are given
+_CELL_BOUNDS_GRID = 17
+_CELL_BOUNDS_PAD = 0.1
 
 
 @dataclass(frozen=True)
@@ -266,8 +269,6 @@ def composite_enclosure(
     m: int,
     n: int,
     q: QuadConfig,
-    estimate_grid_n: int = 17,
-    estimate_pad_rel: float = 0.1,
 ) -> EnclosureReport:
     """m x n equal cells, each anchored at its midpoint, summed row-major.
 
@@ -286,7 +287,7 @@ def composite_enclosure(
     t_mids = 0.5 * (t_edges[:-1] + t_edges[1:])
     s_mids = 0.5 * (s_edges[:-1] + s_edges[1:])
     if bounds is None:
-        lower, upper = cell_bounds(f, t_edges, s_edges, estimate_grid_n, estimate_pad_rel)
+        lower, upper = cell_bounds(f, t_edges, s_edges, _CELL_BOUNDS_GRID, _CELL_BOUNDS_PAD)
         hull = DerivativeBounds(lower.min(), upper.max())
         midpoint, halfwidth = 0.5 * (upper + lower), 0.5 * (upper - lower)
         rigorous = False
@@ -323,36 +324,21 @@ def compare_bounds(
     """Certified error radii of the two-variable rules at one anchor.
 
     All radii share the rule-statement normalization (divided by the
-    area). `corrected` is the oracle-validated radius h*A/area; its lhs is
-    |derived expansion - M*S| / area. The four rules read one set of
-    anchor terms (rules.anchor_terms).
+    area). `corrected` is identity.corrected_from_terms normalized: radius
+    h*A/area, lhs |derived expansion - M*S| / area, judged with this
+    function's slack. The four rules read one set of anchor terms
+    (rules.anchor_terms).
     """
-    area = r.area
     terms = anchor_terms(f, r, [pt], q)[0]
-    t3 = sarikaya_from_terms(terms, db, slack=slack)
-    t4 = qiaoling_from_terms(terms, db, lam, slack=slack)
-    t5 = quarter_rule_from_terms(terms, db, slack=slack)
-    corrected_lhs = abs(
-        derived_from_terms(terms) - db.midpoint * signed_moment(r, pt)
-    ) / area
-    corrected_rhs = db.halfwidth * abs_moment(r, pt) / area
-    corrected_slack = default_slack(corrected_rhs) if slack is None else float(slack)
-    lhs = {
-        "sarikaya": t3.lhs,
-        "qiaoling": t4.lhs,
-        "t5_verbatim": t5.lhs,
-        "corrected": corrected_lhs,
+    corrected = corrected_from_terms(terms, db)
+    outcomes = {
+        "sarikaya": sarikaya_from_terms(terms, db, slack=slack),
+        "qiaoling": qiaoling_from_terms(terms, db, lam, slack=slack),
+        "t5_verbatim": quarter_rule_from_terms(terms, db, slack=slack),
+        "corrected": _outcome(corrected.lhs / r.area, corrected.rhs / r.area, slack),
     }
-    widths = {
-        "sarikaya": t3.rhs,
-        "qiaoling": t4.rhs,
-        "t5_verbatim": t5.rhs,
-        "corrected": corrected_rhs,
-    }
-    violated = {
-        "sarikaya": not t3.satisfied,
-        "qiaoling": not t4.satisfied,
-        "t5_verbatim": not t5.satisfied,
-        "corrected": corrected_lhs > corrected_rhs + corrected_slack,
-    }
-    return ComparisonReport(lhs=lhs, widths=widths, violated=violated)
+    return ComparisonReport(
+        lhs={name: out.lhs for name, out in outcomes.items()},
+        widths={name: out.rhs for name, out in outcomes.items()},
+        violated={name: not out.satisfied for name, out in outcomes.items()},
+    )

@@ -21,10 +21,11 @@ three ways:
   terms on {x,a,b} x {y,c,d}, minus six node/line-integral terms, plus the
   full double integral.
 
-Both full expansions are arithmetic over one `rules.AnchorTerms` sample
-set (`verbatim_from_terms`, `derived_from_terms`), so an identity report
-evaluates the point values, six lines and split double integral of its
-anchor once for the two of them.
+All expansions are arithmetic over shared samples. The full ones read one
+`rules.AnchorTerms` set; the stated and derived expansion of each quadrant
+read its 3x3 point values too, plus twelve half-line integrals (every node
+line over each half of the other axis) and the four quadrant integrals,
+which an identity report samples once for all quadrants.
 
 The derived form must agree with the oracle (that agreement is the
 acceptance gate); the stated form does not. Two distinct defects are
@@ -37,26 +38,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
 from .core import (
     BivariateFunction,
+    DerivativeBounds,
     EvalPoint,
     Interval1D,
     MissingMixedPartial,
     QuadConfig,
     Rectangle,
 )
-from .kernels import t_kernel, s_kernel
+from .kernels import abs_moment, s_kernel, signed_moment, t_kernel
 from .quadrature import (
     _axis_quadrature,
     _check_finite,
-    integrate_1d,
+    gl_nodes,
+    grid_values,
     integrate_2d,
+    line_integrals,
     sample_mixed,
 )
-from .rules import AnchorTerms, anchor_terms
+from .rules import AnchorTerms, RuleOutcome, anchor_terms
+
+# no longer called here; it stays importable from this module, where
+# perfbench/tracing.py counts it
+from .quadrature import integrate_1d  # noqa: F401
 
 __all__ = [
     "Quadrant",
@@ -70,6 +79,7 @@ __all__ = [
     "full_expansion_verbatim",
     "derived_from_terms",
     "full_expansion_derived",
+    "corrected_from_terms",
     "assembly_residue",
     "identity_report",
 ]
@@ -84,77 +94,38 @@ class Quadrant(Enum):
     RU = "RU"  # [x,b] x [y,d]
 
 
-@dataclass(frozen=True)
-class _Half:
-    """One kernel branch: [lo, hi] with the anchor on one end."""
-
-    lo: float
-    hi: float
-    anchor_node: float
-    end_node: float
-    is_left: bool
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def heavy_node(self) -> float:
-        # the node that receives the 9/16 coefficient in the stated form
-        return self.anchor_node if self.is_left else self.end_node
-
-    @property
-    def light_node(self) -> float:
-        return self.end_node if self.is_left else self.anchor_node
+def _branches(quad: Quadrant) -> tuple[int, int]:
+    """The half of each axis that the quadrant takes: 0 for [a, x] or
+    [c, y], the left branches of the kernels; 1 for [x, b] or [y, d]."""
+    return int(quad.value[0] == "R"), int(quad.value[1] == "U")
 
 
-def _halves(iv: Interval1D, anchor: float) -> tuple[_Half, _Half]:
-    left = _Half(iv.lo, anchor, anchor, iv.lo, True)
-    right = _Half(anchor, iv.hi, anchor, iv.hi, False)
-    return left, right
-
-
-def _quadrant_halves(r: Rectangle, pt: EvalPoint, quad: Quadrant) -> tuple[_Half, _Half]:
-    t_left, t_right = _halves(r.t_axis, pt.x)
-    s_left, s_right = _halves(r.s_axis, pt.y)
-    t_half = t_left if quad in (Quadrant.LL, Quadrant.LU) else t_right
-    s_half = s_left if quad in (Quadrant.LL, Quadrant.RL) else s_right
-    return t_half, s_half
-
-
-def _line_integral(g, lo: float, hi: float, q: QuadConfig) -> float:
-    if hi <= lo:
-        return 0.0
-    return integrate_1d(g, Interval1D(lo, hi), q)
-
-
-def _double_integral(
-    f: BivariateFunction, t_half: _Half, s_half: _Half, q: QuadConfig
-) -> float:
-    if t_half.width <= 0.0 or s_half.width <= 0.0:
-        return 0.0
-    sub = Rectangle(Interval1D(t_half.lo, t_half.hi), Interval1D(s_half.lo, s_half.hi))
-    return integrate_2d(f, sub, q)
+def _quadrant_rect(r: Rectangle, pt: EvalPoint, quad: Quadrant) -> Optional[Rectangle]:
+    """The quadrant, or None if an anchor on the boundary gives it a side
+    of zero width."""
+    bt, bs = _branches(quad)
+    t_lo, t_hi = ((r.t_axis.lo, pt.x), (pt.x, r.t_axis.hi))[bt]
+    s_lo, s_hi = ((r.s_axis.lo, pt.y), (pt.y, r.s_axis.hi))[bs]
+    if t_hi - t_lo <= 0.0 or s_hi - s_lo <= 0.0:
+        return None
+    return Rectangle(Interval1D(t_lo, t_hi), Interval1D(s_lo, s_hi))
 
 
 def quadrant_oracle(
-    f: BivariateFunction,
-    r: Rectangle,
-    pt: EvalPoint,
-    quad: Quadrant,
-    q: QuadConfig,
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, quad: Quadrant, q: QuadConfig,
     fd_fallback: bool = True,
 ) -> float:
     """Quadrature value of k_t k_s d2f/dtds over one quadrant."""
-    t_half, s_half = _quadrant_halves(r, pt, quad)
-    if t_half.width <= 0.0 or s_half.width <= 0.0:
+    sub = _quadrant_rect(r, pt, quad)
+    if sub is None:
         return 0.0
+    bt, bs = _branches(quad)
     kt = t_kernel(r, pt)
     ks = s_kernel(r, pt)
-    t_off = kt.left_offset if t_half.is_left else kt.right_offset
-    s_off = ks.left_offset if s_half.is_left else ks.right_offset
-    tn, tw = _axis_quadrature(Interval1D(t_half.lo, t_half.hi), q)
-    sn, sw = _axis_quadrature(Interval1D(s_half.lo, s_half.hi), q)
+    t_off = kt.right_offset if bt else kt.left_offset
+    s_off = ks.right_offset if bs else ks.left_offset
+    tn, tw = _axis_quadrature(sub.t_axis, q)
+    sn, sw = _axis_quadrature(sub.s_axis, q)
     T, S = np.meshgrid(tn, sn, indexing="ij")
     mixed = sample_mixed(f, T, S, r, fd_fallback=fd_fallback)
     _check_finite(mixed, f"mixed partial of {f.label}")
@@ -163,11 +134,7 @@ def quadrant_oracle(
 
 
 def kernel_weighted_integral(
-    f: BivariateFunction,
-    r: Rectangle,
-    pt: EvalPoint,
-    q: QuadConfig,
-    fd_fallback: bool = True,
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig, fd_fallback: bool = True
 ) -> float:
     """The target double integral, split at the anchor lines so every
     quadrature panel sees a smooth integrand. Uses the exact mixed partial
@@ -178,76 +145,92 @@ def kernel_weighted_integral(
             f"function {f.label!r} has no exact mixed partial and the "
             "finite-difference fallback is disabled"
         )
-    return sum(
-        quadrant_oracle(f, r, pt, quad, q, fd_fallback=fd_fallback)
-        for quad in Quadrant
+    return sum(quadrant_oracle(f, r, pt, quad, q, fd_fallback=fd_fallback) for quad in Quadrant)
+
+
+def _half_lines(
+    f: BivariateFunction, axis: str, fixed: list, iv: Interval1D, anchor: float, q: QuadConfig
+) -> list:
+    """Integrals of the cross-sections of f at each fixed coordinate over
+    [iv.lo, anchor] and [anchor, iv.hi]; a half of zero width gives exactly
+    0.0 and is not sampled."""
+    lo = np.array([iv.lo, anchor])
+    hi = np.array([anchor, iv.hi])
+    keep = lo < hi
+    out = np.zeros((len(fixed), 2))
+    out[:, keep] = line_integrals(f, axis, fixed, *gl_nodes(lo[keep], hi[keep], q))
+    return out.tolist()
+
+
+def _quadrant_samples(
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig
+) -> tuple[AnchorTerms, list, list, dict]:
+    """What the quadrant expansions at one anchor read, each taken once:
+    the anchor's terms, whose values hold every quadrant node; along_t[j][k],
+    the integral of f(t, (y, c, d)[j]) over the t-half k ([a, x], then
+    [x, b]); along_s[i][k], that of f((x, a, b)[i], s) over the s-half k
+    ([c, y], then [y, d]); and the integral over each quadrant."""
+    double = {}
+    for quad in Quadrant:
+        sub = _quadrant_rect(r, pt, quad)
+        double[quad] = 0.0 if sub is None else integrate_2d(f, sub, q)
+    return (
+        anchor_terms(f, r, [pt], q)[0],
+        _half_lines(f, "s", [pt.y, r.s_axis.lo, r.s_axis.hi], r.t_axis, pt.x, q),
+        _half_lines(f, "t", [pt.x, r.t_axis.lo, r.t_axis.hi], r.s_axis, pt.y, q),
+        double,
     )
+
+
+def _quadrant_expansions(samples: tuple, quad: Quadrant) -> tuple[float, float]:
+    """(stated, derived) expansion of one quadrant from its two nodes per
+    branch, the anchor and the far endpoint. The stated form gives 9/16 to
+    the heavy node H (the anchor on a left branch, the far endpoint on a
+    right one) and flips the sign of the light node L's terms:
+    (wt*ws/16)[9 f(H,H) - 3 f(H,L) - 3 f(L,H) + f(L,L)] minus two
+    node/line terms plus the quadrant integral. The derived form weights
+    the anchor 3w/4 and the far endpoint w/4, all signs positive."""
+    terms, all_along_t, all_along_s, all_double = samples
+    r, pt = terms.rect, terms.point
+    bt, bs = _branches(quad)
+    wt = (pt.x - r.t_axis.lo, r.t_axis.hi - pt.x)[bt]
+    ws = (pt.y - r.s_axis.lo, r.s_axis.hi - pt.y)[bs]
+    # positions of (anchor, far endpoint) in the terms' node order
+    t_at, s_at = (0, 1 + bt), (0, 1 + bs)
+    values = [[terms.values[i][j] for j in s_at] for i in t_at]
+    along_t = [all_along_t[j][bt] for j in s_at]
+    along_s = [all_along_s[i][bs] for i in t_at]
+    double = all_double[quad]
+    ht, lt, hs, ls = bt, 1 - bt, bs, 1 - bs  # heavy and light positions
+    stated = (
+        (wt * ws / 16.0) * (
+            9.0 * values[ht][hs] - 3.0 * values[ht][ls] - 3.0 * values[lt][hs] + values[lt][ls]
+        )
+        - (wt / 4.0) * (3.0 * along_s[ht] - along_s[lt])
+        - (ws / 4.0) * (3.0 * along_t[hs] - along_t[ls])
+        + double
+    )
+    derived = _tensor_sum(
+        (0.75 * wt, 0.25 * wt), (0.75 * ws, 0.25 * ws), values, along_t, along_s, double
+    )
+    return stated, derived
 
 
 def quadrant_expansion_verbatim(
-    f: BivariateFunction,
-    r: Rectangle,
-    pt: EvalPoint,
-    quad: Quadrant,
-    q: QuadConfig,
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, quad: Quadrant, q: QuadConfig
 ) -> float:
-    """The stated right-hand side for one quadrant, kept term for term.
-
-    Shape: (wt*ws/16)[9 f(H,H) - 3 f(H,L) - 3 f(L,H) + f(L,L)] minus the
-    two stated node/line terms plus the quadrant double integral, where H
-    and L are the heavy and light nodes of each branch. The derived form
-    (all signs positive, heavy node always the anchor) differs; the audit
-    reports the mismatch.
-    """
-    t_half, s_half = _quadrant_halves(r, pt, quad)
-    wt, ws = t_half.width, s_half.width
-    ht, lt = t_half.heavy_node, t_half.light_node
-    hs, ls = s_half.heavy_node, s_half.light_node
-    point_block = (wt * ws / 16.0) * (
-        9.0 * f.eval(ht, hs) - 3.0 * f.eval(ht, ls) - 3.0 * f.eval(lt, hs) + f.eval(lt, ls)
-    )
-    line_s = (wt / 4.0) * (
-        3.0 * _line_integral(f.fix_t(ht), s_half.lo, s_half.hi, q)
-        - _line_integral(f.fix_t(lt), s_half.lo, s_half.hi, q)
-    )
-    line_t = (ws / 4.0) * (
-        3.0 * _line_integral(f.fix_s(hs), t_half.lo, t_half.hi, q)
-        - _line_integral(f.fix_s(ls), t_half.lo, t_half.hi, q)
-    )
-    dbl = _double_integral(f, t_half, s_half, q)
-    return point_block - line_s - line_t + dbl
+    """The stated right-hand side for one quadrant, kept term for term; the
+    audit reports where it differs from the derived form."""
+    return _quadrant_expansions(_quadrant_samples(f, r, pt, q), quad)[0]
 
 
 def quadrant_expansion_derived(
-    f: BivariateFunction,
-    r: Rectangle,
-    pt: EvalPoint,
-    quad: Quadrant,
-    q: QuadConfig,
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, quad: Quadrant, q: QuadConfig
 ) -> float:
     """One quadrant of the derived expansion: per-branch endpoint weights
     3w/4 on the anchor and w/4 on the far endpoint, all signs positive on
     the point block."""
-    t_half, s_half = _quadrant_halves(r, pt, quad)
-    t_nodes = (t_half.anchor_node, t_half.end_node)
-    t_weights = (0.75 * t_half.width, 0.25 * t_half.width)
-    s_nodes = (s_half.anchor_node, s_half.end_node)
-    s_weights = (0.75 * s_half.width, 0.25 * s_half.width)
-    points = sum(
-        wt * wsj * f.eval(tn, sn)
-        for tn, wt in zip(t_nodes, t_weights)
-        for sn, wsj in zip(s_nodes, s_weights)
-    )
-    lines_s = sum(
-        wt * _line_integral(f.fix_t(tn), s_half.lo, s_half.hi, q)
-        for tn, wt in zip(t_nodes, t_weights)
-    )
-    lines_t = sum(
-        wsj * _line_integral(f.fix_s(sn), t_half.lo, t_half.hi, q)
-        for sn, wsj in zip(s_nodes, s_weights)
-    )
-    dbl = _double_integral(f, t_half, s_half, q)
-    return points - lines_s - lines_t + dbl
+    return _quadrant_expansions(_quadrant_samples(f, r, pt, q), quad)[1]
 
 
 def verbatim_from_terms(terms: AnchorTerms) -> float:
@@ -301,19 +284,28 @@ def expansion_weights(iv: Interval1D, anchor: float) -> tuple[tuple[float, ...],
     return nodes, weights
 
 
+def _tensor_sum(t_weights, s_weights, values, along_t, along_s, double: float) -> float:
+    """(L_t tensor L_s) f from the weights of each axis's nodes: values[i][j]
+    is f at the i-th t node and the j-th s node, along_s[i] the integral of
+    the line through the i-th t node and along_t[j] that through the j-th s
+    node."""
+    points = sum(
+        wt * ws * value
+        for wt, row in zip(t_weights, values)
+        for ws, value in zip(s_weights, row)
+    )
+    lines_t = sum(wt * line for wt, line in zip(t_weights, along_s))
+    lines_s = sum(ws * line for ws, line in zip(s_weights, along_t))
+    return points - lines_t - lines_s + double
+
+
 def derived_from_terms(terms: AnchorTerms) -> float:
     """full_expansion_derived at terms.point; the nodes of
     expansion_weights are the order of the terms' values and lines."""
     _, t_weights = expansion_weights(terms.rect.t_axis, terms.point.x)
     _, s_weights = expansion_weights(terms.rect.s_axis, terms.point.y)
-    points = sum(
-        wt * ws * value
-        for wt, row in zip(t_weights, terms.values)
-        for ws, value in zip(s_weights, row)
-    )
-    lines_t = sum(wt * line for wt, line in zip(t_weights, terms.along_s))
-    lines_s = sum(ws * line for ws, line in zip(s_weights, terms.along_t))
-    return points - lines_t - lines_s + terms.double
+    return _tensor_sum(t_weights, s_weights, terms.values, terms.along_t, terms.along_s,
+                       terms.double)
 
 
 def full_expansion_derived(
@@ -325,6 +317,17 @@ def full_expansion_derived(
     return derived_from_terms(anchor_terms(f, r, [pt], q)[0])
 
 
+def corrected_from_terms(terms: AnchorTerms, db: DerivativeBounds) -> RuleOutcome:
+    """The oracle-validated bound |derived - M*S| <= h*A at terms.point,
+    un-normalized, with slack 1e-12*(1+A)."""
+    r, pt = terms.rect, terms.point
+    area_moment = abs_moment(r, pt)
+    lhs = abs(derived_from_terms(terms) - db.midpoint * signed_moment(r, pt))
+    rhs = db.halfwidth * area_moment
+    slack = 1e-12 * (1.0 + area_moment)
+    return RuleOutcome(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + slack, slack=slack)
+
+
 def assembly_residue(f: BivariateFunction, r: Rectangle, pt: EvalPoint) -> float:
     """Closed-form gap (stated full expansion) - (sum of stated quadrant
     expansions): the f(b, c) and f(b, d) coefficients do not survive the
@@ -332,7 +335,8 @@ def assembly_residue(f: BivariateFunction, r: Rectangle, pt: EvalPoint) -> float
     b = r.t_axis.hi
     c, d = r.s_axis.lo, r.s_axis.hi
     x, y = pt.x, pt.y
-    return -(b - x) / 8.0 * (3.0 * (d - y) * f.eval(b, d) - (y - c) * f.eval(b, c))
+    f_bc, f_bd = grid_values(f, np.array([b]), np.array([c, d]))[0].tolist()
+    return -(b - x) / 8.0 * (3.0 * (d - y) * f_bd - (y - c) * f_bc)
 
 
 @dataclass(frozen=True)
@@ -355,11 +359,7 @@ class IdentityReport:
 
 
 def identity_report(
-    f: BivariateFunction,
-    r: Rectangle,
-    pt: EvalPoint,
-    q: QuadConfig,
-    tol: float = 1e-9,
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig, tol: float = 1e-9
 ) -> IdentityReport:
     """Oracle, stated and derived values plus per-quadrant comparisons.
 
@@ -371,17 +371,15 @@ def identity_report(
         raise MissingMixedPartial(
             f"identity_report needs an exact mixed partial for {f.label!r}"
         )
-    per_quadrant: dict[Quadrant, QuadrantComparison] = {}
-    for quad in Quadrant:
-        per_quadrant[quad] = QuadrantComparison(
-            verbatim=quadrant_expansion_verbatim(f, r, pt, quad, q),
-            derived=quadrant_expansion_derived(f, r, pt, quad, q),
-            oracle=quadrant_oracle(f, r, pt, quad, q, fd_fallback=False),
-        )
+    samples = _quadrant_samples(f, r, pt, q)
+    per_quadrant = {
+        quad: QuadrantComparison(*_quadrant_expansions(samples, quad),
+                                 quadrant_oracle(f, r, pt, quad, q, fd_fallback=False))
+        for quad in Quadrant
+    }
     oracle = sum(c.oracle for c in per_quadrant.values())
-    terms = anchor_terms(f, r, [pt], q)[0]
-    verbatim = verbatim_from_terms(terms)
-    derived = derived_from_terms(terms)
+    verbatim = verbatim_from_terms(samples[0])
+    derived = derived_from_terms(samples[0])
     disc_verbatim = abs(verbatim - oracle)
     disc_derived = abs(derived - oracle)
     for comp in per_quadrant.values():

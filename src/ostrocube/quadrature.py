@@ -173,28 +173,28 @@ def as_bivariate(f) -> BivariateFunction:
     return BivariateFunction(fn=f)
 
 
+def _sample(fn, vectorized: bool, *coords: np.ndarray) -> np.ndarray:
+    """fn over same-shaped coordinate arrays: one call broadcast to their
+    shape if fn is vectorized, else one call per element."""
+    shape = coords[0].shape
+    if vectorized:
+        out = np.asarray(fn(*coords), dtype=float)
+        return out if out.shape == shape else np.broadcast_to(out, shape)
+    out = np.empty(shape, dtype=float)
+    for idx in np.ndindex(shape):
+        out[idx] = float(fn(*(c[idx] for c in coords)))
+    return out
+
+
 def sample_univariate(g, ts: np.ndarray) -> np.ndarray:
     """Evaluate g over a node array, honouring the vectorized promise."""
     g = as_univariate(g)
-    if g.vectorized:
-        out = np.asarray(g.fn(ts), dtype=float)
-        if out.shape != ts.shape:
-            out = np.broadcast_to(out, ts.shape)
-        return out
-    return np.array([float(g.fn(t)) for t in ts], dtype=float)
+    return _sample(g.fn, g.vectorized, ts)
 
 
 def sample_bivariate(f, T: np.ndarray, S: np.ndarray) -> np.ndarray:
     f = as_bivariate(f)
-    if f.vectorized:
-        out = np.asarray(f.fn(T, S), dtype=float)
-        if out.shape != T.shape:
-            out = np.broadcast_to(out, T.shape)
-        return out
-    out = np.empty(T.shape, dtype=float)
-    for idx in np.ndindex(T.shape):
-        out[idx] = float(f.fn(T[idx], S[idx]))
-    return out
+    return _sample(f.fn, f.vectorized, T, S)
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -320,15 +320,7 @@ def sample_mixed(
     steps are default_fd_steps(r) unless fd_steps gives them (arrays that
     broadcast against T give each cell its own)."""
     if f.has_exact_mixed:
-        if f.vectorized:
-            out = np.asarray(f.mixed_fn(T, S), dtype=float)
-            if out.shape != T.shape:
-                out = np.broadcast_to(out, T.shape)
-            return out
-        out = np.empty(T.shape, dtype=float)
-        for idx in np.ndindex(T.shape):
-            out[idx] = float(f.mixed_fn(T[idx], S[idx]))
-        return out
+        return _sample(f.mixed_fn, f.vectorized, T, S)
     if not fd_fallback:
         raise MissingMixedPartial(
             f"function {f.label!r} has no exact mixed partial and the "

@@ -1,6 +1,6 @@
 """Shared test machinery: independent brute-force oracles and generators,
 a reference copy of the cell-by-cell enclosure loop, and reference copies
-of the per-rule bodies and of the raw symbolic derivative.
+of the per-rule and per-quadrant bodies and of the raw symbolic derivative.
 
 The oracles deliberately avoid the package's Gauss-Legendre machinery so
 oracle agreement tests compare two genuinely different computations:
@@ -8,11 +8,11 @@ kernel moments use kink-aligned composite trapezoid sums (exact for the
 piecewise-linear kernels), and the kernel-weighted integral uses composite
 Simpson per quadrant. The reference enclosure is the opposite: it repeats
 the package's own arithmetic one cell at a time, so the grid assembler
-must match it bit for bit. The reference rules likewise evaluate every
-point, line and double integral of a rule on their own, so the shared
-anchor terms must match them bit for bit, and the reference derivative
-builds the unsimplified tree that simplify must turn into the one-pass
-derivative.
+must match it bit for bit. The reference rules and quadrant expansions
+likewise evaluate every point, line and double integral on their own, so
+the shared anchor terms and quadrant samples must match them bit for bit,
+and the reference derivative builds the unsimplified tree that simplify
+must turn into the one-pass derivative.
 """
 
 from __future__ import annotations
@@ -32,7 +32,13 @@ from ostrocube.expr import (
     Var,
     XorShift64Star,
 )
-from ostrocube.identity import expansion_weights
+from ostrocube.identity import (
+    IdentityReport,
+    Quadrant,
+    QuadrantComparison,
+    expansion_weights,
+    quadrant_oracle,
+)
 from ostrocube.kernels import abs_moment, signed_moment
 from ostrocube.quadrature import (
     _check_finite,
@@ -513,6 +519,106 @@ def reference_corrected(f, r, pt, db, q):
     """The verify harness's corrected rule: |derived - M*S| against h*A."""
     lhs = abs(reference_full_expansion_derived(f, r, pt, q) - db.midpoint * signed_moment(r, pt))
     return lhs, db.halfwidth * abs_moment(r, pt)
+
+
+# ---------------------------------------------------------------------------
+# reference quadrant expansions: each quadrant evaluates its own points,
+# half-lines and double integral one at a time
+# ---------------------------------------------------------------------------
+
+
+def _ref_halves(r, pt, quad):
+    """(lo, hi, anchor node, end node, is_left) of the t and s branches."""
+    a, b, c, d = r.t_axis.lo, r.t_axis.hi, r.s_axis.lo, r.s_axis.hi
+    x, y = pt.x, pt.y
+    t_half = (a, x, x, a, True) if quad.value[0] == "L" else (x, b, x, b, False)
+    s_half = (c, y, y, c, True) if quad.value[1] == "L" else (y, d, y, d, False)
+    return t_half, s_half
+
+
+def _ref_line(g, lo, hi, q):
+    if hi <= lo:
+        return 0.0
+    return integrate_1d(g, Interval1D(lo, hi), q)
+
+
+def _ref_quadrant_double(f, t_half, s_half, q):
+    if t_half[1] - t_half[0] <= 0.0 or s_half[1] - s_half[0] <= 0.0:
+        return 0.0
+    sub = Rectangle(Interval1D(t_half[0], t_half[1]), Interval1D(s_half[0], s_half[1]))
+    return integrate_2d(f, sub, q)
+
+
+def reference_quadrant_verbatim(f, r, pt, quad, q):
+    t_half, s_half = _ref_halves(r, pt, quad)
+    t_lo, t_hi, t_anchor, t_end, t_left = t_half
+    s_lo, s_hi, s_anchor, s_end, s_left = s_half
+    wt, ws = t_hi - t_lo, s_hi - s_lo
+    ht, lt = (t_anchor, t_end) if t_left else (t_end, t_anchor)
+    hs, ls = (s_anchor, s_end) if s_left else (s_end, s_anchor)
+    point_block = (wt * ws / 16.0) * (
+        9.0 * f.eval(ht, hs) - 3.0 * f.eval(ht, ls) - 3.0 * f.eval(lt, hs) + f.eval(lt, ls)
+    )
+    line_s = (wt / 4.0) * (
+        3.0 * _ref_line(f.fix_t(ht), s_lo, s_hi, q) - _ref_line(f.fix_t(lt), s_lo, s_hi, q)
+    )
+    line_t = (ws / 4.0) * (
+        3.0 * _ref_line(f.fix_s(hs), t_lo, t_hi, q) - _ref_line(f.fix_s(ls), t_lo, t_hi, q)
+    )
+    return point_block - line_s - line_t + _ref_quadrant_double(f, t_half, s_half, q)
+
+
+def reference_quadrant_derived(f, r, pt, quad, q):
+    t_half, s_half = _ref_halves(r, pt, quad)
+    t_lo, t_hi, t_anchor, t_end, _ = t_half
+    s_lo, s_hi, s_anchor, s_end, _ = s_half
+    t_nodes = (t_anchor, t_end)
+    t_weights = (0.75 * (t_hi - t_lo), 0.25 * (t_hi - t_lo))
+    s_nodes = (s_anchor, s_end)
+    s_weights = (0.75 * (s_hi - s_lo), 0.25 * (s_hi - s_lo))
+    points = sum(
+        wt * wsj * f.eval(tn, sn)
+        for tn, wt in zip(t_nodes, t_weights)
+        for sn, wsj in zip(s_nodes, s_weights)
+    )
+    lines_s = sum(
+        wt * _ref_line(f.fix_t(tn), s_lo, s_hi, q) for tn, wt in zip(t_nodes, t_weights)
+    )
+    lines_t = sum(
+        wsj * _ref_line(f.fix_s(sn), t_lo, t_hi, q) for sn, wsj in zip(s_nodes, s_weights)
+    )
+    return points - lines_s - lines_t + _ref_quadrant_double(f, t_half, s_half, q)
+
+
+def reference_identity_report(f, r, pt, q, tol=1e-9):
+    """identity_report assembled from the reference expansions; the oracle
+    is the package's quadrant_oracle, which the shared samples do not touch."""
+    per_quadrant = {
+        quad: QuadrantComparison(
+            verbatim=reference_quadrant_verbatim(f, r, pt, quad, q),
+            derived=reference_quadrant_derived(f, r, pt, quad, q),
+            oracle=quadrant_oracle(f, r, pt, quad, q, fd_fallback=False),
+        )
+        for quad in Quadrant
+    }
+    oracle = sum(c.oracle for c in per_quadrant.values())
+    verbatim = reference_full_expansion_verbatim(f, r, pt, q)
+    derived = reference_full_expansion_derived(f, r, pt, q)
+    disc_verbatim = abs(verbatim - oracle)
+    disc_derived = abs(derived - oracle)
+    for comp in per_quadrant.values():
+        disc_verbatim = max(disc_verbatim, abs(comp.verbatim - comp.oracle))
+        disc_derived = max(disc_derived, abs(comp.derived - comp.oracle))
+    return IdentityReport(
+        oracle_value=oracle,
+        verbatim_value=verbatim,
+        derived_value=derived,
+        per_quadrant=per_quadrant,
+        max_abs_discrepancy_verbatim=disc_verbatim,
+        max_abs_discrepancy_derived=disc_derived,
+        status_ok=abs(derived - oracle) <= tol * (1.0 + abs(oracle)),
+        tol=tol,
+    )
 
 
 # ---------------------------------------------------------------------------

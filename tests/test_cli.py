@@ -131,6 +131,32 @@ def test_parse_args_rejects_bad_lambda_and_bounds():
                     "--bounds", "3", "1"])
 
 
+_UNIT = ["--rect", "0", "1", "0", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    # a NaN tolerance failed the identity with exit 0, an infinite one
+    # passed any integrand
+    ["identity", "--f", "t*s", *_UNIT, "--tol", "nan"],
+    ["identity", "--f", "t*s", *_UNIT, "--tol", "inf"],
+    ["identity", "--f", "t*s", *_UNIT, "--tol", "0"],
+    # an infinite slack held t5 with lhs 0.1875 against width 0; a negative
+    # one flagged every rule
+    ["compare", "--f", "1", *_UNIT, "--bounds", "0", "0", "--tol", "inf"],
+    ["compare", "--f", "t*s", *_UNIT, "--bounds", "1", "1", "--tol", "-1"],
+    ["compare", "--f", "t*s", *_UNIT, "--bounds", "1", "1", "--tol", "nan"],
+])
+def test_tol_out_of_range_is_a_usage_error(argv):
+    code, out = _capture(argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_compare_accepts_zero_tol():
+    inv = parse_args(["compare", "--f", "t*s", *_UNIT, "--bounds", "1", "1", "--tol", "0"])
+    assert inv.options["tol"] == 0.0
+
+
 def test_usage_error_exit_code():
     code, _ = _capture(["enclose", "--rect", "1", "0", "0", "1", "--f", "t*s"])
     assert code == 2

@@ -1,10 +1,11 @@
 """The shared-sample engine against the per-rule reference bodies.
 
 Every two-variable rule now reads one `AnchorTerms` sample set per anchor,
-and `differentiate` simplifies as it builds. Both must give the same bits
-as the code they replaced, which `helpers` keeps: the rules evaluating
-their own points, lines and double integrals, and the raw derivative
-followed by `simplify`.
+the quadrant expansions read it plus shared half-lines and quadrant
+integrals, and `differentiate` simplifies as it builds. All must give the
+same bits as the code they replaced, which `helpers` keeps: the rules and
+quadrant expansions evaluating their own points, lines and double
+integrals, and the raw derivative followed by `simplify`.
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 
 from helpers import (
     random_ast,
+    reference_identity_report,
     reference_corrected,
     reference_diff,
     reference_full_expansion_derived,
@@ -22,7 +24,7 @@ from helpers import (
     reference_sarikaya,
     tree_key,
 )
-from ostrocube.cli import _corrected_from_terms, _random_interval
+from ostrocube.cli import _random_interval
 from ostrocube.core import DerivativeBounds, QuadConfig, make_point, make_rectangle
 from ostrocube.expr import (
     Const,
@@ -37,7 +39,15 @@ from ostrocube.expr import (
     to_bivariate,
     to_string,
 )
-from ostrocube.identity import derived_from_terms, verbatim_from_terms
+from ostrocube.identity import (
+    Quadrant,
+    corrected_from_terms,
+    derived_from_terms,
+    identity_report,
+    quadrant_expansion_derived,
+    quadrant_expansion_verbatim,
+    verbatim_from_terms,
+)
 from ostrocube.rules import (
     Lambda,
     anchor_terms,
@@ -93,12 +103,67 @@ def test_rules_from_shared_terms_match_reference_bodies():
         assert (out.lhs, out.rhs) == reference_qiaoling(f, r, q, db, lam, VERIFY_CFG), k
         out = quarter_rule_from_terms(at_p, db)
         assert (out.lhs, out.rhs) == reference_quarter_rule(f, r, p, db, VERIFY_CFG), k
-        out = _corrected_from_terms(at_p, db)
+        out = corrected_from_terms(at_p, db)
         assert (out.lhs, out.rhs) == reference_corrected(f, r, p, db, VERIFY_CFG), k
         assert derived_from_terms(at_p) == reference_full_expansion_derived(f, r, p, VERIFY_CFG)
         assert verbatim_from_terms(at_q) == reference_full_expansion_verbatim(f, r, q, VERIFY_CFG)
     assert one_variable > 1000
     assert constant > 300
+
+
+def _bits(value):
+    """A report field with every float as its hex string, so -0.0 != 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: _bits(getattr(value, k)) for k in value.__dataclass_fields__}
+    return value
+
+
+_NAMED = ("1", "t", "s^2", "cos(t)", "exp(t*s) + sin(3*t)*cos(s)", "log(2+t+s)*t",
+          "sqrt(2+t)*exp(-s)", "t^3*s - 2*s^2*t")
+
+
+def _identity_case(k: int):
+    """Integrand, rectangle, anchor and configuration of case k: odd k take
+    a seeded polynomial, even k a named integrand; anchors rotate through
+    the interior, an edge of each axis and two corners; every tenth case
+    uses the default configuration, the rest one panel per segment."""
+    rng = XorShift64Star(derive_seed(4096, k))
+    if k % 2:
+        f = to_bivariate(random_polynomial(rng, k % 7))
+    else:
+        f = to_bivariate(parse_expression(_NAMED[k // 2 % len(_NAMED)]))
+    a, b = _random_interval(rng)
+    c, d = _random_interval(rng)
+    x, y = rng.uniform(a, b), rng.uniform(c, d)
+    x, y = ((x, y), (x, y), (a, y), (x, d), (b, c), (a, d))[k % 6]
+    r = make_rectangle(a, b, c, d)
+    q = QuadConfig() if k % 10 == 0 else QuadConfig(panels=1)
+    return f, r, make_point(r, x, y), q
+
+
+def test_quadrant_expansions_from_shared_samples_match_reference_bodies():
+    for k in range(1000):
+        f, r, pt, q = _identity_case(k)
+        ref = reference_identity_report(f, r, pt, q)
+        assert _bits(identity_report(f, r, pt, q)) == _bits(ref), (k, f.label)
+        quad = list(Quadrant)[k % 4]
+        got = quadrant_expansion_verbatim(f, r, pt, quad, q)
+        assert got.hex() == ref.per_quadrant[quad].verbatim.hex(), (k, f.label)
+        got = quadrant_expansion_derived(f, r, pt, quad, q)
+        assert got.hex() == ref.per_quadrant[quad].derived.hex(), (k, f.label)
+
+
+def test_identity_cases_cover_boundary_anchors_and_both_configurations():
+    cases = [_identity_case(k) for k in range(60)]
+    on_t_edge = sum(pt.x in (r.t_axis.lo, r.t_axis.hi) for _, r, pt, _ in cases)
+    corners = sum(pt.x in (r.t_axis.lo, r.t_axis.hi) and pt.y in (r.s_axis.lo, r.s_axis.hi)
+                  for _, r, pt, _ in cases)
+    assert on_t_edge >= 25 and corners >= 20
+    assert {q.panels for *_, q in cases} == {1, 8}
 
 
 def test_anchor_terms_of_several_anchors_equal_one_at_a_time():
