@@ -14,11 +14,11 @@ import pytest
 
 from helpers import (
     random_ast,
-    reference_identity_report,
     reference_corrected,
     reference_diff,
     reference_full_expansion_derived,
     reference_full_expansion_verbatim,
+    reference_identity_report,
     reference_qiaoling,
     reference_quarter_rule,
     reference_sarikaya,
@@ -129,8 +129,10 @@ _NAMED = ("1", "t", "s^2", "cos(t)", "exp(t*s) + sin(3*t)*cos(s)", "log(2+t+s)*t
 def _identity_case(k: int):
     """Integrand, rectangle, anchor and configuration of case k: odd k take
     a seeded polynomial, even k a named integrand; anchors rotate through
-    the interior, an edge of each axis and two corners; every tenth case
-    uses the default configuration, the rest one panel per segment."""
+    the interior, an edge of each axis and two corners; every eleventh case
+    uses the default configuration, the rest one panel per segment. 11 is
+    odd and prime to 6, so the default configuration meets both kinds of
+    integrand and every kind of anchor."""
     rng = XorShift64Star(derive_seed(4096, k))
     if k % 2:
         f = to_bivariate(random_polynomial(rng, k % 7))
@@ -141,7 +143,7 @@ def _identity_case(k: int):
     x, y = rng.uniform(a, b), rng.uniform(c, d)
     x, y = ((x, y), (x, y), (a, y), (x, d), (b, c), (a, d))[k % 6]
     r = make_rectangle(a, b, c, d)
-    q = QuadConfig() if k % 10 == 0 else QuadConfig(panels=1)
+    q = QuadConfig() if k % 11 == 0 else QuadConfig(panels=1)
     return f, r, make_point(r, x, y), q
 
 
@@ -158,12 +160,14 @@ def test_quadrant_expansions_from_shared_samples_match_reference_bodies():
 
 
 def test_identity_cases_cover_boundary_anchors_and_both_configurations():
-    cases = [_identity_case(k) for k in range(60)]
+    cases = [_identity_case(k) for k in range(66)]
     on_t_edge = sum(pt.x in (r.t_axis.lo, r.t_axis.hi) for _, r, pt, _ in cases)
     corners = sum(pt.x in (r.t_axis.lo, r.t_axis.hi) and pt.y in (r.s_axis.lo, r.s_axis.hi)
                   for _, r, pt, _ in cases)
     assert on_t_edge >= 25 and corners >= 20
     assert {q.panels for *_, q in cases} == {1, 8}
+    default = [(r, pt) for _, r, pt, q in cases if q.panels == 8]
+    assert any(pt.x in (r.t_axis.lo, r.t_axis.hi) for r, pt in default)
 
 
 def test_anchor_terms_of_several_anchors_equal_one_at_a_time():
