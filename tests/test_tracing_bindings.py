@@ -2,7 +2,7 @@
 the package's modules. A binding that no longer exists breaks the traced
 benchmark run, so every name it lists must stay importable. The tracer is
 loaded from its file and never installed: installing would patch the
-package for the rest of the session."""
+package for the rest of the test run."""
 
 import importlib
 import importlib.util
