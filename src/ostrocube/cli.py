@@ -100,6 +100,12 @@ RULE_ORDER = ("t1", "t2", "t3", "t4", "t5", "corrected")
 _VERIFY_CFG = QuadConfig(gl_order=16, panels=1, abs_tol=1e-14)
 _BOUNDS_GRID = 33
 _BOUNDS_PAD = 0.25
+# most cells `enclose --subdivide` takes, in all (1024 x 1024) and per axis:
+# per-cell arrays and the output grow with m * n, the quadrature nodes of
+# the lines with m + n (one axis of 2^20 cells peaked at 6.6 GB); runs at
+# 1024 x 1024, 256 x 4096 and 4096 x 256 peaked at 210-260 MB resident
+_MAX_CELLS = 1 << 20
+_MAX_AXIS_CELLS = 1 << 12
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -247,6 +253,9 @@ def parse_args(argv: Sequence[str]) -> CliInvocation:
         m, n = int(ns.subdivide[0]), int(ns.subdivide[1])
         if m < 1 or n < 1:
             raise UsageError(f"--subdivide requires positive cell counts, got {m} {n}")
+        if max(m, n) > _MAX_AXIS_CELLS or m * n > _MAX_CELLS:
+            raise UsageError(f"--subdivide {m} {n} is too fine: at most {_MAX_AXIS_CELLS} "
+                             f"cells per axis and {_MAX_CELLS} in all")
         if (m, n) != (1, 1) and opts["point"] is not None:
             raise UsageError("--point applies to single-cell enclosures; drop it "
                              "or use --subdivide 1 1")

@@ -34,7 +34,7 @@ Cost. Single-cell and composite enclosures run through one grid assembler.
 Neighbouring cells share their edge lines, so an m x n grid integrates
 (2m+1) n + (2n+1) m line segments per resolution instead of 6 m n, and the
 point terms are one (2m+1) x (2n+1) grid of values. Every evaluation of f,
-and of its mixed partial for sampled bounds, receives at most
+and of its mixed partial for sampled bounds, returns at most
 quadrature.BLOCK_SAMPLES values, so memory stays flat as the grid grows
 (the anchor check of given bounds takes one value per cell). Per-cell
 sums are elementwise array arithmetic in the order a cell-by-cell loop
@@ -212,9 +212,9 @@ def _bounds_hold_at(
     partial: only a contradiction is ever found, never a proof."""
     if not f.has_exact_mixed:
         return True
-    T, S = np.meshgrid(ts, ss, indexing="ij")
     try:
-        vals = sample_mixed(f, T, S, None, fd_fallback=False)
+        vals = sample_mixed(f, np.asarray(ts)[:, None], np.asarray(ss)[None, :], None,
+                            fd_fallback=False)
     except (EngineError, ArithmeticError, ValueError):
         # a partial undefined at an anchor (DomainError from an expression,
         # ZeroDivisionError or ValueError from a plain callable) is not

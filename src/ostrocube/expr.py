@@ -345,9 +345,25 @@ def _eval(e: ExprNode, t, s):
                 raise DomainError("negative base with a non-integer exponent")
             if np.any((base == 0.0) & (expo < 0.0)):
                 raise DomainError("zero raised to a negative power")
+            if expo.ndim:
+                return _power_per_element(lv, rv)
             return np.power(lv, rv)
         raise AssertionError(f"unknown binary op {e.op!r}")
     raise AssertionError(f"unknown node {e!r}")
+
+
+def _power_per_element(base, expo):
+    """np.power with an array exponent, equal element by element to np.power
+    of the scalars. numpy's float64 power loop computes the exponents 0.5, 2
+    and -1 as sqrt, square and reciprocal only when the exponent reaches it
+    with stride 0, and with pow otherwise, which can differ in the last bit;
+    without this, a sample would depend on how the coordinates were laid out."""
+    out = np.power(base, expo)
+    # np.power has already warned about any of these elements
+    with np.errstate(all="ignore"):
+        for value, shortcut in ((0.5, np.sqrt), (2.0, np.square), (-1.0, np.reciprocal)):
+            shortcut(base, out=out, where=expo == value)
+    return out
 
 
 def eval_expr(e: ExprNode, t: float, s: float) -> float:
@@ -487,12 +503,15 @@ def differentiate(e: ExprNode, var: str) -> ExprNode:
 
     One pass: each derivative node goes through simplify's rule for its
     kind as it is built, and the original subtrees that a rule copies
-    (product, quotient and chain rules) are simplified once each. The
-    result is the tree that simplifying the unsimplified derivative gives.
+    (product, quotient and chain rules) are simplified once each. A subtree
+    that e shares by id (as a first derivative shares the subtrees its
+    rules copy) is differentiated once. The result is the tree that
+    simplifying the unsimplified derivative gives.
     """
     if var not in ("t", "s"):
         raise ValueError(f"var must be 't' or 's', got {var!r}")
     simplified: dict[int, ExprNode] = {}
+    derived: dict[int, ExprNode] = {}
 
     def simp(node: ExprNode) -> ExprNode:
         # node is a subtree of e, alive for the whole call
@@ -503,6 +522,12 @@ def differentiate(e: ExprNode, var: str) -> ExprNode:
             return _ZERO
         if isinstance(node, Var):
             return _ONE if node.name == var else _ZERO
+        out = derived.get(id(node))
+        if out is None:
+            out = derived[id(node)] = rule(node)
+        return out
+
+    def rule(node: ExprNode) -> ExprNode:
         if isinstance(node, Unary):
             du = d(node.child)
             op = node.op

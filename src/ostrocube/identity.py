@@ -126,7 +126,7 @@ def quadrant_oracle(
     s_off = ks.right_offset if bs else ks.left_offset
     tn, tw = _axis_quadrature(sub.t_axis, q)
     sn, sw = _axis_quadrature(sub.s_axis, q)
-    T, S = np.meshgrid(tn, sn, indexing="ij")
+    T, S = tn[:, None], sn[None, :]
     mixed = sample_mixed(f, T, S, r, fd_fallback=fd_fallback)
     _check_finite(mixed, f"mixed partial of {f.label}")
     integrand = (T - t_off) * (S - s_off) * mixed

@@ -5,6 +5,28 @@ refinement so integrands that are only piecewise smooth can be split at
 their kinks. A rule of order n integrates polynomials of degree 2n-1
 exactly, so the defaults (order 16, 8 panels) are exact with a huge margin
 for the polynomial corpus used elsewhere in the package.
+
+Outer sampling. The grid routines never build a meshgrid: f receives
+per-axis coordinates that broadcast against each other (t along one axis,
+s along another; for line integrals the fixed coordinates along a leading
+axis in front of the node rows), so each one-variable subtree of an
+expression is computed along its own axis only. Results are the same to
+the last bit as sampling full grids, under two layout rules:
+
+- a reduction sees the layout it would see from a full grid. Along a line,
+  a value that does not vary stays a zero-stride row, as a scalar fixed
+  coordinate gives it; in integrate_2d, a one-variable result is laid out
+  in full and only a constant stays a zero-stride view. (`np.vecdot` and
+  matmul reduce zero-stride and contiguous rows in different orders;
+  min and max do not care.)
+- a failing line is reported as before: a NonFiniteSample names the first
+  bad line's cross-section label with its count, and an error raised
+  while several lines are sampled together is raised again by the first
+  line that fails on its own.
+
+Elementwise arithmetic gives each sample the same bits in any layout; the
+one numpy exception, power's shortcuts for a scalar exponent, is applied
+to array exponents too by the expression evaluator.
 """
 
 from __future__ import annotations
@@ -51,7 +73,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS ** (1.0 / 3.0)
 
-# Most samples one call of an integrand receives from the grid routines
+# Most values one call of an integrand returns to the grid routines
 # (grid_values, line_integrals, cell_bounds); it keeps their memory flat in
 # the grid size.
 BLOCK_SAMPLES = 8192
@@ -174,14 +196,18 @@ def as_bivariate(f) -> BivariateFunction:
 
 
 def _sample(fn, vectorized: bool, *coords: np.ndarray) -> np.ndarray:
-    """fn over same-shaped coordinate arrays: one call broadcast to their
-    shape if fn is vectorized, else one call per element."""
-    shape = coords[0].shape
+    """fn over coordinate arrays that broadcast against each other, shaped
+    as their broadcast: one call if fn is vectorized, else one scalar call
+    per element. A vectorized result that varies along fewer axes than the
+    coordinates (a constant, or f of one variable) comes back as a
+    zero-stride view of the broadcast shape."""
     if vectorized:
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
         out = np.asarray(fn(*coords), dtype=float)
         return out if out.shape == shape else np.broadcast_to(out, shape)
-    out = np.empty(shape, dtype=float)
-    for idx in np.ndindex(shape):
+    coords = np.broadcast_arrays(*coords)
+    out = np.empty(coords[0].shape, dtype=float)
+    for idx in np.ndindex(out.shape):
         out[idx] = float(fn(*(c[idx] for c in coords)))
     return out
 
@@ -193,6 +219,8 @@ def sample_univariate(g, ts: np.ndarray) -> np.ndarray:
 
 
 def sample_bivariate(f, T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """f over t and s coordinates that broadcast against each other (a
+    meshgrid, or per-axis arrays such as ts[:, None] and ss[None, :])."""
     f = as_bivariate(f)
     return _sample(f.fn, f.vectorized, T, S)
 
@@ -234,22 +262,24 @@ def integrate_2d(
     s_breaks = (split.y,) if split is not None else ()
     tn, tw = _axis_quadrature(r.t_axis, q, t_breaks)
     sn, sw = _axis_quadrature(r.s_axis, q, s_breaks)
-    T, S = np.meshgrid(tn, sn, indexing="ij")
-    vals = sample_bivariate(f, T, S)
+    vals = sample_bivariate(f, tn[:, None], sn[None, :])
     _check_finite(vals, f.label)
+    if any(vals.strides):
+        # f of one variable: laid out in full, as matmul reduces a full grid
+        # in another order than a zero-stride one; a constant stays a view
+        vals = np.ascontiguousarray(vals)
     return float(tw @ vals @ sw)
 
 
 def grid_values(f, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
     """f on the outer grid ts x ss, shape (len(ts), len(ss)). Each call of f
-    receives whole rows, at most BLOCK_SAMPLES values (one row if a row is
-    longer)."""
+    receives a block of ts against all of ss and returns at most
+    BLOCK_SAMPLES values (one row if a row is longer)."""
     f = as_bivariate(f)
     per_block = max(1, BLOCK_SAMPLES // len(ss))
     out = np.empty((len(ts), len(ss)))
     for k in range(0, len(ts), per_block):
-        T, S = np.meshgrid(ts[k:k + per_block], ss, indexing="ij")
-        out[k:k + per_block] = sample_bivariate(f, T, S)
+        out[k:k + per_block] = sample_bivariate(f, ts[k:k + per_block, None], ss[None, :])
     return out
 
 
@@ -264,22 +294,41 @@ def line_integrals(
     or s = fixed[l] (fixed_axis "s"), over every segment k of a gl_nodes row.
 
     Entry (l, k) equals, bit for bit, integrate_1d of that cross-section over
-    segment k: the cross-section is sampled with its coordinate as a scalar,
-    and each row's dot product is the one `weights @ values` computes. Each
-    call of f receives whole rows, at most BLOCK_SAMPLES values (one row if
-    a row is longer).
+    segment k. f receives the fixed coordinates along a leading axis and
+    the nodes behind it, so a value that does not vary along a line stays a
+    zero-stride row, as a scalar fixed coordinate would give it, and each
+    row's dot product is the one `weights @ values` computes. Each call of
+    f returns whole lines, at most BLOCK_SAMPLES values (blocks of one
+    line's rows if a line is longer). A non-finite sample is reported with
+    the first bad line's cross-section label and its count in that call.
     """
     f = as_bivariate(f)
     rows, width = nodes.shape
-    per_block = max(1, BLOCK_SAMPLES // width)
+    lines_per_block = max(1, BLOCK_SAMPLES // (rows * width))
+    rows_per_block = max(1, BLOCK_SAMPLES // width)
+    at = np.asarray(fixed, dtype=float)[:, None, None]
     out = np.empty((len(fixed), rows))
-    for i, x in enumerate(fixed):
-        g = f.fix_t(x) if fixed_axis == "t" else f.fix_s(x)
-        for k in range(0, rows, per_block):
-            block = nodes[k:k + per_block]
-            vals = sample_univariate(g, block.ravel()).reshape(block.shape)
-            _check_finite(vals, g.label)
-            out[i, k:k + per_block] = np.vecdot(weights[k:k + per_block], vals)
+    for i in range(0, len(fixed), lines_per_block):
+        x = at[i:i + lines_per_block]
+        for k in range(0, rows, rows_per_block):
+            block = nodes[k:k + rows_per_block]
+            try:
+                vals = sample_bivariate(f, *((x, block) if fixed_axis == "t" else (block, x)))
+            except Exception:
+                if len(x) > 1:
+                    # one line at a time, so that the first failing line
+                    # raises what it would raise alone
+                    for j in range(i, i + len(x)):
+                        line_integrals(f, fixed_axis, fixed[j:j + 1], nodes, weights)
+                raise
+            finite = np.isfinite(vals).reshape(len(x), -1).all(axis=1)
+            if not finite.all():
+                j = int(np.argmin(finite))
+                at_j = fixed[i + j]
+                _check_finite(vals[j], f"{f.label}({at_j}, .)" if fixed_axis == "t"
+                              else f"{f.label}(., {at_j})")
+            out[i:i + len(x), k:k + rows_per_block] = np.vecdot(weights[k:k + rows_per_block],
+                                                                vals)
     return out
 
 
@@ -315,10 +364,11 @@ def sample_mixed(
     fd_fallback: bool = True,
     fd_steps: Optional[tuple] = None,
 ) -> np.ndarray:
-    """Mixed-partial values on a grid: exact capability if present, else
-    the finite-difference stencil when the fallback is allowed. The stencil
-    steps are default_fd_steps(r) unless fd_steps gives them (arrays that
-    broadcast against T give each cell its own)."""
+    """Mixed-partial values at t and s coordinates that broadcast against
+    each other: exact capability if present, else the finite-difference
+    stencil when the fallback is allowed. The stencil steps are
+    default_fd_steps(r) unless fd_steps gives them (arrays that broadcast
+    against T and S give each cell its own)."""
     if f.has_exact_mixed:
         return _sample(f.mixed_fn, f.vectorized, T, S)
     if not fd_fallback:
@@ -369,11 +419,9 @@ def cell_bounds(
     for start in range(0, m * n, per_block):
         cells = np.arange(start, min(start + per_block, m * n))
         i, j = np.divmod(cells, n)
-        shape = (cells.size, grid_n, grid_n)
-        T = np.ascontiguousarray(np.broadcast_to(ts[i, :, None], shape))
-        S = np.ascontiguousarray(np.broadcast_to(ss[j, None, :], shape))
         fd_steps = (h_t[i, None, None], h_s[j, None, None])
-        vals = sample_mixed(f, T, S, None, fd_fallback=True, fd_steps=fd_steps)
+        vals = sample_mixed(f, ts[i, :, None], ss[j, None, :], None, fd_fallback=True,
+                            fd_steps=fd_steps)
         _check_finite(vals, f"mixed partial of {f.label}")
         lo[cells] = vals.min(axis=(1, 2))
         hi[cells] = vals.max(axis=(1, 2))

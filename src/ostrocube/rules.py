@@ -270,7 +270,7 @@ def _lines(
     f: BivariateFunction, fixed_axis: str, fixed: list, iv: Interval1D, q: QuadConfig
 ) -> list[float]:
     """Integrals over iv of the cross-sections of f at each fixed
-    coordinate (quadrature.line_integrals), one line at a time."""
+    coordinate (quadrature.line_integrals), each line one segment."""
     nodes, weights = _axis_quadrature(iv, q)
     return line_integrals(f, fixed_axis, fixed, nodes[None, :], weights[None, :])[:, 0].tolist()
 

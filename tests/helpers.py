@@ -1,6 +1,7 @@
 """Shared test machinery: independent brute-force oracles and generators,
-a reference copy of the cell-by-cell enclosure loop, and reference copies
-of the per-rule and per-quadrant bodies and of the raw symbolic derivative.
+a reference copy of the cell-by-cell enclosure loop, reference copies
+of the per-rule and per-quadrant bodies, of the meshgrid and per-line grid
+samplers and of the raw symbolic derivative.
 
 The oracles deliberately avoid the package's Gauss-Legendre machinery so
 oracle agreement tests compare two genuinely different computations:
@@ -41,10 +42,15 @@ from ostrocube.identity import (
 )
 from ostrocube.kernels import abs_moment, signed_moment
 from ostrocube.quadrature import (
+    _FD_STEP,
+    BLOCK_SAMPLES,
+    _axis_quadrature,
     _check_finite,
+    as_bivariate,
     gl_rule,
     integrate_1d,
     integrate_2d,
+    sample_bivariate,
     sample_mixed,
     sample_univariate,
 )
@@ -619,6 +625,82 @@ def reference_identity_report(f, r, pt, q, tol=1e-9):
         status_ok=abs(derived - oracle) <= tol * (1.0 + abs(oracle)),
         tol=tol,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference samplers: materialised meshgrids and one call of f per line
+# ---------------------------------------------------------------------------
+#
+# Copies of the grid samplers as they were before f received per-axis
+# coordinates: every call of f gets full meshgrids, and each line is a
+# univariate cross-section (fix_t / fix_s) sampled with its fixed
+# coordinate as a scalar. The outer-product samplers must match them bit
+# for bit.
+
+
+def reference_integrate_2d(f, r, q, split=None) -> float:
+    f = as_bivariate(f)
+    t_breaks = (split.x,) if split is not None else ()
+    s_breaks = (split.y,) if split is not None else ()
+    tn, tw = _axis_quadrature(r.t_axis, q, t_breaks)
+    sn, sw = _axis_quadrature(r.s_axis, q, s_breaks)
+    T, S = np.meshgrid(tn, sn, indexing="ij")
+    vals = sample_bivariate(f, T, S)
+    _check_finite(vals, f.label)
+    return float(tw @ vals @ sw)
+
+
+def reference_grid_values(f, ts, ss) -> np.ndarray:
+    f = as_bivariate(f)
+    per_block = max(1, BLOCK_SAMPLES // len(ss))
+    out = np.empty((len(ts), len(ss)))
+    for k in range(0, len(ts), per_block):
+        T, S = np.meshgrid(ts[k:k + per_block], ss, indexing="ij")
+        out[k:k + per_block] = sample_bivariate(f, T, S)
+    return out
+
+
+def reference_line_integrals(f, fixed_axis, fixed, nodes, weights) -> np.ndarray:
+    f = as_bivariate(f)
+    rows, width = nodes.shape
+    per_block = max(1, BLOCK_SAMPLES // width)
+    out = np.empty((len(fixed), rows))
+    for i, x in enumerate(fixed):
+        g = f.fix_t(x) if fixed_axis == "t" else f.fix_s(x)
+        for k in range(0, rows, per_block):
+            block = nodes[k:k + per_block]
+            vals = sample_univariate(g, block.ravel()).reshape(block.shape)
+            _check_finite(vals, g.label)
+            out[i, k:k + per_block] = np.vecdot(weights[k:k + per_block], vals)
+    return out
+
+
+def reference_cell_bounds(f, t_edges, s_edges, grid_n: int, pad_rel: float):
+    t_edges = np.asarray(t_edges, dtype=float)
+    s_edges = np.asarray(s_edges, dtype=float)
+    m, n = len(t_edges) - 1, len(s_edges) - 1
+    starts = np.concatenate((t_edges[:-1], s_edges[:-1]))
+    ends = np.concatenate((t_edges[1:], s_edges[1:]))
+    samples = np.linspace(starts, ends, grid_n).T
+    ts, ss = samples[:m], samples[m:]
+    steps = _FD_STEP * (ends - starts)
+    h_t, h_s = steps[:m], steps[m:]
+    lo = np.empty(m * n)
+    hi = np.empty(m * n)
+    per_block = max(1, BLOCK_SAMPLES // (grid_n * grid_n))
+    for start in range(0, m * n, per_block):
+        cells = np.arange(start, min(start + per_block, m * n))
+        i, j = np.divmod(cells, n)
+        shape = (cells.size, grid_n, grid_n)
+        T = np.ascontiguousarray(np.broadcast_to(ts[i, :, None], shape))
+        S = np.ascontiguousarray(np.broadcast_to(ss[j, None, :], shape))
+        fd_steps = (h_t[i, None, None], h_s[j, None, None])
+        vals = sample_mixed(f, T, S, None, fd_fallback=True, fd_steps=fd_steps)
+        _check_finite(vals, f"mixed partial of {f.label}")
+        lo[cells] = vals.min(axis=(1, 2))
+        hi[cells] = vals.max(axis=(1, 2))
+    pad = pad_rel * (hi - lo) + 1e-12
+    return (lo - pad).reshape(m, n), (hi + pad).reshape(m, n)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,21 @@ def test_tol_out_of_range_is_a_usage_error(argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("m,n", [(30000, 30000), (1024, 1025), (1, 1 << 20), (4097, 1)])
+def test_subdivide_above_the_cell_caps_is_a_usage_error(m, n):
+    # 30000 x 30000 cells ran out of memory, and 1 x 2^20 took 6.6 GB,
+    # instead of failing fast
+    argv = ["enclose", "--f", "t*s", *_UNIT, "--bounds", "1", "1", "--subdivide"]
+    with pytest.raises(UsageError, match="at most 4096 cells per axis and 1048576 in all"):
+        parse_args([*argv, str(m), str(n)])
+
+
+@pytest.mark.parametrize("m,n", [(1024, 1024), (4096, 256), (1, 4096)])
+def test_subdivide_at_the_cell_caps_is_accepted(m, n):
+    argv = ["enclose", "--f", "t*s", *_UNIT, "--bounds", "1", "1", "--subdivide"]
+    assert parse_args([*argv, str(m), str(n)]).options["subdivide"] == [m, n]
+
+
 def test_compare_accepts_zero_tol():
     inv = parse_args(["compare", "--f", "t*s", *_UNIT, "--bounds", "1", "1", "--tol", "0"])
     assert inv.options["tol"] == 0.0
@@ -252,6 +267,27 @@ def test_numerical_failure_exit_code():
          "--bounds", "0", "1", "--json", "--no-timestamp"]
     )
     assert code == 1
+
+
+_STEEP = ["--f", "exp(900*t*s)", *_UNIT]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["enclose", *_STEEP, "--subdivide", "2", "2", "--bounds", "0", "1"],
+     "55 non-finite sample(s) while evaluating exp(900 * t * s)(1.0, .)"),
+    (["enclose", *_STEEP, "--point", "0.5", "0.5", "--bounds", "0", "1"],
+     "26 non-finite sample(s) while evaluating exp(900 * t * s)(1.0, .)"),
+    (["compare", *_STEEP, "--bounds", "0", "1"],
+     "26 non-finite sample(s) while evaluating exp(900 * t * s)(., 1.0)"),
+    (["enclose", *_STEEP, "--bounds", "auto", "--subdivide", "2", "2"],
+     "36 non-finite sample(s) while evaluating mixed partial of exp(900 * t * s)"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_samples_name_the_first_bad_line(argv, message, capsys):
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {message}\n"
 
 
 def test_verify_exit_codes_and_expectations():

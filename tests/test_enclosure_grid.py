@@ -105,20 +105,24 @@ def test_single_cell_matches_reference_loop(name, where, given):
 def test_every_call_of_f_gets_at_most_one_block():
     sizes = []
 
+    # f gets coordinates that broadcast; count the values it returns
     def fn(t, s):
-        sizes.append(max(np.size(t), np.size(s)))
+        sizes.append(np.broadcast(t, s).size)
         return np.sin(t) * np.cos(s)
 
     def mixed(t, s):
-        sizes.append(max(np.size(t), np.size(s)))
+        sizes.append(np.broadcast(t, s).size)
         return -np.cos(t) * np.sin(s)
 
     f = BivariateFunction(fn=fn, mixed_fn=mixed, vectorized=True)
-    composite_enclosure(f, UNIT, None, 40, 24, Q)
-    assert max(sizes) <= BLOCK_SAMPLES
-    sizes.clear()
-    composite_enclosure(f, UNIT, derivative_bounds(-1, 1), 40, 24, Q)
-    assert max(sizes) <= BLOCK_SAMPLES
+    # 8 x 70 takes several s-lines per call and splits each t-line
+    for m, n in ((40, 24), (8, 70)):
+        composite_enclosure(f, UNIT, None, m, n, Q)
+        assert max(sizes) <= BLOCK_SAMPLES
+        sizes.clear()
+        composite_enclosure(f, UNIT, derivative_bounds(-1, 1), m, n, Q)
+        assert max(sizes) <= BLOCK_SAMPLES
+        sizes.clear()
 
 
 @pytest.mark.parametrize("bounds", [derivative_bounds(-1, 1), None], ids=["given", "auto"])

@@ -1,0 +1,140 @@
+"""Outer-product sampling: the grid samplers hand f per-axis coordinates
+that broadcast against each other, so a subtree of one variable is
+evaluated along its own axis only. Every sampler must equal, bit for bit,
+its meshgrid or per-line predecessor in helpers.py, and keep that one's
+error text.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from helpers import (
+    random_ast,
+    reference_cell_bounds,
+    reference_grid_values,
+    reference_integrate_2d,
+    reference_line_integrals,
+)
+from ostrocube import QuadConfig, make_point, make_rectangle, parse_expression, to_bivariate
+from ostrocube.core import BivariateFunction
+from ostrocube.expr import XorShift64Star, eval_expr, random_polynomial_1d
+from ostrocube.quadrature import (
+    BLOCK_SAMPLES,
+    NonFiniteSample,
+    cell_bounds,
+    gl_nodes,
+    grid_values,
+    integrate_2d,
+    line_integrals,
+)
+
+Q = QuadConfig()
+# random_ast trees are smooth on [0.2, 1.5]^2
+RECT = make_rectangle(0.3, 1.4, 0.25, 1.2)
+T_EDGES = np.linspace(0.3, 1.4, 4)
+S_EDGES = np.linspace(0.25, 1.2, 3)
+
+
+def _functions():
+    rnd = random.Random(8)
+    for k in range(25):
+        yield f"ast{k}", to_bivariate(random_ast(rnd, 4))
+    yield "const", to_bivariate(parse_expression("2.5"))
+    for var in ("t", "s"):
+        for k in range(3):
+            poly = random_polynomial_1d(XorShift64Star(100 + k), 6, var)
+            yield f"{var}-poly{k}", to_bivariate(poly)
+    yield "plain", BivariateFunction(fn=lambda t, s: math.exp(0.5 * t) * math.cos(t * s))
+    yield "plain-s", BivariateFunction(fn=lambda t, s: s ** 3 - s)
+
+
+FUNCTIONS = dict(_functions())
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_samplers_match_meshgrid_and_per_line_samplers(name):
+    f = FUNCTIONS[name]
+    pt = make_point(RECT, 0.61, 0.97)
+    for split in (None, pt):
+        assert integrate_2d(f, RECT, Q, split).hex() == \
+            reference_integrate_2d(f, RECT, Q, split).hex()
+
+    ts, ss = np.linspace(0.3, 1.4, 7), np.linspace(0.25, 1.2, 5)
+    assert _hex(grid_values(f, ts, ss)) == _hex(reference_grid_values(f, ts, ss))
+
+    for axis, fixed, edges in (("t", ts, S_EDGES), ("s", ss, T_EDGES)):
+        nw = gl_nodes(edges[:-1], edges[1:], Q)
+        got = line_integrals(f, axis, fixed.tolist(), *nw)
+        assert _hex(got) == _hex(reference_line_integrals(f, axis, fixed.tolist(), *nw))
+
+    got = cell_bounds(f, T_EDGES, S_EDGES, 17, 0.1)
+    expected = reference_cell_bounds(f, T_EDGES, S_EDGES, 17, 0.1)
+    assert _hex(got) == _hex(expected)
+
+
+@pytest.mark.parametrize("name", ["ast0", "const", "t-poly1", "s-poly1", "plain"])
+@pytest.mark.parametrize("segments", [10, 100], ids=["lines-per-block", "rows-per-block"])
+def test_line_blocks_across_block_samples(name, segments):
+    # 10 segments of 128 nodes: six lines per call of f, 20 lines in four
+    # calls; 100 segments: 12800 values per line, split into row blocks
+    f = FUNCTIONS[name]
+    width = Q.panels * Q.gl_order
+    assert segments * width * 2 < BLOCK_SAMPLES or segments * width > BLOCK_SAMPLES
+    edges = np.linspace(0.25, 1.2, segments + 1)
+    nw = gl_nodes(edges[:-1], edges[1:], Q)
+    fixed = np.linspace(0.3, 1.4, 20).tolist()
+    for axis in ("t", "s"):
+        got = line_integrals(f, axis, fixed, *nw)
+        assert _hex(got) == _hex(reference_line_integrals(f, axis, fixed, *nw))
+
+
+def test_grid_values_across_block_samples():
+    f = FUNCTIONS["ast3"]
+    ts, ss = np.linspace(0.3, 1.4, 200), np.linspace(0.25, 1.2, 100)
+    assert _hex(grid_values(f, ts, ss)) == _hex(reference_grid_values(f, ts, ss))
+
+
+@pytest.mark.parametrize("text", ["exp(t)^s", "exp(s)^t", "(2+t)^(s-1)", "2^(t*s)"])
+def test_power_samples_equal_scalar_evaluation(text):
+    # numpy computes the exponents 0.5, 2 and -1 by shortcuts only when the
+    # exponent reaches its loop with stride 0; a sample must not depend on
+    # the layout of the coordinates, so it equals the scalar evaluation
+    e = parse_expression(text)
+    f = to_bivariate(e)
+    at = np.array([0.0, 0.5, 1.0, 2.0, -1.0, 0.25, 3.0])
+    expected = [[eval_expr(e, t, s) for s in at] for t in at]
+    assert _hex(grid_values(f, at, at)) == _hex(expected)
+    edges = np.array([0.25, 0.75, 1.5])
+    nw = gl_nodes(edges[:-1], edges[1:], Q)
+    for axis in ("t", "s"):
+        got = line_integrals(f, axis, at.tolist(), *nw)
+        assert _hex(got) == _hex(reference_line_integrals(f, axis, at.tolist(), *nw))
+
+
+def _failing_lines(t, s):
+    """inf on the line t = 0.5; the line t = 0.75 cannot be evaluated."""
+    if np.any(t == 0.75):
+        raise ValueError("no value at t = 0.75")
+    return np.where(t == 0.5, np.inf, t * s)
+
+
+@pytest.mark.parametrize("fixed", [[0.25, 0.5, 0.75], [0.25, 0.75, 0.5]])
+def test_first_failing_line_decides_the_error(fixed):
+    f = BivariateFunction(fn=_failing_lines, vectorized=True, label="g")
+    edges = np.array([0.0, 1.0])
+    nw = gl_nodes(edges[:-1], edges[1:], Q)
+    with pytest.raises(Exception) as expected:
+        reference_line_integrals(f, "t", fixed, *nw)
+    with pytest.raises(type(expected.value)) as got:
+        line_integrals(f, "t", fixed, *nw)
+    assert str(got.value) == str(expected.value)
+    if fixed[1] == 0.5:
+        assert isinstance(got.value, NonFiniteSample)
+        assert str(got.value) == "128 non-finite sample(s) while evaluating g(0.5, .)"
