@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +45,8 @@ from .core import (
     make_rectangle,
 )
 from .enclosure import (
+    _MAX_AXIS_CELLS,
+    _MAX_CELLS,
     _bounds_hold_at,
     compare_bounds,
     composite_enclosure,
@@ -52,17 +54,26 @@ from .enclosure import (
 )
 from .expr import (
     DomainError,
+    StackedProgram,
     XorShift64Star,
     derive_seed,
+    differentiate,
+    draw_polynomial,
+    draw_polynomial_1d,
+    eval_stacked,
     parse_expression,
-    random_polynomial,
-    random_polynomial_1d,
+    polynomial,
+    polynomial_1d,
+    stacked_program,
     to_bivariate,
+    to_string,
     to_univariate,
 )
 from .identity import corrected_from_terms, identity_report
-from .quadrature import NonFiniteSample, estimate_bounds, sample_univariate
+from .quadrature import NonFiniteSample, estimate_bounds, gl_nodes, sample_univariate
 from .rules import (
+    AnchorTerms,
+    IntervalTerms,
     Lambda,
     PointOutsideLambdaBox,
     RuleOutcome,
@@ -80,9 +91,8 @@ from .rules import (
     sarikaya_functional,
 )
 
-# no longer called here; they stay importable from this module, where
-# perfbench/tracing.py counts them
-from .expr import differentiate, to_string  # noqa: F401
+# no longer called here; it stays importable from this module, where
+# perfbench/tracing.py counts it
 from .identity import full_expansion_derived  # noqa: F401
 
 __all__ = [
@@ -100,12 +110,11 @@ RULE_ORDER = ("t1", "t2", "t3", "t4", "t5", "corrected")
 _VERIFY_CFG = QuadConfig(gl_order=16, panels=1, abs_tol=1e-14)
 _BOUNDS_GRID = 33
 _BOUNDS_PAD = 0.25
-# most cells `enclose --subdivide` takes, in all (1024 x 1024) and per axis:
-# per-cell arrays and the output grow with m * n, the quadrature nodes of
-# the lines with m + n (one axis of 2^20 cells peaked at 6.6 GB); runs at
-# 1024 x 1024, 256 x 4096 and 4096 x 256 peaked at 210-260 MB resident
-_MAX_CELLS = 1 << 20
-_MAX_AXIS_CELLS = 1 << 12
+# points of the grid on which g's derivative range is sampled
+_DERIV_GRID = 129
+# trials sampled together; smaller chunks hold smaller arrays but pay the
+# per-call cost of numpy more often
+_CHUNK_TRIALS = 64
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -347,7 +356,7 @@ def _sampled_deriv_range(g: UnivariateFunction, iv: Interval1D) -> tuple[float, 
     """Padded range of g's exact symbolic derivative over the interval,
     sampled through g.deriv_fn with no label of its own."""
     deriv = UnivariateFunction(fn=g.deriv_fn, vectorized=True)
-    vals = sample_univariate(deriv, np.linspace(iv.lo, iv.hi, 129))
+    vals = sample_univariate(deriv, np.linspace(iv.lo, iv.hi, _DERIV_GRID))
     lo = float(np.min(vals))
     hi = float(np.max(vals))
     pad = _BOUNDS_PAD * (hi - lo) + 1e-12
@@ -361,6 +370,261 @@ def _random_interval(rng: XorShift64Star) -> tuple[float, float]:
     return lo, hi
 
 
+class _Trial(NamedTuple):
+    """One random trial as drawn: f's coefficient rows (f[i][j] multiplies
+    t^i s^j) on rect = (a, b, c, d), the anchor p of t3, t5 and corrected
+    and the anchor q of t4; g's coefficients (g[k] multiplies t^k) on
+    interval, with the point x of t1 and t2."""
+
+    index: int
+    seed: int
+    f: list
+    rect: tuple
+    p: tuple
+    q: tuple
+    g: list
+    interval: tuple
+    x: float
+
+
+def _draw_trial(seed: int, index: int, degree: int, lam: float) -> _Trial:
+    """Trial `index` of the corpus, from its own derived seed."""
+    tseed = derive_seed(seed, index)
+    rng = XorShift64Star(tseed)
+    f = draw_polynomial(rng, degree)
+    t_lo, t_hi = _random_interval(rng)
+    s_lo, s_hi = _random_interval(rng)
+    p = (rng.uniform(t_lo, t_hi), rng.uniform(s_lo, s_hi))
+    bx_lo = t_lo + 0.5 * lam * (t_hi - t_lo)
+    bx_hi = t_hi - 0.5 * lam * (t_hi - t_lo)
+    by_lo = s_lo + 0.5 * lam * (s_hi - s_lo)
+    by_hi = s_hi - 0.5 * lam * (s_hi - s_lo)
+    q = (rng.uniform(bx_lo, bx_hi), rng.uniform(by_lo, by_hi))
+    g = draw_polynomial_1d(rng, degree)
+    i_lo, i_hi = _random_interval(rng)
+    x = rng.uniform(i_lo, i_hi)
+    return _Trial(index, tseed, f, (t_lo, t_hi, s_lo, s_hi), p, q, g, (i_lo, i_hi), x)
+
+
+# one entry per --degree value
+@lru_cache(maxsize=7)
+def _templates(degree: int) -> tuple[StackedProgram, ...]:
+    """Stacked programs of f, its mixed partial, g and g' for the trials of
+    `--degree degree`, built on first use.
+
+    The templates are the Horner trees of a full (degree+1) x (degree+1)
+    polynomial and of a degree+1 coefficient univariate one, over slot
+    constants, differentiated as to_bivariate and to_univariate do. The
+    slots are distinct and neither 0 nor 1, so no unit law of simplify
+    fires and every coefficient keeps its own node. A trial fills the
+    slots with its coefficients, padded with zeros to the full degree. A
+    padded node adds a signed zero to a nonzero value, which leaves it
+    unchanged, so every sample equals the one the trial's own tree gives
+    (the tree in which simplify has dropped those nodes).
+    """
+    n = degree + 1
+    slots = [2.0 + j / 256.0 for j in range(n * n)]
+    f = polynomial([slots[i * n:(i + 1) * n] for i in range(n)])
+    g = polynomial_1d(slots[:n])
+    trees = (f, differentiate(differentiate(f, "t"), "s"), g, differentiate(g, "t"))
+    return tuple(stacked_program(e, slots) for e in trees)
+
+
+def _no_unit_coefficient(coeffs: list) -> bool:
+    """Whether no coefficient is 0 or 1: simplify would prune or shortcut
+    such a coefficient's node in the trial's own tree, and the stacked
+    samples are shown to equal its own only without them."""
+    return 0.0 not in coeffs and 1.0 not in coeffs
+
+
+def _finite_rows(values: np.ndarray) -> np.ndarray:
+    """Per trial (leading axis), whether all of its values are finite."""
+    return np.isfinite(values).reshape(len(values), -1).all(axis=1)
+
+
+def _reduce(weights: np.ndarray, values: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """np.vecdot of weights and values over the last axis, in the layout
+    that sampling each trial's own tree gives: the rows of the trials
+    marked flat (their polynomial does not vary along these rows) are
+    reduced as zero-stride rows of their first value."""
+    out = np.vecdot(weights, values)
+    if flat.any():
+        rows = values[flat]
+        out[flat] = np.vecdot(weights[flat], np.broadcast_to(rows[..., :1], rows.shape))
+    return out
+
+
+def _stacked_1d(trials: list, degree: int, ends: bool) -> list:
+    """IntervalTerms and the padded derivative range of g for every
+    trial, sampled for all trials at once; None for a trial whose samples
+    must be taken on its own: one with a non-finite sample, a coefficient
+    of 0 or 1, or x outside its interval (interval_terms raises)."""
+    _, _, program_g, program_dg = _templates(degree)
+    k, n = len(trials), degree + 1
+    coeffs = np.zeros((k, n))
+    for row, trial in zip(coeffs, trials):
+        row[:len(trial.g)] = trial.g
+    columns = coeffs.T[:, :, None]
+    lo, hi = np.array([trial.interval for trial in trials]).T
+    x = np.array([trial.x for trial in trials])
+    nodes, weights = gl_nodes(lo, hi, _VERIFY_CFG)
+    at = np.broadcast_to(eval_stacked(program_g, columns, np.stack((x, lo, hi), axis=1), 0.0),
+                         (k, 3))
+    vals = np.broadcast_to(eval_stacked(program_g, columns, nodes, 0.0), nodes.shape)
+    integral = _reduce(weights, vals, np.array([len(trial.g) == 1 for trial in trials]))
+    grid = np.linspace(lo, hi, _DERIV_GRID, axis=-1)
+    deriv = np.broadcast_to(eval_stacked(program_dg, columns, grid, 0.0), grid.shape)
+    d_min, d_max = deriv.min(axis=1), deriv.max(axis=1)
+    pad = _BOUNDS_PAD * (d_max - d_min) + 1e-12
+    d_lo, d_hi = d_min - pad, d_max + pad
+    ok = np.array([_no_unit_coefficient(trial.g) and trial.interval[0] <= trial.x
+                   <= trial.interval[1] for trial in trials])
+    ok &= (_finite_rows(at) & _finite_rows(vals) & np.isfinite(integral)
+           & np.isfinite(d_lo) & np.isfinite(d_hi))
+    out = []
+    for trial, good, (at_x, at_lo, at_hi), value, dl, dh in zip(
+            trials, ok.tolist(), at.tolist(), integral.tolist(), d_lo.tolist(), d_hi.tolist()):
+        terms = IntervalTerms(iv=Interval1D(*trial.interval), x=trial.x, at_x=at_x,
+                              at_lo=at_lo if ends else None, at_hi=at_hi if ends else None,
+                              integral=value)
+        out.append((terms, dl, dh) if good else None)
+    return out
+
+
+def _split_nodes(lo: np.ndarray, x: np.ndarray, hi: np.ndarray) -> tuple:
+    """Nodes and weights of every trial's axis [lo, hi] split at x, shape
+    (trials, 2 * nodes), as integrate_2d takes them for a split at x."""
+    nodes, weights = gl_nodes(np.stack((lo, x), axis=1), np.stack((x, hi), axis=1), _VERIFY_CFG)
+    return nodes.reshape(len(x), -1), weights.reshape(len(x), -1)
+
+
+def _stacked_2d(trials: list, degree: int, anchors: tuple) -> list:
+    """The AnchorTerms at `anchors` and the sampled mixed-partial bounds of
+    f for every trial, sampled for all trials at once; None for a trial
+    whose samples must be taken on its own: one with a non-finite sample,
+    a coefficient of 0 or 1, or an anchor not strictly inside the
+    rectangle (on an edge, the split double integral has one segment, not
+    two)."""
+    program_f, program_mixed, _, _ = _templates(degree)
+    k, n = len(trials), degree + 1
+    coeffs = np.zeros((k, n * n))
+    for row, trial in zip(coeffs, trials):
+        for i, f_row in enumerate(trial.f):
+            row[i * n:i * n + len(f_row)] = f_row
+    columns = coeffs.T[:, :, None, None]
+    rect = np.array([trial.rect for trial in trials])
+    t_lo, t_hi, s_lo, s_hi = rect.T
+    flat_t = np.array([len(trial.f) == 1 for trial in trials])
+    flat_s = np.array([len(trial.f[0]) == 1 for trial in trials])
+
+    def f_at(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
+        shape = np.broadcast_shapes(ts.shape, ss.shape)
+        return np.broadcast_to(eval_stacked(program_f, columns, ts, ss), shape)
+
+    # mixed-partial bounds as estimate_bounds samples them: one linspace
+    # over the starts (a, c) and ends (b, d) of each trial
+    axes = np.linspace(rect[:, 0::2], rect[:, 1::2], _BOUNDS_GRID, axis=-1)
+    mixed = eval_stacked(program_mixed, columns, axes[:, 0, :, None], axes[:, 1, None, :])
+    mixed = np.broadcast_to(mixed, (k, _BOUNDS_GRID, _BOUNDS_GRID))
+    m_lo, m_hi = mixed.min(axis=(1, 2)), mixed.max(axis=(1, 2))
+    pad = _BOUNDS_PAD * (m_hi - m_lo) + 1e-12
+    lower, upper = m_lo - pad, m_hi + pad
+    ok = _finite_rows(mixed) & np.isfinite(lower) & np.isfinite(upper)
+    del mixed
+    ok &= [_no_unit_coefficient([value for row in trial.f for value in row])
+           for trial in trials]
+    xy = np.array([[getattr(trial, name) for name in anchors] for trial in trials])
+    x, y = xy[:, :, 0], xy[:, :, 1]
+    ok &= ((t_lo[:, None] < x) & (x < t_hi[:, None])
+           & (s_lo[:, None] < y) & (y < s_hi[:, None])).all(axis=1)
+
+    # the anchors' coordinates first, then the edges, as anchor_terms
+    # takes them
+    at_t = np.concatenate((x, rect[:, :2]), axis=1)
+    at_s = np.concatenate((y, rect[:, 2:]), axis=1)
+    points = f_at(at_t[:, :, None], at_s[:, None, :])
+    tn, tw = gl_nodes(t_lo, t_hi, _VERIFY_CFG)
+    sn, sw = gl_nodes(s_lo, s_hi, _VERIFY_CFG)
+    lines_t = f_at(tn[:, None, :], at_s[:, :, None])
+    lines_s = f_at(at_t[:, :, None], sn[:, None, :])
+    ok &= _finite_rows(points) & _finite_rows(lines_t) & _finite_rows(lines_s)
+    along_t = _reduce(tw[:, None, :], lines_t, flat_t).tolist()
+    along_s = _reduce(sw[:, None, :], lines_s, flat_s).tolist()
+    del lines_t, lines_s
+
+    # the double integral split at each anchor, one `tw @ grid @ sw` per
+    # trial as integrate_2d takes it: a constant's grid stays zero-stride
+    constant = (flat_t & flat_s).tolist()
+    doubles = []
+    for a in range(len(anchors)):
+        tn, tw = _split_nodes(t_lo, x[:, a], t_hi)
+        sn, sw = _split_nodes(s_lo, y[:, a], s_hi)
+        grids = f_at(tn[:, :, None], sn[:, None, :])
+        finite = _finite_rows(grids)
+        ok &= finite
+        double = [None] * k
+        for j in np.flatnonzero(finite):
+            grid = (np.broadcast_to(grids[j, 0, 0], grids.shape[1:]) if constant[j]
+                    else np.ascontiguousarray(grids[j]))
+            double[j] = float(tw[j] @ grid @ sw[j])
+        doubles.append(double)
+        del grids
+
+    out = []
+    last = len(anchors)
+    for j, (trial, good, values) in enumerate(zip(trials, ok.tolist(), points.tolist())):
+        if not good:
+            out.append(None)
+            continue
+        r = make_rectangle(*trial.rect)
+        terms = []
+        for a, name in enumerate(anchors):
+            nodes = (a, last, last + 1)
+            terms.append(AnchorTerms(
+                rect=r,
+                point=make_point(r, *getattr(trial, name)),
+                values=tuple(tuple(values[u][v] for v in nodes) for u in nodes),
+                along_t=tuple(along_t[j][u] for u in nodes),
+                along_s=tuple(along_s[j][u] for u in nodes),
+                double=doubles[a][j],
+            ))
+        out.append((terms, DerivativeBounds(lower[j], upper[j])))
+    return out
+
+
+def _trial_terms_1d(trial: _Trial, ends: bool) -> tuple:
+    """What _stacked_1d gives for one trial, through the public functions
+    on the trial's own tree."""
+    g = to_univariate(polynomial_1d(trial.g))
+    iv = Interval1D(*trial.interval)
+    d_lo, d_hi = _sampled_deriv_range(g, iv)
+    return interval_terms(g, iv, trial.x, _VERIFY_CFG, ends=ends), d_lo, d_hi
+
+
+def _trial_terms_2d(trial: _Trial, anchors: tuple) -> tuple:
+    """What _stacked_2d gives for one trial, through the public functions
+    on the trial's own tree."""
+    f = to_bivariate(polynomial(trial.f))
+    r = make_rectangle(*trial.rect)
+    db = estimate_bounds(f, r, grid_n=_BOUNDS_GRID, pad_rel=_BOUNDS_PAD)
+    points = [make_point(r, *getattr(trial, name)) for name in anchors]
+    return anchor_terms(f, r, points, _VERIFY_CFG), db
+
+
+def _trial_case_1d(trial: _Trial):
+    """Maker of the shared fields of a trial's t1 and t2 records."""
+    return lambda: {"source": f"trial:{trial.index}", "seed": trial.seed,
+                    "expr": to_string(polynomial_1d(trial.g)),
+                    "interval": list(trial.interval), "x": trial.x}
+
+
+def _trial_case_2d(trial: _Trial, db: DerivativeBounds):
+    """Maker of the shared fields of a trial's two-variable records."""
+    return lambda: {"source": f"trial:{trial.index}", "seed": trial.seed,
+                    "expr": to_string(polynomial(trial.f)), "rect": list(trial.rect),
+                    "lower": db.lower, "upper": db.upper}
+
+
 class _RuleTally:
     def __init__(self) -> None:
         self.trials = 0
@@ -369,12 +633,14 @@ class _RuleTally:
         self.worst_gap: Optional[float] = None
         self.worst_case: Optional[dict] = None
 
-    def record(self, case: dict, outcome: RuleOutcome) -> None:
+    def record(self, outcome: RuleOutcome, case, extra: dict) -> None:
+        """Count one outcome; case() and extra make up its record, which is
+        made only if the outcome is the worst so far."""
         self.trials += 1
         gap = outcome.gap
         if self.worst_gap is None or gap > self.worst_gap:
             self.worst_gap = gap
-            self.worst_case = dict(case, lhs=outcome.lhs, rhs=outcome.rhs)
+            self.worst_case = dict(case(), **extra, lhs=outcome.lhs, rhs=outcome.rhs)
 
     def summary(self) -> dict:
         assert self.violations <= self.trials
@@ -406,97 +672,96 @@ class VerifyReport:
 
 
 def _run_verify(opts: dict) -> tuple[dict, dict, int]:
+    """The rule audit: the fixtures, then the random trials in chunks.
+
+    Every trial of a chunk is drawn first (each from its own derived seed,
+    so the order of drawing does not matter), then the chunk is sampled
+    together: f, its mixed partial, g and g' at every point, line, double
+    integral and bound-grid node of all its trials, through the stacked
+    templates of `--degree` (_stacked_1d, _stacked_2d). The rules, tallies
+    and re-checks then run trial by trial, in trial order, on the
+    IntervalTerms and AnchorTerms built from those samples. Where the
+    stacked samples of a trial's g or f are not shown to keep its bits, or
+    one is non-finite, that part of the trial goes through interval_terms,
+    estimate_bounds and anchor_terms on its own trees instead
+    (_trial_terms_1d, _trial_terms_2d), which also raise the errors a bad
+    sample calls for. A record's polynomial text is printed only when
+    the record is kept (a worst case) or re-checked.
+    """
     rules = opts["rules"]
     lam = opts["lam"]
+    degree = opts["degree"]
     tallies = {rule: _RuleTally() for rule in rules}
+    ends = "t2" in tallies
+    p_rules = [rule for rule in _RULES_2D if rule in tallies]
+    anchors = ("p",) * bool(p_rules) + ("q",) * ("t4" in tallies)
 
-    def apply(rule: str, case: dict, outcome: RuleOutcome) -> None:
+    def apply(rule: str, case, extra: dict, outcome: RuleOutcome) -> None:
         tally = tallies[rule]
         if not outcome.satisfied and rule in ("t3", "t4"):
             # independent recomputation from the record before a violation
             # is reported
             tally.rechecks += 1
-            outcome = _eval_rule_case(rule, case, _VERIFY_CFG.refined())
+            outcome = _eval_rule_case(rule, dict(case(), **extra), _VERIFY_CFG.refined())
         if not outcome.satisfied:
             tally.violations += 1
-        tally.record(case, outcome)
+        tally.record(outcome, case, extra)
 
-    def audit_1d(g, base: dict, magnitude: float, lower: float, upper: float) -> None:
+    def audit_1d(terms: IntervalTerms, case, magnitude: float, lower: float,
+                 upper: float) -> None:
         # t1 and t2 read one integral and the same point values
-        terms = interval_terms(g, Interval1D(*base["interval"]), base["x"], _VERIFY_CFG,
-                               ends="t2" in tallies)
         if "t1" in tallies:
-            apply("t1", dict(base, magnitude=magnitude),
+            apply("t1", case, {"magnitude": magnitude},
                   ostrowski_from_terms(terms, DerivativeBound1D.abs_bound(magnitude)))
         if "t2" in tallies:
-            apply("t2", dict(base, lower=lower, upper=upper),
+            apply("t2", case, {"lower": lower, "upper": upper},
                   cheng_from_terms(terms, DerivativeBound1D.from_range(lower, upper)))
 
-    def audit_2d(f: BivariateFunction, r: Rectangle, db: DerivativeBounds, base: dict,
-                 p: list, q: list) -> None:
-        # t3, t5 and corrected at p, t4 at q, all from one anchor_terms call
-        p_rules = [rule for rule in _RULES_2D if rule in tallies]
-        points = ([p] if p_rules else []) + ([q] if "t4" in tallies else [])
-        terms = anchor_terms(f, r, [make_point(r, *pt) for pt in points], _VERIFY_CFG)
+    def audit_2d(terms: list, db: DerivativeBounds, case, p: list, q: list) -> None:
+        # t3, t5 and corrected at p, t4 at q, from one set of anchor terms
         for rule in p_rules:
-            apply(rule, dict(base, point=p), _RULES_2D[rule](terms[0], db))
+            apply(rule, case, {"point": p}, _RULES_2D[rule](terms[0], db))
         if "t4" in tallies:
-            apply("t4", dict(base, point=q, **{"lambda": lam}),
+            apply("t4", case, {"point": q, "lambda": lam},
                   qiaoling_from_terms(terms[-1], db, Lambda(lam)))
 
     one_variable = "t1" in tallies or "t2" in tallies
-    two_variable = any(rule in tallies for rule in RULE_ORDER[2:])
+    two_variable = bool(anchors)
 
     for name, text, x, magnitude, lo, hi in _FIXTURES_1D:
         if one_variable:
             base = {"source": f"fixture:{name}", "seed": None, "expr": text,
                     "interval": [0.0, 1.0], "x": x}
-            audit_1d(_univariate_from_text(text), base, magnitude, lo, hi)
+            terms = interval_terms(_univariate_from_text(text), Interval1D(0.0, 1.0), x,
+                                   _VERIFY_CFG, ends=ends)
+            audit_1d(terms, lambda base=base: base, magnitude, lo, hi)
 
     unit = make_rectangle(0.0, 1.0, 0.0, 1.0)
+    centre = make_point(unit, 0.5, 0.5)
     for name, text, lo, hi in _FIXTURES_2D:
         if two_variable:
             base = {"source": f"fixture:{name}", "seed": None, "expr": text,
                     "rect": [0.0, 1.0, 0.0, 1.0], "point": [0.5, 0.5],
                     "lower": lo, "upper": hi}
-            audit_2d(_bivariate_from_text(text), unit, DerivativeBounds(lo, hi), base,
+            terms = anchor_terms(_bivariate_from_text(text), unit, [centre] * len(anchors),
+                                 _VERIFY_CFG)
+            audit_2d(terms, DerivativeBounds(lo, hi), lambda base=base: base,
                      [0.5, 0.5], [0.5, 0.5])
 
-    for k in range(opts["trials"]):
-        tseed = derive_seed(opts["seed"], k)
-        rng = XorShift64Star(tseed)
-        poly2 = random_polynomial(rng, opts["degree"])
-        t_lo, t_hi = _random_interval(rng)
-        s_lo, s_hi = _random_interval(rng)
-        px = rng.uniform(t_lo, t_hi)
-        py = rng.uniform(s_lo, s_hi)
-        bx_lo = t_lo + 0.5 * lam * (t_hi - t_lo)
-        bx_hi = t_hi - 0.5 * lam * (t_hi - t_lo)
-        by_lo = s_lo + 0.5 * lam * (s_hi - s_lo)
-        by_hi = s_hi - 0.5 * lam * (s_hi - s_lo)
-        qx = rng.uniform(bx_lo, bx_hi)
-        qy = rng.uniform(by_lo, by_hi)
-        poly1 = random_polynomial_1d(rng, opts["degree"])
-        i_lo, i_hi = _random_interval(rng)
-        x1 = rng.uniform(i_lo, i_hi)
-
-        # the records carry each polynomial's text; the audit evaluates the
-        # generated trees, which give the same values as the parsed text
-        if one_variable:
-            g = to_univariate(poly1)
-            d_lo, d_hi = _sampled_deriv_range(g, Interval1D(i_lo, i_hi))
-            base1 = {"source": f"trial:{k}", "seed": tseed,
-                     "expr": g.label, "interval": [i_lo, i_hi], "x": x1}
-            audit_1d(g, base1, max(abs(d_lo), abs(d_hi)), d_lo, d_hi)
-
-        if two_variable:
-            f2 = to_bivariate(poly2)
-            rect = make_rectangle(t_lo, t_hi, s_lo, s_hi)
-            db = estimate_bounds(f2, rect, grid_n=_BOUNDS_GRID, pad_rel=_BOUNDS_PAD)
-            base2 = {"source": f"trial:{k}", "seed": tseed,
-                     "expr": f2.label, "rect": [t_lo, t_hi, s_lo, s_hi],
-                     "lower": db.lower, "upper": db.upper}
-            audit_2d(f2, rect, db, base2, [px, py], [qx, qy])
+    for start in range(0, opts["trials"], _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, opts["trials"])
+        chunk = [_draw_trial(opts["seed"], k, degree, lam) for k in range(start, stop)]
+        unused = [None] * len(chunk)
+        stacked_1d = _stacked_1d(chunk, degree, ends) if one_variable else unused
+        stacked_2d = _stacked_2d(chunk, degree, anchors) if two_variable else unused
+        for trial, one, two in zip(chunk, stacked_1d, stacked_2d):
+            if one_variable:
+                terms, d_lo, d_hi = one or _trial_terms_1d(trial, ends)
+                audit_1d(terms, _trial_case_1d(trial), max(abs(d_lo), abs(d_hi)),
+                         d_lo, d_hi)
+            if two_variable:
+                terms, db = two or _trial_terms_2d(trial, anchors)
+                audit_2d(terms, db, _trial_case_2d(trial, db), list(trial.p), list(trial.q))
 
     report = VerifyReport(
         rules={rule: tallies[rule].summary() for rule in rules},

@@ -282,6 +282,10 @@ class Enclosure:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            # NaN compares false both ways, so lo > hi alone lets it through
+            raise InvalidBounds(f"enclosure endpoints must be finite, got "
+                                f"[{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise InvalidBounds(f"enclosure needs lo <= hi, got [{self.lo}, {self.hi}]")
 

@@ -65,6 +65,7 @@ from .core import (
 )
 from .identity import corrected_from_terms
 from .quadrature import (
+    _check_finite,
     cell_bounds,
     gl_nodes,
     grid_values,
@@ -99,6 +100,12 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+# most cells composite_enclosure takes, in all (1024 x 1024) and per axis:
+# per-cell arrays and the output grow with m * n, the quadrature nodes of
+# the lines with m + n (one axis of 2^20 cells peaked at 6.6 GB); runs at
+# 1024 x 1024, 256 x 4096 and 4096 x 256 peaked at 210-260 MB resident
+_MAX_CELLS = 1 << 20
+_MAX_AXIS_CELLS = 1 << 12
 # sampling grid and relative pad of the per-cell bounds that
 # composite_enclosure estimates when none are given
 _CELL_BOUNDS_GRID = 17
@@ -169,6 +176,17 @@ def _assemble(
     s_rows = (slice(0, n), slice(n, 2 * n), slice(n + 1, 2 * n + 1))
 
     values = grid_values(f, t_at, s_at)
+    # line integrals at the base and the refined resolution, indexed
+    # [t position, s position]: t-lines run over the s-cells and s-lines
+    # over the t-cells
+    s_nodes = [gl_nodes(s_edges[:-1], s_edges[1:], c) for c in (q, q.refined())]
+    t_nodes = [gl_nodes(t_edges[:-1], t_edges[1:], c) for c in (q, q.refined())]
+    t_base, t_fine = (line_integrals(f, "t", t_at.tolist(), *nw) for nw in s_nodes)
+    s_base, s_fine = (line_integrals(f, "s", s_at.tolist(), *nw).T for nw in t_nodes)
+    # the point values are checked after the lines, whose report names the
+    # first bad line
+    _check_finite(values, f.label)
+
     points = np.zeros((m, n))
     abs_mass = np.zeros((m, n))
     for rt, w_t in zip(t_rows, wt):
@@ -177,13 +195,6 @@ def _assemble(
             points += term
             abs_mass += np.abs(term)
 
-    # line integrals at the base and the refined resolution, indexed
-    # [t position, s position]: t-lines run over the s-cells and s-lines
-    # over the t-cells
-    s_nodes = [gl_nodes(s_edges[:-1], s_edges[1:], c) for c in (q, q.refined())]
-    t_nodes = [gl_nodes(t_edges[:-1], t_edges[1:], c) for c in (q, q.refined())]
-    t_base, t_fine = (line_integrals(f, "t", t_at.tolist(), *nw) for nw in s_nodes)
-    s_base, s_fine = (line_integrals(f, "s", s_at.tolist(), *nw).T for nw in t_nodes)
     cell_lines = [(w[:, None], t_base[rt], t_fine[rt]) for rt, w in zip(t_rows, wt)]
     cell_lines += [(w[None, :], s_base[:, rs], s_fine[:, rs]) for rs, w in zip(s_rows, ws)]
     lines = np.zeros((m, n))
@@ -276,10 +287,14 @@ def composite_enclosure(
     to the declared quadrature padding, unless the exact mixed partial
     leaves them at a cell midpoint; with bounds=None each cell gets sampled
     bounds (cell_bounds, as estimate_bounds would give) and the result is
-    flagged non-rigorous.
+    flagged non-rigorous. A grid of more than _MAX_AXIS_CELLS cells on an
+    axis or _MAX_CELLS in all raises ValueError before any node is built.
     """
     if m < 1 or n < 1:
         raise ValueError(f"subdivision must be >= 1 in each axis, got {m} x {n}")
+    if max(m, n) > _MAX_AXIS_CELLS or m * n > _MAX_CELLS:
+        raise ValueError(f"{m} x {n} cells is too fine: at most {_MAX_AXIS_CELLS} "
+                         f"cells per axis and {_MAX_CELLS} in all")
     t_edges = r.t_axis.lo + np.arange(m + 1) * (r.t_axis.length / m)
     s_edges = r.s_axis.lo + np.arange(n + 1) * (r.s_axis.length / n)
     if not (np.all(t_edges[:-1] < t_edges[1:]) and np.all(s_edges[:-1] < s_edges[1:])):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,8 +58,15 @@ __all__ = [
     "to_univariate",
     "XorShift64Star",
     "derive_seed",
+    "draw_polynomial",
+    "draw_polynomial_1d",
+    "polynomial",
+    "polynomial_1d",
     "random_polynomial",
     "random_polynomial_1d",
+    "StackedProgram",
+    "stacked_program",
+    "eval_stacked",
 ]
 
 
@@ -368,6 +375,103 @@ def _power_per_element(base, expo):
 
 def eval_expr(e: ExprNode, t: float, s: float) -> float:
     return float(_eval(e, float(t), float(s)))
+
+
+@dataclass(frozen=True)
+class StackedProgram:
+    """The distinct nodes of an expression in evaluation order (children
+    first), as stacked_program compiles them for eval_stacked.
+
+    Step n is (op, a, b, frees): op "slot" reads coefficient column a,
+    "const" is the literal a, "t" and "s" are the variables, "neg" negates
+    step a, and "+", "-", "*" combine steps a and b. frees lists the steps
+    whose value step n uses for the last time.
+    """
+
+    steps: tuple
+
+
+_STACKED_OPS = ("+", "-", "*")
+
+
+def stacked_program(e: ExprNode, slots: Sequence[float]) -> StackedProgram:
+    """Compile e, a polynomial template, for eval_stacked: a constant whose
+    value is slots[j] becomes coefficient column j, any other constant a
+    literal. Subtrees shared by identity are one step. Only +, -, * and
+    negation are allowed, the operations of polynomials and their
+    derivatives."""
+    column = {value: j for j, value in enumerate(slots)}
+    steps: list[tuple] = []
+    index: dict[int, int] = {}
+
+    def visit(node: ExprNode) -> int:
+        # node is a subtree of e, alive for the whole call
+        n = index.get(id(node))
+        if n is not None:
+            return n
+        if isinstance(node, Const):
+            j = column.get(node.value)
+            step = ("const", node.value, None) if j is None else ("slot", j, None)
+        elif isinstance(node, Var):
+            step = (node.name, None, None)
+        elif isinstance(node, Unary) and node.op == "neg":
+            step = ("neg", visit(node.child), None)
+        elif isinstance(node, Binary) and node.op in _STACKED_OPS:
+            step = (node.op, visit(node.left), visit(node.right))
+        else:
+            raise ValueError(f"stacked evaluation takes +, -, * and negation, not {node!r}")
+        index[id(node)] = len(steps)
+        steps.append(step)
+        return len(steps) - 1
+
+    visit(e)
+    last_use: dict[int, int] = {}
+    for n, (op, a, b) in enumerate(steps):
+        if op == "neg":
+            last_use[a] = n
+        elif op in _STACKED_OPS:
+            last_use[a] = last_use[b] = n
+    frees: list[list[int]] = [[] for _ in steps]
+    for operand, n in last_use.items():
+        frees[n].append(operand)
+    return StackedProgram(tuple(step + (tuple(free),) for step, free in zip(steps, frees)))
+
+
+def eval_stacked(program: StackedProgram, columns, t, s):
+    """Evaluate a compiled template for many coefficient sets at once.
+
+    columns[j] holds slot j's coefficient of every set, shaped to broadcast
+    against t and s (sets along a leading axis, say, with t and s
+    per-axis coordinates behind it). The elementwise operations are the
+    ones the expression evaluator applies to each node, so every sample
+    equals, bit for bit, evaluating the template with that set's
+    coefficients in its slots. Each intermediate is dropped after its last
+    use, so that at most a few arrays of the full stacked shape are alive
+    at a time. A result that varies along fewer axes than the inputs keeps
+    the smaller shape (a literal constant stays a float).
+    """
+    vals: list = [None] * len(program.steps)
+    for n, (op, a, b, frees) in enumerate(program.steps):
+        if op == "+":
+            v = vals[a] + vals[b]
+        elif op == "*":
+            v = vals[a] * vals[b]
+        elif op == "slot":
+            v = columns[a]
+        elif op == "t":
+            v = t
+        elif op == "s":
+            v = s
+        elif op == "-":
+            v = vals[a] - vals[b]
+        elif op == "neg":
+            v = -vals[a]
+        else:
+            v = a
+        vals[n] = v
+        for i in frees:
+            vals[i] = None
+    return vals[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -763,29 +867,46 @@ def _horner_1d(coeffs: list[float], var: ExprNode) -> ExprNode:
     return node
 
 
-def random_polynomial(rng: XorShift64Star, max_degree: int = 6) -> ExprNode:
-    """Dense random polynomial in t and s.
+def draw_polynomial(rng: XorShift64Star, max_degree: int = 6) -> list[list[float]]:
+    """The coefficients of a dense random polynomial in t and s.
 
-    Degrees per variable are drawn uniformly in 0..max_degree and every
-    coefficient uniformly in [-1, 1]; the tree is nested Horner form
-    (inner in s, outer in t) so evaluation stays cheap.
+    Degrees per variable are drawn uniformly in 0..max_degree, t first, and
+    every coefficient uniformly in [-1, 1]; rows[i][j] multiplies t^i s^j.
     """
     deg_t = rng.randint(max_degree + 1)
     deg_s = rng.randint(max_degree + 1)
-    rows = []
-    for _ in range(deg_t + 1):
-        coeffs = [rng.uniform(-1.0, 1.0) for _ in range(deg_s + 1)]
-        rows.append(_horner_1d(coeffs, Var("s")))
-    node: ExprNode = rows[-1]
-    for row in reversed(rows[:-1]):
+    return [[rng.uniform(-1.0, 1.0) for _ in range(deg_s + 1)] for _ in range(deg_t + 1)]
+
+
+def draw_polynomial_1d(rng: XorShift64Star, max_degree: int = 6) -> list[float]:
+    """The coefficients of a dense random univariate polynomial: the degree
+    uniformly in 0..max_degree, then each coefficient in [-1, 1]."""
+    deg = rng.randint(max_degree + 1)
+    return [rng.uniform(-1.0, 1.0) for _ in range(deg + 1)]
+
+
+def polynomial(rows: list[list[float]]) -> ExprNode:
+    """sum of rows[i][j] t^i s^j in nested Horner form (inner in s, outer
+    in t), so evaluation stays cheap."""
+    nodes = [_horner_1d(row, Var("s")) for row in rows]
+    node: ExprNode = nodes[-1]
+    for row in reversed(nodes[:-1]):
         node = Binary("+", row, Binary("*", Var("t"), node))
     return node
+
+
+def polynomial_1d(coeffs: list[float], var: str = "t") -> ExprNode:
+    """sum of coeffs[k] var^k in Horner form."""
+    return _horner_1d(coeffs, Var(var))
+
+
+def random_polynomial(rng: XorShift64Star, max_degree: int = 6) -> ExprNode:
+    """Dense random polynomial in t and s (draw_polynomial, polynomial)."""
+    return polynomial(draw_polynomial(rng, max_degree))
 
 
 def random_polynomial_1d(
     rng: XorShift64Star, max_degree: int = 6, var: str = "t"
 ) -> ExprNode:
     """Dense random univariate polynomial with coefficients in [-1, 1]."""
-    deg = rng.randint(max_degree + 1)
-    coeffs = [rng.uniform(-1.0, 1.0) for _ in range(deg + 1)]
-    return _horner_1d(coeffs, Var(var))
+    return polynomial_1d(draw_polynomial_1d(rng, max_degree), var)

@@ -1,7 +1,8 @@
 """Shared test machinery: independent brute-force oracles and generators,
 a reference copy of the cell-by-cell enclosure loop, reference copies
 of the per-rule and per-quadrant bodies, of the meshgrid and per-line grid
-samplers and of the raw symbolic derivative.
+samplers, of the raw symbolic derivative and of the per-trial verify
+loop.
 
 The oracles deliberately avoid the package's Gauss-Legendre machinery so
 oracle agreement tests compare two genuinely different computations:
@@ -12,17 +13,29 @@ the package's own arithmetic one cell at a time, so the grid assembler
 must match it bit for bit. The reference rules and quadrant expansions
 likewise evaluate every point, line and double integral on their own, so
 the shared anchor terms and quadrant samples must match them bit for bit,
-and the reference derivative builds the unsimplified tree that simplify
-must turn into the one-pass derivative.
+the reference derivative builds the unsimplified tree that simplify
+must turn into the one-pass derivative, and the reference verify loop
+samples each trial's own trees one trial at a time, which the stacked
+chunks must match byte for byte.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import numpy as np
 
-from ostrocube.core import DerivativeBounds, Enclosure, Interval1D, Rectangle
+from ostrocube.core import (
+    DerivativeBound1D,
+    DerivativeBounds,
+    Enclosure,
+    Interval1D,
+    Rectangle,
+    UnivariateFunction,
+    make_point,
+    make_rectangle,
+)
 from ostrocube.enclosure import EnclosureReport
 from ostrocube.expr import (
     Binary,
@@ -32,6 +45,14 @@ from ostrocube.expr import (
     Unary,
     Var,
     XorShift64Star,
+    derive_seed,
+    parse_expression,
+    polynomial,
+    polynomial_1d,
+    random_polynomial,
+    random_polynomial_1d,
+    to_bivariate,
+    to_univariate,
 )
 from ostrocube.identity import (
     IdentityReport,
@@ -41,12 +62,21 @@ from ostrocube.identity import (
     quadrant_oracle,
 )
 from ostrocube.kernels import abs_moment, signed_moment
+from ostrocube.rules import (
+    Lambda,
+    anchor_terms,
+    cheng_from_terms,
+    interval_terms,
+    ostrowski_from_terms,
+    qiaoling_from_terms,
+)
 from ostrocube.quadrature import (
     _FD_STEP,
     BLOCK_SAMPLES,
     _axis_quadrature,
     _check_finite,
     as_bivariate,
+    estimate_bounds,
     gl_rule,
     integrate_1d,
     integrate_2d,
@@ -780,3 +810,166 @@ def tree_key(e: ExprNode):
     if isinstance(e, Unary):
         return ("unary", e.op, tree_key(e.child))
     return ("binary", e.op, tree_key(e.left), tree_key(e.right))
+
+
+# ---------------------------------------------------------------------------
+# reference verify loop: one trial at a time through the public functions
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceTally:
+    def __init__(self) -> None:
+        self.trials = 0
+        self.violations = 0
+        self.rechecks = 0
+        self.worst_gap = None
+        self.worst_case = None
+
+    def record(self, case: dict, outcome) -> None:
+        self.trials += 1
+        gap = outcome.gap
+        if self.worst_gap is None or gap > self.worst_gap:
+            self.worst_gap = gap
+            self.worst_case = dict(case, lhs=outcome.lhs, rhs=outcome.rhs)
+
+    def summary(self) -> dict:
+        return {
+            "trials": self.trials,
+            "violations": self.violations,
+            "rechecks": self.rechecks,
+            "worst_gap": self.worst_gap,
+            "worst_case": self.worst_case,
+        }
+
+
+def _reference_deriv_range(g, iv) -> tuple[float, float]:
+    deriv = UnivariateFunction(fn=g.deriv_fn, vectorized=True)
+    vals = sample_univariate(deriv, np.linspace(iv.lo, iv.hi, 129))
+    lo = float(np.min(vals))
+    hi = float(np.max(vals))
+    pad = 0.25 * (hi - lo) + 1e-12
+    return lo - pad, hi + pad
+
+
+def reference_run_verify(opts: dict, crafted: Optional[dict] = None):
+    """cli._run_verify as it ran each trial on its own: every trial is
+    drawn, turned into expression trees with their labels and sampled
+    through anchor_terms, interval_terms and estimate_bounds before the
+    next is drawn. crafted maps a trial index to a trial record (fields
+    seed, f, rect, p, q, g, interval, x) that replaces what the index
+    would draw."""
+    from ostrocube import cli
+
+    crafted = crafted or {}
+    rules = opts["rules"]
+    lam = opts["lam"]
+    cfg = cli._VERIFY_CFG
+    tallies = {rule: _ReferenceTally() for rule in rules}
+
+    def apply(rule, case, outcome) -> None:
+        tally = tallies[rule]
+        if not outcome.satisfied and rule in ("t3", "t4"):
+            tally.rechecks += 1
+            outcome = cli._eval_rule_case(rule, case, cfg.refined())
+        if not outcome.satisfied:
+            tally.violations += 1
+        tally.record(case, outcome)
+
+    def audit_1d(g, base, magnitude, lower, upper) -> None:
+        terms = interval_terms(g, Interval1D(*base["interval"]), base["x"], cfg,
+                               ends="t2" in tallies)
+        if "t1" in tallies:
+            apply("t1", dict(base, magnitude=magnitude),
+                  ostrowski_from_terms(terms, DerivativeBound1D.abs_bound(magnitude)))
+        if "t2" in tallies:
+            apply("t2", dict(base, lower=lower, upper=upper),
+                  cheng_from_terms(terms, DerivativeBound1D.from_range(lower, upper)))
+
+    def audit_2d(f, r, db, base, p, q) -> None:
+        p_rules = [rule for rule in cli._RULES_2D if rule in tallies]
+        points = ([p] if p_rules else []) + ([q] if "t4" in tallies else [])
+        terms = anchor_terms(f, r, [make_point(r, *pt) for pt in points], cfg)
+        for rule in p_rules:
+            apply(rule, dict(base, point=p), cli._RULES_2D[rule](terms[0], db))
+        if "t4" in tallies:
+            apply("t4", dict(base, point=q, **{"lambda": lam}),
+                  qiaoling_from_terms(terms[-1], db, Lambda(lam)))
+
+    one_variable = "t1" in tallies or "t2" in tallies
+    two_variable = any(rule in tallies for rule in cli.RULE_ORDER[2:])
+
+    for name, text, x, magnitude, lo, hi in cli._FIXTURES_1D:
+        if one_variable:
+            base = {"source": f"fixture:{name}", "seed": None, "expr": text,
+                    "interval": [0.0, 1.0], "x": x}
+            audit_1d(to_univariate(parse_expression(text)), base, magnitude, lo, hi)
+
+    unit = make_rectangle(0.0, 1.0, 0.0, 1.0)
+    for name, text, lo, hi in cli._FIXTURES_2D:
+        if two_variable:
+            base = {"source": f"fixture:{name}", "seed": None, "expr": text,
+                    "rect": [0.0, 1.0, 0.0, 1.0], "point": [0.5, 0.5],
+                    "lower": lo, "upper": hi}
+            audit_2d(to_bivariate(parse_expression(text)), unit, DerivativeBounds(lo, hi),
+                     base, [0.5, 0.5], [0.5, 0.5])
+
+    for k in range(opts["trials"]):
+        tseed = derive_seed(opts["seed"], k)
+        rng = XorShift64Star(tseed)
+        poly2 = random_polynomial(rng, opts["degree"])
+        t_lo, t_hi = cli._random_interval(rng)
+        s_lo, s_hi = cli._random_interval(rng)
+        px = rng.uniform(t_lo, t_hi)
+        py = rng.uniform(s_lo, s_hi)
+        bx_lo = t_lo + 0.5 * lam * (t_hi - t_lo)
+        bx_hi = t_hi - 0.5 * lam * (t_hi - t_lo)
+        by_lo = s_lo + 0.5 * lam * (s_hi - s_lo)
+        by_hi = s_hi - 0.5 * lam * (s_hi - s_lo)
+        qx = rng.uniform(bx_lo, bx_hi)
+        qy = rng.uniform(by_lo, by_hi)
+        poly1 = random_polynomial_1d(rng, opts["degree"])
+        i_lo, i_hi = cli._random_interval(rng)
+        x1 = rng.uniform(i_lo, i_hi)
+        if k in crafted:
+            trial = crafted[k]
+            tseed = trial.seed
+            poly2, poly1 = polynomial(trial.f), polynomial_1d(trial.g)
+            t_lo, t_hi, s_lo, s_hi = trial.rect
+            (px, py), (qx, qy) = trial.p, trial.q
+            (i_lo, i_hi), x1 = trial.interval, trial.x
+
+        if one_variable:
+            g = to_univariate(poly1)
+            d_lo, d_hi = _reference_deriv_range(g, Interval1D(i_lo, i_hi))
+            base1 = {"source": f"trial:{k}", "seed": tseed,
+                     "expr": g.label, "interval": [i_lo, i_hi], "x": x1}
+            audit_1d(g, base1, max(abs(d_lo), abs(d_hi)), d_lo, d_hi)
+
+        if two_variable:
+            f2 = to_bivariate(poly2)
+            rect = make_rectangle(t_lo, t_hi, s_lo, s_hi)
+            db = estimate_bounds(f2, rect, grid_n=33, pad_rel=0.25)
+            base2 = {"source": f"trial:{k}", "seed": tseed,
+                     "expr": f2.label, "rect": [t_lo, t_hi, s_lo, s_hi],
+                     "lower": db.lower, "upper": db.upper}
+            audit_2d(f2, rect, db, base2, [px, py], [qx, qy])
+
+    report = cli.VerifyReport(
+        rules={rule: tallies[rule].summary() for rule in rules},
+        corpus={
+            "trials": opts["trials"],
+            "seed": opts["seed"],
+            "degree": opts["degree"],
+            "lambda": lam,
+            "fixtures_1d": [name for name, *_ in cli._FIXTURES_1D],
+            "fixtures_2d": [name for name, *_ in cli._FIXTURES_2D],
+            "domain": [-1.0, 1.0],
+        },
+        tool_version=cli.__version__,
+    )
+    exit_code = 0
+    for rule in opts["expect_hold"]:
+        if rule in tallies and tallies[rule].violations > 0:
+            exit_code = 3
+    total = sum(t.violations for t in tallies.values())
+    return report.as_results(), {"rigorous": False, "violations": total}, exit_code

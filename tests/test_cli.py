@@ -290,6 +290,18 @@ def test_non_finite_samples_name_the_first_bad_line(argv, message, capsys):
     assert captured.err == f"numerical failure: {message}\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_point_value_is_a_numerical_failure(capsys):
+    # f(1, 1) = exp(709.9) overflows, the lines (at interior nodes) do not:
+    # this used to print lo = -inf, hi = nan with rigorous: true
+    argv = ["enclose", "--f", "exp(709.9*t*s)", *_UNIT, "--bounds", "0", "1e300"]
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: 1 non-finite sample(s) while "
+                            "evaluating exp(709.9 * t * s)\n")
+
+
 def test_verify_exit_codes_and_expectations():
     code, doc = _capture_json(
         ["verify", "--trials", "5", "--seed", "3", "--rules", "t5",

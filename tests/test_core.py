@@ -123,6 +123,14 @@ def test_enclosure_properties():
         Enclosure(2.0, 1.0)
 
 
+@pytest.mark.parametrize("lo,hi", [(0.0, math.nan), (math.nan, 0.0), (-math.inf, 1.0),
+                                   (0.0, math.inf)])
+def test_enclosure_rejects_non_finite_endpoints(lo, hi):
+    # NaN compares false both ways, so [-inf, nan] used to pass lo <= hi
+    with pytest.raises(InvalidBounds, match="finite"):
+        Enclosure(lo, hi)
+
+
 def test_quad_config_validation():
     q = QuadConfig()
     assert q.gl_order == 16 and q.panels == 8

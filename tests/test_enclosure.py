@@ -136,6 +136,13 @@ def test_containment_on_polynomial_sample():
         assert rep.enclosure.contains(oracle), f.label
 
 
+@pytest.mark.parametrize("m,n", [(1, 4097), (4097, 1)])
+def test_composite_refuses_grids_above_the_cell_caps(m, n):
+    # the library had no cap: 1 x 2^20 cells peaked at 6.6 GB
+    with pytest.raises(ValueError, match="at most 4096 cells per axis and 1048576 in all"):
+        composite_enclosure(TS, UNIT, derivative_bounds(1, 1), m, n, Q)
+
+
 def test_compare_bounds_radii():
     rep = compare_bounds(ONE, UNIT, MID, derivative_bounds(0, 1), Lambda(0.5), Q)
     assert rep.widths["sarikaya"] == pytest.approx(1 / 128, abs=1e-15)

@@ -25,9 +25,11 @@ from ostrocube.expr import (
     Var,
     XorShift64Star,
     derive_seed,
+    eval_stacked,
     parse,
     random_polynomial,
     simplify,
+    stacked_program,
 )
 
 # ---------------------------------------------------------------------------
@@ -387,3 +389,27 @@ def test_random_polynomial_coefficients_in_range():
         text = to_string(poly)
         f = to_bivariate(poly)
         assert abs(f.eval(0.0, 0.0)) <= 1.0, text  # constant coefficient
+
+
+def test_stacked_program_matches_scalar_evaluation_per_coefficient_set():
+    # slot 2.5 and 3.5 become coefficient columns; 7 stays a literal; the
+    # shared subtree t*s is one step
+    shared = parse_expression("t*s")
+    e = Binary("-", Binary("+", Binary("*", Const(2.5), shared), Unary("neg", shared)),
+               Binary("*", Const(3.5), Binary("+", Var("t"), Const(7.0))))
+    program = stacked_program(e, [2.5, 3.5])
+    assert [step[0] for step in program.steps].count("*") == 3
+    coeffs = np.array([[2.5, 3.5], [-0.3, 1.7], [0.9, -2.2]])
+    ts = np.array([-1.0, 0.25, 0.6])
+    ss = np.array([0.5, -0.75])
+    got = eval_stacked(program, coeffs.T[:, :, None, None], ts[None, :, None], ss[None, None, :])
+    for k, (a, b) in enumerate(coeffs):
+        tree = Binary("-", Binary("+", Binary("*", Const(a), shared), Unary("neg", shared)),
+                      Binary("*", Const(b), Binary("+", Var("t"), Const(7.0))))
+        want = [[eval_expr(tree, t, s) for s in ss] for t in ts]
+        assert got[k].tolist() == want
+
+
+def test_stacked_program_takes_polynomial_operations_only():
+    with pytest.raises(ValueError, match="stacked evaluation"):
+        stacked_program(parse_expression("sin(t) + s"), [])
