@@ -383,23 +383,19 @@ class StackedProgram:
     first), as stacked_program compiles them for eval_stacked.
 
     Step n is (op, a, b, frees): op "slot" reads coefficient column a,
-    "const" is the literal a, "t" and "s" are the variables, "neg" negates
-    step a, and "+", "-", "*" combine steps a and b. frees lists the steps
-    whose value step n uses for the last time.
+    "const" is the literal a, "t" and "s" are the variables, and "+" and
+    "*" combine steps a and b. frees lists the steps whose value step n
+    uses for the last time.
     """
 
     steps: tuple
 
 
-_STACKED_OPS = ("+", "-", "*")
-
-
 def stacked_program(e: ExprNode, slots: Sequence[float]) -> StackedProgram:
     """Compile e, a polynomial template, for eval_stacked: a constant whose
     value is slots[j] becomes coefficient column j, any other constant a
-    literal. Subtrees shared by identity are one step. Only +, -, * and
-    negation are allowed, the operations of polynomials and their
-    derivatives."""
+    literal. Subtrees shared by identity are one step. Only + and * are
+    allowed: Horner trees and their derivatives use no other operation."""
     column = {value: j for j, value in enumerate(slots)}
     steps: list[tuple] = []
     index: dict[int, int] = {}
@@ -414,12 +410,10 @@ def stacked_program(e: ExprNode, slots: Sequence[float]) -> StackedProgram:
             step = ("const", node.value, None) if j is None else ("slot", j, None)
         elif isinstance(node, Var):
             step = (node.name, None, None)
-        elif isinstance(node, Unary) and node.op == "neg":
-            step = ("neg", visit(node.child), None)
-        elif isinstance(node, Binary) and node.op in _STACKED_OPS:
+        elif isinstance(node, Binary) and node.op in ("+", "*"):
             step = (node.op, visit(node.left), visit(node.right))
         else:
-            raise ValueError(f"stacked evaluation takes +, -, * and negation, not {node!r}")
+            raise ValueError(f"stacked evaluation takes + and * only, not {node!r}")
         index[id(node)] = len(steps)
         steps.append(step)
         return len(steps) - 1
@@ -427,9 +421,7 @@ def stacked_program(e: ExprNode, slots: Sequence[float]) -> StackedProgram:
     visit(e)
     last_use: dict[int, int] = {}
     for n, (op, a, b) in enumerate(steps):
-        if op == "neg":
-            last_use[a] = n
-        elif op in _STACKED_OPS:
+        if op in ("+", "*"):
             last_use[a] = last_use[b] = n
     frees: list[list[int]] = [[] for _ in steps]
     for operand, n in last_use.items():
@@ -462,10 +454,6 @@ def eval_stacked(program: StackedProgram, columns, t, s):
             v = t
         elif op == "s":
             v = s
-        elif op == "-":
-            v = vals[a] - vals[b]
-        elif op == "neg":
-            v = -vals[a]
         else:
             v = a
         vals[n] = v

@@ -392,24 +392,25 @@ def test_random_polynomial_coefficients_in_range():
 
 
 def test_stacked_program_matches_scalar_evaluation_per_coefficient_set():
-    # slot 2.5 and 3.5 become coefficient columns; 7 stays a literal; the
+    # slots 2.5 and 3.5 become coefficient columns; 7 stays a literal; the
     # shared subtree t*s is one step
     shared = parse_expression("t*s")
-    e = Binary("-", Binary("+", Binary("*", Const(2.5), shared), Unary("neg", shared)),
-               Binary("*", Const(3.5), Binary("+", Var("t"), Const(7.0))))
-    program = stacked_program(e, [2.5, 3.5])
+
+    def tree(a, b):
+        return Binary("+", Binary("+", Binary("*", Const(a), shared), shared),
+                      Binary("*", Const(b), Binary("+", Var("t"), Const(7.0))))
+
+    program = stacked_program(tree(2.5, 3.5), [2.5, 3.5])
     assert [step[0] for step in program.steps].count("*") == 3
     coeffs = np.array([[2.5, 3.5], [-0.3, 1.7], [0.9, -2.2]])
     ts = np.array([-1.0, 0.25, 0.6])
     ss = np.array([0.5, -0.75])
     got = eval_stacked(program, coeffs.T[:, :, None, None], ts[None, :, None], ss[None, None, :])
     for k, (a, b) in enumerate(coeffs):
-        tree = Binary("-", Binary("+", Binary("*", Const(a), shared), Unary("neg", shared)),
-                      Binary("*", Const(b), Binary("+", Var("t"), Const(7.0))))
-        want = [[eval_expr(tree, t, s) for s in ss] for t in ts]
-        assert got[k].tolist() == want
+        assert got[k].tolist() == [[eval_expr(tree(a, b), t, s) for s in ss] for t in ts]
 
 
-def test_stacked_program_takes_polynomial_operations_only():
+@pytest.mark.parametrize("text", ["sin(t) + s", "t - s", "-t", "t / s", "t^2"])
+def test_stacked_program_takes_sums_and_products_only(text):
     with pytest.raises(ValueError, match="stacked evaluation"):
-        stacked_program(parse_expression("sin(t) + s"), [])
+        stacked_program(parse_expression(text), [])
