@@ -54,16 +54,16 @@ from .enclosure import (
 )
 from .expr import (
     DomainError,
-    StackedProgram,
+    Program,
     XorShift64Star,
     derive_seed,
     differentiate,
     draw_polynomial,
     draw_polynomial_1d,
-    eval_stacked,
     parse_expression,
     polynomial,
     polynomial_1d,
+    run_program,
     stacked_program,
     to_bivariate,
     to_string,
@@ -408,7 +408,7 @@ def _draw_trial(seed: int, index: int, degree: int, lam: float) -> _Trial:
 
 # one entry per --degree value
 @lru_cache(maxsize=7)
-def _templates(degree: int) -> tuple[StackedProgram, ...]:
+def _templates(degree: int) -> tuple[Program, ...]:
     """Stacked programs of f, its mixed partial, g and g' for the trials of
     `--degree degree`, built on first use.
 
@@ -468,12 +468,12 @@ def _stacked_1d(trials: list, degree: int, ends: bool) -> list:
     lo, hi = np.array([trial.interval for trial in trials]).T
     x = np.array([trial.x for trial in trials])
     nodes, weights = gl_nodes(lo, hi, _VERIFY_CFG)
-    at = np.broadcast_to(eval_stacked(program_g, columns, np.stack((x, lo, hi), axis=1), 0.0),
+    at = np.broadcast_to(run_program(program_g, np.stack((x, lo, hi), axis=1), 0.0, columns),
                          (k, 3))
-    vals = np.broadcast_to(eval_stacked(program_g, columns, nodes, 0.0), nodes.shape)
+    vals = np.broadcast_to(run_program(program_g, nodes, 0.0, columns), nodes.shape)
     integral = _reduce(weights, vals, np.array([len(trial.g) == 1 for trial in trials]))
     grid = np.linspace(lo, hi, _DERIV_GRID, axis=-1)
-    deriv = np.broadcast_to(eval_stacked(program_dg, columns, grid, 0.0), grid.shape)
+    deriv = np.broadcast_to(run_program(program_dg, grid, 0.0, columns), grid.shape)
     d_min, d_max = deriv.min(axis=1), deriv.max(axis=1)
     pad = _BOUNDS_PAD * (d_max - d_min) + 1e-12
     d_lo, d_hi = d_min - pad, d_max + pad
@@ -519,12 +519,12 @@ def _stacked_2d(trials: list, degree: int, anchors: tuple) -> list:
 
     def f_at(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
         shape = np.broadcast_shapes(ts.shape, ss.shape)
-        return np.broadcast_to(eval_stacked(program_f, columns, ts, ss), shape)
+        return np.broadcast_to(run_program(program_f, ts, ss, columns), shape)
 
     # mixed-partial bounds as estimate_bounds samples them: one linspace
     # over the starts (a, c) and ends (b, d) of each trial
     axes = np.linspace(rect[:, 0::2], rect[:, 1::2], _BOUNDS_GRID, axis=-1)
-    mixed = eval_stacked(program_mixed, columns, axes[:, 0, :, None], axes[:, 1, None, :])
+    mixed = run_program(program_mixed, axes[:, 0, :, None], axes[:, 1, None, :], columns)
     mixed = np.broadcast_to(mixed, (k, _BOUNDS_GRID, _BOUNDS_GRID))
     m_lo, m_hi = mixed.min(axis=(1, 2)), mixed.max(axis=(1, 2))
     pad = _BOUNDS_PAD * (m_hi - m_lo) + 1e-12
@@ -903,6 +903,21 @@ def _emit_text(doc: dict, stream) -> None:
     stream.write(f"runtime_ms = {doc['runtime_ms']}\n")
 
 
+def _render_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2). With indent, json encodes in pure Python,
+    float by float; the per-cell widths of an enclose grid (up to 2^20 of
+    them) are joined with float.__repr__ instead, which json uses for a
+    finite float, at the same indentation."""
+    widths = doc["results"].get("per_cell_width")
+    if not widths or not all(type(w) is float and math.isfinite(w) for w in widths):
+        return json.dumps(doc, indent=2)
+    text = json.dumps(dict(doc, results=dict(doc["results"], per_cell_width=[])), indent=2)
+    body = ",\n      ".join(map(float.__repr__, widths))
+    # a key in a string value would have its quotes escaped
+    return text.replace('\n    "per_cell_width": []',
+                        f'\n    "per_cell_width": [\n      {body}\n    ]', 1)
+
+
 def run(inv: CliInvocation, stdout=None) -> int:
     """Execute one invocation, write its report, return the exit code."""
     stream = stdout if stdout is not None else sys.stdout
@@ -940,7 +955,7 @@ def run(inv: CliInvocation, stdout=None) -> int:
         "flags": flags,
         "runtime_ms": elapsed_ms,
     }
-    rendered = json.dumps(doc, indent=2) + "\n"
+    rendered = _render_json(doc) + "\n"
     if inv.options.get("out"):
         with open(inv.options["out"], "w", encoding="utf-8") as fh:
             fh.write(rendered)

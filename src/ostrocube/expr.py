@@ -27,6 +27,7 @@ reproducible from a single integer seed.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -64,9 +65,10 @@ __all__ = [
     "polynomial_1d",
     "random_polynomial",
     "random_polynomial_1d",
-    "StackedProgram",
+    "Program",
+    "compile_expr",
+    "run_program",
     "stacked_program",
-    "eval_stacked",
 ]
 
 
@@ -304,59 +306,38 @@ def parse_expression(text: str) -> ExprNode:
 
 
 # ---------------------------------------------------------------------------
-# evaluation (scalars or numpy arrays)
+# evaluation (scalars or numpy arrays): expressions compiled into programs
 # ---------------------------------------------------------------------------
 
 
-def _eval(e: ExprNode, t, s):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return t if e.name == "t" else s
-    if isinstance(e, Unary):
-        v = _eval(e.child, t, s)
-        if e.op == "neg":
-            return -v
-        if e.op == "sin":
-            return np.sin(v)
-        if e.op == "cos":
-            return np.cos(v)
-        if e.op == "exp":
-            return np.exp(v)
-        if e.op == "log":
-            if np.any(np.asarray(v) <= 0.0):
-                raise DomainError("log of a non-positive value")
-            return np.log(v)
-        if e.op == "sqrt":
-            if np.any(np.asarray(v) < 0.0):
-                raise DomainError("sqrt of a negative value")
-            return np.sqrt(v)
-        raise AssertionError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        lv = _eval(e.left, t, s)
-        rv = _eval(e.right, t, s)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "/":
-            if np.any(np.asarray(rv) == 0.0):
-                raise DomainError("division by zero")
-            return lv / rv
-        if e.op == "^":
-            base = np.asarray(lv)
-            expo = np.asarray(rv)
-            if np.any(base < 0.0) and not np.all(expo == np.floor(expo)):
-                raise DomainError("negative base with a non-integer exponent")
-            if np.any((base == 0.0) & (expo < 0.0)):
-                raise DomainError("zero raised to a negative power")
-            if expo.ndim:
-                return _power_per_element(lv, rv)
-            return np.power(lv, rv)
-        raise AssertionError(f"unknown binary op {e.op!r}")
-    raise AssertionError(f"unknown node {e!r}")
+def _log(v):
+    if np.any(np.asarray(v) <= 0.0):
+        raise DomainError("log of a non-positive value")
+    return np.log(v)
+
+
+def _sqrt(v):
+    if np.any(np.asarray(v) < 0.0):
+        raise DomainError("sqrt of a negative value")
+    return np.sqrt(v)
+
+
+def _divide(lv, rv):
+    if np.any(np.asarray(rv) == 0.0):
+        raise DomainError("division by zero")
+    return lv / rv
+
+
+def _power(lv, rv):
+    base = np.asarray(lv)
+    expo = np.asarray(rv)
+    if np.any(base < 0.0) and not np.all(expo == np.floor(expo)):
+        raise DomainError("negative base with a non-integer exponent")
+    if np.any((base == 0.0) & (expo < 0.0)):
+        raise DomainError("zero raised to a negative power")
+    if expo.ndim:
+        return _power_per_element(lv, rv)
+    return np.power(lv, rv)
 
 
 def _power_per_element(base, expo):
@@ -373,31 +354,64 @@ def _power_per_element(base, expo):
     return out
 
 
-def eval_expr(e: ExprNode, t: float, s: float) -> float:
-    return float(_eval(e, float(t), float(s)))
+_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "log": _log, "sqrt": _sqrt}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+           "^": _power}
 
 
 @dataclass(frozen=True)
-class StackedProgram:
-    """The distinct nodes of an expression in evaluation order (children
-    first), as stacked_program compiles them for eval_stacked.
+class Program:
+    """An expression compiled into steps, for run_program.
 
-    Step n is (op, a, b, frees): op "slot" reads coefficient column a,
-    "const" is the literal a, "t" and "s" are the variables, and "+" and
-    "*" combine steps a and b. frees lists the steps whose value step n
-    uses for the last time.
+    The distinct subtrees of the expression (by identity) are its steps,
+    in the order a recursive walk evaluates them: children first, left
+    before right. Step n is (op, a, b): "t" and "s" read a variable,
+    "const" is the literal a and "input" reads inputs[a]; "neg" and the
+    functions apply to step a, and "+", "-", "*", "/" and "^" combine steps
+    a and b. Every step applies its node's numpy operation, with the
+    DomainError guard of log, sqrt, "/" and "^", so a shared subtree is
+    evaluated once, and the first step that fails is the first node that
+    fails.
+
+    reads[n] is the set of variables step n depends on. frees[n] lists the
+    steps whose values step n uses for the last time: they are dropped
+    once it is evaluated, so that few intermediates are alive at a time.
+    outputs are the steps whose values are returned: the root, or the
+    several values of a hoisted head (see _Compiled.hoist).
     """
 
     steps: tuple
+    reads: tuple
+    frees: tuple
+    outputs: tuple
 
 
-def stacked_program(e: ExprNode, slots: Sequence[float]) -> StackedProgram:
-    """Compile e, a polynomial template, for eval_stacked: a constant whose
-    value is slots[j] becomes coefficient column j, any other constant a
-    literal. Subtrees shared by identity are one step. Only + and * are
-    allowed: Horner trees and their derivatives use no other operation."""
+def _operands(step: tuple) -> tuple:
+    op, a, b = step
+    if op in _BINARY:
+        return (a, b)
+    return (a,) if op in _UNARY else ()
+
+
+def _link(steps: list, reads: list, outputs: tuple) -> Program:
+    last_use: dict[int, int] = {}
+    for n, step in enumerate(steps):
+        for operand in _operands(step):
+            last_use[operand] = n
+    frees: list[list[int]] = [[] for _ in steps]
+    for operand, n in last_use.items():
+        if operand not in outputs:
+            frees[n].append(operand)
+    return Program(tuple(steps), tuple(reads), tuple(map(tuple, frees)), outputs)
+
+
+def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
+    """e as a Program. A constant whose value is slots[j] becomes the step
+    ("input", j); any other constant is a literal."""
     column = {value: j for j, value in enumerate(slots)}
     steps: list[tuple] = []
+    reads: list[frozenset] = []
     index: dict[int, int] = {}
 
     def visit(node: ExprNode) -> int:
@@ -407,59 +421,183 @@ def stacked_program(e: ExprNode, slots: Sequence[float]) -> StackedProgram:
             return n
         if isinstance(node, Const):
             j = column.get(node.value)
-            step = ("const", node.value, None) if j is None else ("slot", j, None)
+            step = ("const", node.value, None) if j is None else ("input", j, None)
+            used = frozenset()
         elif isinstance(node, Var):
-            step = (node.name, None, None)
-        elif isinstance(node, Binary) and node.op in ("+", "*"):
-            step = (node.op, visit(node.left), visit(node.right))
+            step, used = (node.name, None, None), frozenset((node.name,))
+        elif isinstance(node, Unary) and node.op in _UNARY:
+            a = visit(node.child)
+            step, used = (node.op, a, None), reads[a]
+        elif isinstance(node, Binary) and node.op in _BINARY:
+            a, b = visit(node.left), visit(node.right)
+            step, used = (node.op, a, b), reads[a] | reads[b]
         else:
-            raise ValueError(f"stacked evaluation takes + and * only, not {node!r}")
+            raise AssertionError(f"unknown node {node!r}")
         index[id(node)] = len(steps)
         steps.append(step)
+        reads.append(used)
         return len(steps) - 1
 
-    visit(e)
-    last_use: dict[int, int] = {}
-    for n, (op, a, b) in enumerate(steps):
-        if op in ("+", "*"):
-            last_use[a] = last_use[b] = n
-    frees: list[list[int]] = [[] for _ in steps]
-    for operand, n in last_use.items():
-        frees[n].append(operand)
-    return StackedProgram(tuple(step + (tuple(free),) for step, free in zip(steps, frees)))
+    return _link(steps, reads, (visit(e),))
 
 
-def eval_stacked(program: StackedProgram, columns, t, s):
-    """Evaluate a compiled template for many coefficient sets at once.
-
-    columns[j] holds slot j's coefficient of every set, shaped to broadcast
-    against t and s (sets along a leading axis, say, with t and s
-    per-axis coordinates behind it). The elementwise operations are the
-    ones the expression evaluator applies to each node, so every sample
-    equals, bit for bit, evaluating the template with that set's
-    coefficients in its slots. Each intermediate is dropped after its last
-    use, so that at most a few arrays of the full stacked shape are alive
-    at a time. A result that varies along fewer axes than the inputs keeps
-    the smaller shape (a literal constant stays a float).
-    """
+def _values(program: Program, t, s, inputs) -> list:
     vals: list = [None] * len(program.steps)
-    for n, (op, a, b, frees) in enumerate(program.steps):
-        if op == "+":
-            v = vals[a] + vals[b]
-        elif op == "*":
-            v = vals[a] * vals[b]
-        elif op == "slot":
-            v = columns[a]
+    for n, ((op, a, b), frees) in enumerate(zip(program.steps, program.frees)):
+        if b is not None:
+            v = _BINARY[op](vals[a], vals[b])
+        elif op in _UNARY:
+            v = _UNARY[op](vals[a])
         elif op == "t":
             v = t
         elif op == "s":
             v = s
+        elif op == "input":
+            v = inputs[a]
         else:
             v = a
         vals[n] = v
         for i in frees:
             vals[i] = None
-    return vals[-1]
+    return [vals[n] for n in program.outputs]
+
+
+def run_program(program: Program, t, s, inputs: Sequence = ()):
+    """The value of a one-output program at t and s (scalars, or arrays
+    that broadcast against each other), with inputs[j] for ("input", j).
+    A value that varies along fewer axes than t and s keeps the smaller
+    shape, and one that reads no array stays a scalar."""
+    return _values(program, t, s, inputs)[0]
+
+
+def _select(program: Program, roots: tuple, cut: dict, first_input: int) -> Program:
+    """The steps of program that roots need, in their order, with each
+    step n in cut read from inputs[first_input + cut[n]] instead."""
+    need: set[int] = set()
+    stack = list(roots)
+    while stack:
+        n = stack.pop()
+        if n not in need:
+            need.add(n)
+            if n not in cut:
+                stack.extend(_operands(program.steps[n]))
+    new: dict[int, int] = {}
+    steps, reads = [], []
+    for n in sorted(need):
+        op, a, b = program.steps[n]
+        if n in cut:
+            step = ("input", first_input + cut[n], None)
+        elif op in _BINARY:
+            step = (op, new[a], new[b])
+        elif op in _UNARY:
+            step = (op, new[a], None)
+        else:
+            step = (op, a, b)
+        new[n] = len(steps)
+        steps.append(step)
+        reads.append(program.reads[n])
+    return _link(steps, reads, tuple(new[n] for n in roots))
+
+
+def _hoisted(program: Program, var: str) -> Optional[tuple[Program, Program]]:
+    """(head, tail) of program for sampling along var, or None if no step
+    but var itself reads var alone.
+
+    head's outputs are the steps that read var and no other variable (a
+    constant they use aside) whose values a step reading the other
+    variable, or the result, uses: the largest subtrees of var alone.
+    tail is program with those steps read from the inputs behind its own,
+    in head's order. Evaluating head, then tail on head's values, gives
+    program's result value for value, unless head raises."""
+    alone = [reads == {var} and op != var
+             for (op, _, _), reads in zip(program.steps, program.reads)]
+    used = {operand for n, step in enumerate(program.steps) if not alone[n]
+            for operand in _operands(step) if alone[operand]}
+    used.update(n for n in program.outputs if alone[n])
+    if not used:
+        return None
+    order = tuple(sorted(used))
+    first = 1 + max((a for op, a, _ in program.steps if op == "input"), default=-1)
+    return (_select(program, order, {}, 0),
+            _select(program, program.outputs, {n: k for k, n in enumerate(order)}, first))
+
+
+class _Compiled:
+    """f(t, s) of an expression, compiled into a Program on its first use.
+
+    hoist is what the grid samplers look for on a function's fn (a wrapper
+    around it has none, and is sampled as it is)."""
+
+    __slots__ = ("expr", "_program", "_splits")
+
+    def __init__(self, e: ExprNode):
+        self.expr = e
+        self._program: Optional[Program] = None
+        self._splits: dict = {}
+
+    @property
+    def program(self) -> Program:
+        if self._program is None:
+            self._program = compile_expr(self.expr)
+        return self._program
+
+    def __call__(self, t, s):
+        return _values(self.program, t, s, ())[0]
+
+    def _split(self, names: tuple) -> tuple:
+        """The head of each variable in names (None if it has none) and
+        the tail behind them all, which reads their values in that order."""
+        split = self._splits.get(names)
+        if split is None:
+            heads, tail = [], self.program
+            for var in names:
+                pair = _hoisted(tail, var)
+                heads.append(None if pair is None else pair[0])
+                tail = tail if pair is None else pair[1]
+            split = self._splits[names] = (tuple(heads), tail)
+        return split
+
+    def hoist(self, t=None, s=None):
+        """This function with the largest subtrees of t alone evaluated once
+        over the coordinates t, and those of s alone once over s (either
+        may be None). None if there is no such subtree; otherwise
+        at(t_rows, s_rows), the function of one block: at coordinates
+        t[t_rows] and s[s_rows] (by default all rows) it equals this
+        function, taking the hoisted values at those rows. Raises what
+        evaluating a hoisted subtree raises."""
+        names = ("t",) * (t is not None) + ("s",) * (s is not None)
+        heads, tail = self._split(names)
+        if not any(heads):
+            return None
+        values = {var: _values(head, t, s, ()) if head else []
+                  for var, head in zip(names, heads)}
+
+        def at(t_rows=slice(None), s_rows=slice(None)):
+            given = ([v[t_rows] for v in values.get("t", ())]
+                     + [v[s_rows] for v in values.get("s", ())])
+            return lambda t, s: _values(tail, t, s, given)[0]
+
+        return at
+
+
+def eval_expr(e: ExprNode, t: float, s: float) -> float:
+    return float(run_program(compile_expr(e), float(t), float(s)))
+
+
+def stacked_program(e: ExprNode, slots: Sequence[float]) -> Program:
+    """Compile e, a polynomial template, for evaluation over many
+    coefficient sets at once: a constant whose value is slots[j] reads
+    inputs[j], coefficient j of every set, shaped to broadcast against t
+    and s (sets along a leading axis, say, with t and s per-axis
+    coordinates behind it). Every sample then equals, bit for bit, running
+    the template with that set's coefficients in its slots. Only + and *
+    are allowed: Horner trees and their derivatives use no other
+    operation, and a guarded operation would fail every set for one."""
+    program = compile_expr(e, slots)
+    for op, _, _ in program.steps:
+        if op not in ("+", "*", "const", "input", "t", "s"):
+            raise ValueError(f"stacked evaluation takes + and * only, not {op!r} in {e!r}")
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -764,10 +902,9 @@ def to_bivariate(e: ExprNode) -> BivariateFunction:
         mixed = differentiate(differentiate(e, "t"), "s")
     except UnsupportedDerivative:
         mixed = None
-    mixed_fn = None if mixed is None else (lambda t, s, _m=mixed: _eval(_m, t, s))
     return BivariateFunction(
-        fn=lambda t, s, _e=e: _eval(_e, t, s),
-        mixed_fn=mixed_fn,
+        fn=_Compiled(e),
+        mixed_fn=None if mixed is None else _Compiled(mixed),
         vectorized=True,
         label=to_string(e),
     )
@@ -783,9 +920,10 @@ def to_univariate(e: ExprNode, var: str = "t") -> UnivariateFunction:
         raise ValueError(f"var must be 't' or 's', got {var!r}")
 
     def _bind(expr: ExprNode):
+        program = compile_expr(expr)
         if var == "t":
-            return lambda v, _e=expr: _eval(_e, v, 0.0)
-        return lambda v, _e=expr: _eval(_e, 0.0, v)
+            return lambda v: run_program(program, v, 0.0)
+        return lambda v: run_program(program, 0.0, v)
 
     derived: list = []
 

@@ -23,6 +23,16 @@ the last bit as sampling full grids, under two layout rules:
   bad line's cross-section label with its count, and an error raised
   while several lines are sampled together is raised again by the first
   line that fails on its own.
+- a subtree of one variable is evaluated once per sampler call, not once
+  per block. When a call of line_integrals or cell_bounds takes several
+  blocks and f (its mixed partial, for cell_bounds) is a compiled
+  expression, the largest subtrees of the node variable (of each
+  variable, for cell_bounds) are evaluated over all of that axis's
+  coordinates first, and every block takes its rows of those values.
+  Each hoisted array is no larger than the axis's coordinates. If a
+  hoisted subtree raises, nothing is hoisted and the blocks evaluate f
+  as it is, so the error is the one they always raised. A plain callable,
+  or a wrapper around a compiled one, is sampled as it is.
 
 Elementwise arithmetic gives each sample the same bits in any layout; the
 one numpy exception, power's shortcuts for a scalar exponent, is applied
@@ -31,6 +41,7 @@ to array exponents too by the expression evaluator.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -225,6 +236,25 @@ def sample_bivariate(f, T: np.ndarray, S: np.ndarray) -> np.ndarray:
     return _sample(f.fn, f.vectorized, T, S)
 
 
+def _hoist(f: BivariateFunction, field: str, t=None, s=None):
+    """For sampling f's field ("fn" or "mixed_fn") in blocks: None if the
+    field cannot hoist (expr's compiled functions can), has nothing to
+    hoist, or a hoisted subtree raises; else at(t_rows, s_rows), f with
+    field evaluated at t[t_rows] and s[s_rows] from the hoisted values at
+    those rows (see the module docstring)."""
+    hoist = getattr(getattr(f, field), "hoist", None)
+    if hoist is None or not f.vectorized:
+        return None
+    try:
+        at = hoist(t, s)
+    except (EngineError, ArithmeticError):
+        # sampling f as it is raises this where it always did
+        return None
+    if at is None:
+        return None
+    return lambda t_rows, s_rows: dataclasses.replace(f, **{field: at(t_rows, s_rows)})
+
+
 def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
@@ -299,21 +329,33 @@ def line_integrals(
     zero-stride row, as a scalar fixed coordinate would give it, and each
     row's dot product is the one `weights @ values` computes. Each call of
     f returns whole lines, at most BLOCK_SAMPLES values (blocks of one
-    line's rows if a line is longer). A non-finite sample is reported with
-    the first bad line's cross-section label and its count in that call.
+    line's rows if a line is longer); with several blocks, f's subtrees of
+    the node variable are evaluated once for all of them. A non-finite
+    sample is reported with the first bad line's cross-section label and
+    its count in that call.
     """
     f = as_bivariate(f)
     rows, width = nodes.shape
     lines_per_block = max(1, BLOCK_SAMPLES // (rows * width))
     rows_per_block = max(1, BLOCK_SAMPLES // width)
+    row_blocks = [slice(k, k + rows_per_block) for k in range(0, rows, rows_per_block)]
+    fns = [f] * len(row_blocks)
+    if len(fixed) > lines_per_block or len(row_blocks) > 1:
+        every = slice(None)
+        if fixed_axis == "t":
+            hoisted = _hoist(f, "fn", s=nodes)
+            fns = fns if hoisted is None else [hoisted(every, rb) for rb in row_blocks]
+        else:
+            hoisted = _hoist(f, "fn", t=nodes)
+            fns = fns if hoisted is None else [hoisted(rb, every) for rb in row_blocks]
     at = np.asarray(fixed, dtype=float)[:, None, None]
     out = np.empty((len(fixed), rows))
     for i in range(0, len(fixed), lines_per_block):
         x = at[i:i + lines_per_block]
-        for k in range(0, rows, rows_per_block):
-            block = nodes[k:k + rows_per_block]
+        for rb, fn in zip(row_blocks, fns):
+            block = nodes[rb]
             try:
-                vals = sample_bivariate(f, *((x, block) if fixed_axis == "t" else (block, x)))
+                vals = sample_bivariate(fn, *((x, block) if fixed_axis == "t" else (block, x)))
             except Exception:
                 if len(x) > 1:
                     # one line at a time, so that the first failing line
@@ -321,14 +363,17 @@ def line_integrals(
                     for j in range(i, i + len(x)):
                         line_integrals(f, fixed_axis, fixed[j:j + 1], nodes, weights)
                 raise
-            finite = np.isfinite(vals).reshape(len(x), -1).all(axis=1)
-            if not finite.all():
-                j = int(np.argmin(finite))
-                at_j = fixed[i + j]
-                _check_finite(vals[j], f"{f.label}({at_j}, .)" if fixed_axis == "t"
-                              else f"{f.label}(., {at_j})")
-            out[i:i + len(x), k:k + rows_per_block] = np.vecdot(weights[k:k + rows_per_block],
-                                                                vals)
+            sums = np.vecdot(weights[rb], vals)
+            # the weights are finite, so a non-finite sample leaves its
+            # line's sum non-finite: only then are the samples scanned
+            if not np.isfinite(sums).all():
+                finite = np.isfinite(vals).reshape(len(x), -1).all(axis=1)
+                if not finite.all():
+                    j = int(np.argmin(finite))
+                    at_j = fixed[i + j]
+                    _check_finite(vals[j], f"{f.label}({at_j}, .)" if fixed_axis == "t"
+                                  else f"{f.label}(., {at_j})")
+            out[i:i + len(x), rb] = sums
     return out
 
 
@@ -399,7 +444,9 @@ def cell_bounds(
     absolute floor of 1e-12 on each side. Without an exact mixed partial
     each cell uses the stencil with its own default_fd_steps. Cells are
     sampled in row-major blocks of at most BLOCK_SAMPLES values (one cell
-    if a cell grid is larger). Returns (lower, upper), each of shape (m, n).
+    if a cell grid is larger); with several blocks, the exact partial's
+    subtrees of one variable are evaluated once over all cell rows of
+    that axis. Returns (lower, upper), each of shape (m, n).
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -416,12 +463,15 @@ def cell_bounds(
     lo = np.empty(m * n)
     hi = np.empty(m * n)
     per_block = max(1, BLOCK_SAMPLES // (grid_n * grid_n))
+    hoisted = None
+    if m * n > per_block:
+        hoisted = _hoist(f, "mixed_fn", t=ts[:, :, None], s=ss[:, None, :])
     for start in range(0, m * n, per_block):
         cells = np.arange(start, min(start + per_block, m * n))
         i, j = np.divmod(cells, n)
         fd_steps = (h_t[i, None, None], h_s[j, None, None])
-        vals = sample_mixed(f, ts[i, :, None], ss[j, None, :], None, fd_fallback=True,
-                            fd_steps=fd_steps)
+        vals = sample_mixed(f if hoisted is None else hoisted(i, j), ts[i, :, None],
+                            ss[j, None, :], None, fd_fallback=True, fd_steps=fd_steps)
         _check_finite(vals, f"mixed partial of {f.label}")
         lo[cells] = vals.min(axis=(1, 2))
         hi[cells] = vals.max(axis=(1, 2))

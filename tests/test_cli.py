@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from ostrocube.cli import UsageError, parse_args, run, run_main
+import ostrocube
+from ostrocube.cli import UsageError, _render_json, parse_args, run, run_main
 
 DATA = Path(__file__).parent / "data"
 
@@ -423,3 +428,44 @@ def test_verify_corrected_rule_alone():
     info = doc["results"]["rules"]["corrected"]
     assert info["violations"] == 0
     assert info["trials"] == 13  # 10 trials + 3 fixtures
+
+
+@pytest.mark.parametrize("cells", [0, 1, 2, 4096])
+def test_json_rendering_equals_json_dumps(cells):
+    # the per-cell widths are joined with float.__repr__, everything else
+    # is json.dumps(indent=2); a non-finite width takes json.dumps whole
+    _, doc = _capture_json(["enclose", "--f", "exp(t*s)", *_UNIT, "--bounds", "1", "6",
+                            "--subdivide", "2", "2", "--json", "--no-timestamp"])
+    rng = random.Random(cells)
+    widths = [rng.choice([-1.0, 1.0]) * rng.random() * 10.0 ** rng.randint(-320, 300)
+              for _ in range(cells)]
+    if cells == 2:
+        widths[0] = -0.0
+    doc["results"]["per_cell_width"] = widths
+    assert _render_json(doc) == json.dumps(doc, indent=2)
+    if cells:
+        doc["results"]["per_cell_width"] = widths + [float("inf"), float("nan")]
+        assert _render_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_output_of_a_grid_is_json_dumps():
+    code, out = _capture(["enclose", "--f", "sin(t)*cos(s)", *_UNIT, "--bounds", "-1", "1",
+                          "--subdivide", "64", "64", "--json", "--no-timestamp"])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enclose", "--f", "sin(t)*cos(s)", *_UNIT, "--bounds", "-1", "1", "--subdivide", "3", "2",
+     "--json", "--no-timestamp"],
+    ["identity", "--f", "t*s", *_UNIT, "--no-timestamp"],
+    ["enclose", "--f", "log(t-1)", "--rect", "0", "2", "0", "1", "--bounds", "0", "1"],
+    ["enclose", "--f", "t*s"],
+])
+def test_python_m_ostrocube_runs_the_cli(argv):
+    package = Path(ostrocube.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ostrocube", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == _capture(argv)

@@ -75,6 +75,24 @@ def test_composite_enclose_digest(key):
     assert hashlib.md5(out.encode()).hexdigest() == ENCLOSE_MD5[key]
 
 
+# text mode prints the widths with json.dumps of the whole list
+TEXT_MD5 = {
+    "sincos-8-given": "8e516227cb100fc533b18ec30be0e1b7",
+    "exp-24-auto": "cb312b91d7fe7d24c8605c7f0558ee5f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TEXT_MD5))
+def test_composite_enclose_text_digest(key):
+    name, m, bounds = key.split("-")
+    args, given = _INTEGRANDS[name]
+    argv = ["enclose", *args, "--bounds", *(given if bounds == "given" else ["auto"]),
+            "--subdivide", m, m, "--no-timestamp"]
+    code, out = _document(argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == TEXT_MD5[key]
+
+
 _FAILURES = [
     ("sqrt(s-0.5)*log(t-0.5)", "-1 1",
      "sqrt of a negative value",

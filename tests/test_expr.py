@@ -25,9 +25,9 @@ from ostrocube.expr import (
     Var,
     XorShift64Star,
     derive_seed,
-    eval_stacked,
     parse,
     random_polynomial,
+    run_program,
     simplify,
     stacked_program,
 )
@@ -405,7 +405,7 @@ def test_stacked_program_matches_scalar_evaluation_per_coefficient_set():
     coeffs = np.array([[2.5, 3.5], [-0.3, 1.7], [0.9, -2.2]])
     ts = np.array([-1.0, 0.25, 0.6])
     ss = np.array([0.5, -0.75])
-    got = eval_stacked(program, coeffs.T[:, :, None, None], ts[None, :, None], ss[None, None, :])
+    got = run_program(program, ts[None, :, None], ss[None, None, :], coeffs.T[:, :, None, None])
     for k, (a, b) in enumerate(coeffs):
         assert got[k].tolist() == [[eval_expr(tree(a, b), t, s) for s in ss] for t in ts]
 

@@ -5,8 +5,10 @@ its meshgrid or per-line predecessor in helpers.py, and keep that one's
 error text.
 """
 
+import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from helpers import (
     reference_integrate_2d,
     reference_line_integrals,
 )
+from ostrocube import expr
 from ostrocube import QuadConfig, make_point, make_rectangle, parse_expression, to_bivariate
 from ostrocube.core import BivariateFunction
 from ostrocube.expr import XorShift64Star, eval_expr, random_polynomial_1d
@@ -138,3 +141,116 @@ def test_first_failing_line_decides_the_error(fixed):
     if fixed[1] == 0.5:
         assert isinstance(got.value, NonFiniteSample)
         assert str(got.value) == "128 non-finite sample(s) while evaluating g(0.5, .)"
+
+
+# ---------------------------------------------------------------------------
+# hoisted subtrees of one variable
+# ---------------------------------------------------------------------------
+#
+# With several blocks per call, line_integrals and cell_bounds evaluate the
+# subtrees of one variable of a compiled expression once per call. These
+# calls take several blocks: 40 lines of 10 segments (6 lines per call of
+# f), 40 lines of 100 segments (rows split) and 7 x 8 cells (28 per call).
+
+MANY = np.linspace(0.3, 1.4, 40).tolist()
+TEN = gl_nodes(np.linspace(0.25, 1.2, 11)[:-1], np.linspace(0.25, 1.2, 11)[1:], Q)
+HUNDRED = gl_nodes(np.linspace(0.25, 1.2, 101)[:-1], np.linspace(0.25, 1.2, 101)[1:], Q)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in FUNCTIONS if "plain" not in name))
+def test_hoisted_samplers_match_per_line_and_per_cell_samplers(name):
+    f = FUNCTIONS[name]
+    for axis in ("t", "s"):
+        for nw in (TEN, HUNDRED):
+            got = line_integrals(f, axis, MANY, *nw)
+            assert _hex(got) == _hex(reference_line_integrals(f, axis, MANY, *nw))
+    t_edges, s_edges = np.linspace(0.3, 1.4, 8), np.linspace(0.25, 1.2, 9)
+    got = cell_bounds(f, t_edges, s_edges, 17, 0.1)
+    assert _hex(got) == _hex(reference_cell_bounds(f, t_edges, s_edges, 17, 0.1))
+
+
+def _counting_cos(monkeypatch) -> list:
+    """Patch the evaluator's cos to record how many values it computes."""
+    sizes: list = []
+    monkeypatch.setitem(expr._UNARY, "cos", lambda v: sizes.append(np.size(v)) or np.cos(v))
+    return sizes
+
+
+def test_subtrees_of_the_node_variable_are_evaluated_once_per_call(monkeypatch):
+    f = to_bivariate(parse_expression("sin(t)*cos(s)"))
+    nodes, weights = HUNDRED
+    sizes = _counting_cos(monkeypatch)
+    line_integrals(f, "t", MANY, nodes, weights)
+    assert sizes == [nodes.size]
+    sizes.clear()
+    # a wrapper hides the capability: every block evaluates cos again
+    wrapped = dataclasses.replace(f, fn=lambda t, s: f.fn(t, s))
+    line_integrals(wrapped, "t", MANY, nodes, weights)
+    assert sum(sizes) == len(MANY) * nodes.size
+    sizes.clear()
+    # one block: nothing to share, nothing hoisted
+    line_integrals(f, "t", MANY[:1], *gl_nodes(np.array([0.0]), np.array([1.0]), Q))
+    assert sizes == [Q.panels * Q.gl_order]
+
+
+def test_subtrees_of_each_variable_are_evaluated_once_per_cell_bounds_call(monkeypatch):
+    # the mixed partial of sin(t)*cos(s) is -(cos(t)*sin(s)): cos(t) over
+    # the sample rows of the 7 t-cells, once
+    f = to_bivariate(parse_expression("sin(t)*cos(s)"))
+    sizes = _counting_cos(monkeypatch)
+    cell_bounds(f, np.linspace(0.3, 1.4, 8), np.linspace(0.25, 1.2, 9), 17, 0.1)
+    assert sizes == [7 * 17]
+
+
+def _outcome(sampler, *args):
+    try:
+        return _hex(sampler(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "log(t-0.6)*sqrt(s-0.3)", "sqrt(s-0.3)*log(t-0.6)", "t/(s-s)", "exp(900*s)*t",
+    "t*exp(900*s)+log(t+1)", "(s-0.3)^0.5*exp(t)", "log(t-0.6)*exp(900*s)",
+])
+@pytest.mark.parametrize("fixed", [MANY, MANY[::-1]], ids=["up", "down"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hoisted_line_errors_match_per_line_sampler(text, fixed):
+    # a failing subtree of the node variable is not hoisted: the error,
+    # its count and the first bad line are what the plain loop reports
+    f = to_bivariate(parse_expression(text))
+    failures = 0
+    for axis in ("t", "s"):
+        for nw in (TEN, HUNDRED):
+            expected = _outcome(reference_line_integrals, f, axis, fixed, *nw)
+            assert _outcome(line_integrals, f, axis, fixed, *nw) == expected
+            failures += isinstance(expected, tuple)
+    assert failures
+
+
+@pytest.mark.parametrize("text", ["sqrt(s-0.5)*log(t-0.5)", "log(t-0.5)*sqrt(s-0.5)",
+                                  "exp(900*s)*t", "t*exp(900*s)+log(t+1)"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_hoisted_cell_bounds_errors_match_per_cell_sampler(text):
+    f = to_bivariate(parse_expression(text))
+    edges = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(Exception) as expected:
+        reference_cell_bounds(f, edges, edges, 17, 0.1)
+    with pytest.raises(type(expected.value)) as got:
+        cell_bounds(f, edges, edges, 17, 0.1)
+    assert str(got.value) == str(expected.value)
+
+
+def test_hoisted_line_memory_stays_within_the_node_array():
+    # 4096 segments, the most an enclose axis takes: cos(s) is hoisted
+    # once over the nodes (4 MiB), everything else is a block at a time
+    f = to_bivariate(parse_expression("sin(t)*cos(s)"))
+    edges = np.linspace(0.0, 1.0, 4097)
+    nodes, weights = gl_nodes(edges[:-1], edges[1:], Q)
+    tracemalloc.start()
+    try:
+        line_integrals(f, "t", [0.25, 0.5, 0.75], nodes, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nodes.nbytes + 2**20
