@@ -30,7 +30,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -360,8 +360,7 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide
            "^": _power}
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """An expression compiled into steps, for run_program.
 
     The distinct subtrees of the expression (by identity) are its steps,
@@ -372,19 +371,28 @@ class Program:
     a and b. Every step applies its node's numpy operation, with the
     DomainError guard of log, sqrt, "/" and "^", so a shared subtree is
     evaluated once, and the first step that fails is the first node that
-    fails.
+    fails. reads[n] holds the variables step n depends on, as bits (_T for
+    t, _S for s); outputs are the steps whose values are returned (the
+    root, or the several values of a hoisted head, see _hoisted).
 
-    reads[n] is the set of variables step n depends on. frees[n] lists the
-    steps whose values step n uses for the last time: they are dropped
-    once it is evaluated, so that few intermediates are alive at a time.
-    outputs are the steps whose values are returned: the root, or the
-    several values of a hoisted head (see _Compiled.hoist).
+    The rest is the form a run takes. A run starts from the values of the
+    leaves, [t, s, *consts, *inputs[:n_inputs]], and appends the value of
+    each operation: code holds (function, a, b, frees) per operation, with
+    a and b indices into those values (b None for a unary one) and frees
+    the values it uses for the last time, which are dropped so that few
+    intermediates are alive at a time. out holds the index of each output.
     """
 
     steps: tuple
     reads: tuple
-    frees: tuple
     outputs: tuple
+    consts: tuple
+    n_inputs: int
+    code: tuple
+    out: tuple
+
+
+_T, _S = 1, 2
 
 
 def _operands(step: tuple) -> tuple:
@@ -395,15 +403,47 @@ def _operands(step: tuple) -> tuple:
 
 
 def _link(steps: list, reads: list, outputs: tuple) -> Program:
+    consts = []
+    n_inputs = 0
+    for op, a, _ in steps:
+        if op == "const":
+            consts.append(a)
+        elif op == "input" and a >= n_inputs:
+            n_inputs = a + 1
+    # where each step's value sits in a run
+    at: list[int] = []
+    code: list[tuple] = []
     last_use: dict[int, int] = {}
-    for n, step in enumerate(steps):
-        for operand in _operands(step):
-            last_use[operand] = n
-    frees: list[list[int]] = [[] for _ in steps]
-    for operand, n in last_use.items():
-        if operand not in outputs:
-            frees[n].append(operand)
-    return Program(tuple(steps), tuple(reads), tuple(map(tuple, frees)), outputs)
+    const_at = 2
+    first = op_at = 2 + len(consts) + n_inputs
+    for op, a, b in steps:
+        if op == "t":
+            at.append(0)
+        elif op == "s":
+            at.append(1)
+        elif op == "const":
+            at.append(const_at)
+            const_at += 1
+        elif op == "input":
+            at.append(2 + len(consts) + a)
+        else:
+            a = at[a]
+            last_use[a] = op_at
+            if b is None:
+                code.append((_UNARY[op], a, None))
+            else:
+                b = at[b]
+                last_use[b] = op_at
+                code.append((_BINARY[op], a, b))
+            at.append(op_at)
+            op_at += 1
+    out = tuple(at[n] for n in outputs)
+    frees: dict[int, list] = {}
+    for value, user in last_use.items():
+        if value not in out:
+            frees.setdefault(user, []).append(value)
+    code = [(fn, a, b, tuple(frees.get(first + k, ()))) for k, (fn, a, b) in enumerate(code)]
+    return Program(tuple(steps), tuple(reads), outputs, tuple(consts), n_inputs, tuple(code), out)
 
 
 def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
@@ -411,7 +451,7 @@ def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
     ("input", j); any other constant is a literal."""
     column = {value: j for j, value in enumerate(slots)}
     steps: list[tuple] = []
-    reads: list[frozenset] = []
+    reads: list[int] = []
     index: dict[int, int] = {}
 
     def visit(node: ExprNode) -> int:
@@ -419,47 +459,39 @@ def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
         n = index.get(id(node))
         if n is not None:
             return n
-        if isinstance(node, Const):
+        if isinstance(node, Binary) and node.op in _BINARY:
+            a, b = visit(node.left), visit(node.right)
+            steps.append((node.op, a, b))
+            reads.append(reads[a] | reads[b])
+        elif isinstance(node, Const):
             j = column.get(node.value)
-            step = ("const", node.value, None) if j is None else ("input", j, None)
-            used = frozenset()
+            steps.append(("const", node.value, None) if j is None else ("input", j, None))
+            reads.append(0)
         elif isinstance(node, Var):
-            step, used = (node.name, None, None), frozenset((node.name,))
+            steps.append((node.name, None, None))
+            reads.append(_T if node.name == "t" else _S)
         elif isinstance(node, Unary) and node.op in _UNARY:
             a = visit(node.child)
-            step, used = (node.op, a, None), reads[a]
-        elif isinstance(node, Binary) and node.op in _BINARY:
-            a, b = visit(node.left), visit(node.right)
-            step, used = (node.op, a, b), reads[a] | reads[b]
+            steps.append((node.op, a, None))
+            reads.append(reads[a])
         else:
             raise AssertionError(f"unknown node {node!r}")
-        index[id(node)] = len(steps)
-        steps.append(step)
-        reads.append(used)
-        return len(steps) - 1
+        n = index[id(node)] = len(steps) - 1
+        return n
 
     return _link(steps, reads, (visit(e),))
 
 
-def _values(program: Program, t, s, inputs) -> list:
-    vals: list = [None] * len(program.steps)
-    for n, ((op, a, b), frees) in enumerate(zip(program.steps, program.frees)):
-        if b is not None:
-            v = _BINARY[op](vals[a], vals[b])
-        elif op in _UNARY:
-            v = _UNARY[op](vals[a])
-        elif op == "t":
-            v = t
-        elif op == "s":
-            v = s
-        elif op == "input":
-            v = inputs[a]
-        else:
-            v = a
-        vals[n] = v
+def _run(program: Program, t, s, inputs) -> list:
+    vals = [t, s, *program.consts, *inputs[:program.n_inputs]]
+    if len(vals) != 2 + len(program.consts) + program.n_inputs:
+        raise ValueError(f"the program reads {program.n_inputs} inputs, got {len(inputs)}")
+    push = vals.append
+    for fn, a, b, frees in program.code:
+        push(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
         for i in frees:
             vals[i] = None
-    return [vals[n] for n in program.outputs]
+    return vals
 
 
 def run_program(program: Program, t, s, inputs: Sequence = ()):
@@ -467,7 +499,7 @@ def run_program(program: Program, t, s, inputs: Sequence = ()):
     that broadcast against each other), with inputs[j] for ("input", j).
     A value that varies along fewer axes than t and s keeps the smaller
     shape, and one that reads no array stays a scalar."""
-    return _values(program, t, s, inputs)[0]
+    return _run(program, t, s, inputs)[program.out[0]]
 
 
 def _select(program: Program, roots: tuple, cut: dict, first_input: int) -> Program:
@@ -509,8 +541,8 @@ def _hoisted(program: Program, var: str) -> Optional[tuple[Program, Program]]:
     tail is program with those steps read from the inputs behind its own,
     in head's order. Evaluating head, then tail on head's values, gives
     program's result value for value, unless head raises."""
-    alone = [reads == {var} and op != var
-             for (op, _, _), reads in zip(program.steps, program.reads)]
+    bit = _T if var == "t" else _S
+    alone = [reads == bit and op != var for (op, _, _), reads in zip(program.steps, program.reads)]
     used = {operand for n, step in enumerate(program.steps) if not alone[n]
             for operand in _operands(step) if alone[operand]}
     used.update(n for n in program.outputs if alone[n])
@@ -520,6 +552,11 @@ def _hoisted(program: Program, var: str) -> Optional[tuple[Program, Program]]:
     first = 1 + max((a for op, a, _ in program.steps if op == "input"), default=-1)
     return (_select(program, order, {}, 0),
             _select(program, program.outputs, {n: k for k, n in enumerate(order)}, first))
+
+
+def _outputs(program: Program, t, s) -> list:
+    vals = _run(program, t, s, ())
+    return [vals[i] for i in program.out]
 
 
 class _Compiled:
@@ -542,7 +579,8 @@ class _Compiled:
         return self._program
 
     def __call__(self, t, s):
-        return _values(self.program, t, s, ())[0]
+        program = self.program
+        return _run(program, t, s, ())[program.out[0]]
 
     def _split(self, names: tuple) -> tuple:
         """The head of each variable in names (None if it has none) and
@@ -569,13 +607,14 @@ class _Compiled:
         heads, tail = self._split(names)
         if not any(heads):
             return None
-        values = {var: _values(head, t, s, ()) if head else []
+        values = {var: _outputs(head, t, s) if head else []
                   for var, head in zip(names, heads)}
+        root = tail.out[0]
 
         def at(t_rows=slice(None), s_rows=slice(None)):
             given = ([v[t_rows] for v in values.get("t", ())]
                      + [v[s_rows] for v in values.get("s", ())])
-            return lambda t, s: _values(tail, t, s, given)[0]
+            return lambda t, s: _run(tail, t, s, given)[root]
 
         return at
 
