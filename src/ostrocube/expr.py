@@ -13,11 +13,16 @@ turn binds tighter than '*' and '/'. Functions are sin, cos, exp, log and
 sqrt. 'pi' and 'e' are named constants. Numbers require a digit before any
 decimal point ("2.5", "1e-3"; not ".5").
 
-Evaluation accepts scalars or numpy arrays. Differentiation is symbolic
-(product/quotient/chain rules), with constant-folding simplification
-applied to each node as it is built; `to_bivariate` packages an
-expression together with its exact mixed partial for the rest of the
-system.
+Evaluation accepts scalars or numpy arrays. An expression is compiled
+once into a Program, one step per distinct subtree, and every evaluation
+runs that program: the functions of `to_bivariate` and `to_univariate`,
+`eval_expr` and the stacked templates of the verification harness. The
+functions of `to_bivariate` also let the grid samplers evaluate their
+subtrees of one variable once per axis (`_Compiled.hoist`).
+Differentiation is symbolic (product/quotient/chain rules), with
+constant-folding simplification applied to each node as it is built;
+`to_bivariate` packages an expression together with its exact mixed
+partial for the rest of the system.
 
 The seeded polynomial corpus used by the verification harness also lives
 here, driven by an explicit xorshift64* generator so that corpora are
@@ -311,29 +316,32 @@ def parse_expression(text: str) -> ExprNode:
 
 
 def _log(v):
-    if np.any(np.asarray(v) <= 0.0):
+    if (np.asarray(v) <= 0.0).any():
         raise DomainError("log of a non-positive value")
     return np.log(v)
 
 
 def _sqrt(v):
-    if np.any(np.asarray(v) < 0.0):
+    if (np.asarray(v) < 0.0).any():
         raise DomainError("sqrt of a negative value")
     return np.sqrt(v)
 
 
 def _divide(lv, rv):
-    if np.any(np.asarray(rv) == 0.0):
+    if (np.asarray(rv) == 0.0).any():
         raise DomainError("division by zero")
     return lv / rv
 
 
 def _power(lv, rv):
+    if type(rv) is float and rv >= 0.0 and rv.is_integer():
+        # a literal whole exponent: no guard below can fail
+        return np.power(lv, rv)
     base = np.asarray(lv)
     expo = np.asarray(rv)
-    if np.any(base < 0.0) and not np.all(expo == np.floor(expo)):
+    if (base < 0.0).any() and not (expo == np.floor(expo)).all():
         raise DomainError("negative base with a non-integer exponent")
-    if np.any((base == 0.0) & (expo < 0.0)):
+    if ((base == 0.0) & (expo < 0.0)).any():
         raise DomainError("zero raised to a negative power")
     if expo.ndim:
         return _power_per_element(lv, rv)
@@ -403,47 +411,43 @@ def _operands(step: tuple) -> tuple:
 
 
 def _link(steps: list, reads: list, outputs: tuple) -> Program:
-    consts = []
-    n_inputs = 0
-    for op, a, _ in steps:
-        if op == "const":
-            consts.append(a)
-        elif op == "input" and a >= n_inputs:
-            n_inputs = a + 1
-    # where each step's value sits in a run
+    consts = [a for op, a, _ in steps if op == "const"]
+    n_inputs = 1 + max([a for op, a, _ in steps if op == "input"], default=-1)
+    # where each step's value sits in a run, and the operation that last
+    # reads each value
     at: list[int] = []
     code: list[tuple] = []
-    last_use: dict[int, int] = {}
+    last_use: dict = {}
     const_at = 2
     first = op_at = 2 + len(consts) + n_inputs
     for op, a, b in steps:
-        if op == "t":
-            at.append(0)
-        elif op == "s":
-            at.append(1)
+        if b is not None:
+            a, b = at[a], at[b]
+            code.append((_BINARY[op], a, b))
+            last_use[a] = last_use[b] = op_at
+        elif op in _UNARY:
+            a = at[a]
+            code.append((_UNARY[op], a, None))
+            last_use[a] = op_at
         elif op == "const":
             at.append(const_at)
             const_at += 1
+            continue
         elif op == "input":
             at.append(2 + len(consts) + a)
+            continue
         else:
-            a = at[a]
-            last_use[a] = op_at
-            if b is None:
-                code.append((_UNARY[op], a, None))
-            else:
-                b = at[b]
-                last_use[b] = op_at
-                code.append((_BINARY[op], a, b))
-            at.append(op_at)
-            op_at += 1
-    out = tuple(at[n] for n in outputs)
-    frees: dict[int, list] = {}
+            at.append(0 if op == "t" else 1)
+            continue
+        at.append(op_at)
+        op_at += 1
+    out = tuple([at[n] for n in outputs])
+    frees: list[list] = [[] for _ in code]
     for value, user in last_use.items():
         if value not in out:
-            frees.setdefault(user, []).append(value)
-    code = [(fn, a, b, tuple(frees.get(first + k, ()))) for k, (fn, a, b) in enumerate(code)]
-    return Program(tuple(steps), tuple(reads), outputs, tuple(consts), n_inputs, tuple(code), out)
+            frees[user - first].append(value)
+    return Program(tuple(steps), tuple(reads), outputs, tuple(consts), n_inputs,
+                   tuple([step + (tuple(free),) for step, free in zip(code, frees)]), out)
 
 
 def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
@@ -476,8 +480,8 @@ def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
             reads.append(reads[a])
         else:
             raise AssertionError(f"unknown node {node!r}")
-        n = index[id(node)] = len(steps) - 1
-        return n
+        index[id(node)] = len(steps) - 1
+        return len(steps) - 1
 
     return _link(steps, reads, (visit(e),))
 
@@ -549,9 +553,9 @@ def _hoisted(program: Program, var: str) -> Optional[tuple[Program, Program]]:
     if not used:
         return None
     order = tuple(sorted(used))
-    first = 1 + max((a for op, a, _ in program.steps if op == "input"), default=-1)
     return (_select(program, order, {}, 0),
-            _select(program, program.outputs, {n: k for k, n in enumerate(order)}, first))
+            _select(program, program.outputs, {n: k for k, n in enumerate(order)},
+                    program.n_inputs))
 
 
 def _outputs(program: Program, t, s) -> list:
@@ -579,8 +583,7 @@ class _Compiled:
         return self._program
 
     def __call__(self, t, s):
-        program = self.program
-        return _run(program, t, s, ())[program.out[0]]
+        return run_program(self.program, t, s)
 
     def _split(self, names: tuple) -> tuple:
         """The head of each variable in names (None if it has none) and
@@ -600,9 +603,9 @@ class _Compiled:
         over the coordinates t, and those of s alone once over s (either
         may be None). None if there is no such subtree; otherwise
         at(t_rows, s_rows), the function of one block: at coordinates
-        t[t_rows] and s[s_rows] (by default all rows) it equals this
-        function, taking the hoisted values at those rows. Raises what
-        evaluating a hoisted subtree raises."""
+        t[t_rows] and s[s_rows] it equals this function, taking the
+        hoisted values at those rows. Raises what evaluating a hoisted
+        subtree raises."""
         names = ("t",) * (t is not None) + ("s",) * (s is not None)
         heads, tail = self._split(names)
         if not any(heads):
@@ -611,7 +614,7 @@ class _Compiled:
                   for var, head in zip(names, heads)}
         root = tail.out[0]
 
-        def at(t_rows=slice(None), s_rows=slice(None)):
+        def at(t_rows, s_rows):
             given = ([v[t_rows] for v in values.get("t", ())]
                      + [v[s_rows] for v in values.get("s", ())])
             return lambda t, s: _run(tail, t, s, given)[root]

@@ -341,13 +341,11 @@ def line_integrals(
     row_blocks = [slice(k, k + rows_per_block) for k in range(0, rows, rows_per_block)]
     fns = [f] * len(row_blocks)
     if len(fixed) > lines_per_block or len(row_blocks) > 1:
-        every = slice(None)
-        if fixed_axis == "t":
-            hoisted = _hoist(f, "fn", s=nodes)
-            fns = fns if hoisted is None else [hoisted(every, rb) for rb in row_blocks]
-        else:
-            hoisted = _hoist(f, "fn", t=nodes)
-            fns = fns if hoisted is None else [hoisted(rb, every) for rb in row_blocks]
+        hoisted = _hoist(f, "fn", **{"s" if fixed_axis == "t" else "t": nodes})
+        if hoisted is not None:
+            every = slice(None)
+            fns = [hoisted(every, rb) if fixed_axis == "t" else hoisted(rb, every)
+                   for rb in row_blocks]
     at = np.asarray(fixed, dtype=float)[:, None, None]
     out = np.empty((len(fixed), rows))
     for i in range(0, len(fixed), lines_per_block):
