@@ -24,15 +24,16 @@ the last bit as sampling full grids, under two layout rules:
   while several lines are sampled together is raised again by the first
   line that fails on its own.
 - a subtree of one variable is evaluated once per sampler call, not once
-  per block. When a call of line_integrals or cell_bounds takes several
-  blocks and f (its mixed partial, for cell_bounds) is a compiled
-  expression, the largest subtrees of the node variable (of each
-  variable, for cell_bounds) are evaluated over all of that axis's
-  coordinates first, and every block takes its rows of those values.
-  Each hoisted array is no larger than the axis's coordinates. If a
-  hoisted subtree raises, nothing is hoisted and the blocks evaluate f
-  as it is, so the error is the one they always raised. A plain callable,
-  or a wrapper around a compiled one, is sampled as it is.
+  per block, when a call takes several blocks and f (its mixed partial,
+  for cell_bounds) is a compiled expression. line_integrals evaluates
+  the largest subtrees of the node variable over each block of node rows
+  before its loop over the lines, and every block of lines reuses them;
+  cell_bounds evaluates those of each variable over the sample rows of
+  all cells of that axis, and every block takes its cells' rows. Hoisted
+  arrays are no larger than the node or sample array. If a hoisted
+  subtree raises, nothing is hoisted and the blocks evaluate f as it is,
+  so the error is the one they always raised. A plain callable, or a
+  wrapper around a compiled one, is sampled as it is.
 
 Elementwise arithmetic gives each sample the same bits in any layout; the
 one numpy exception, power's shortcuts for a scalar exponent, is applied
@@ -341,11 +342,12 @@ def line_integrals(
     row_blocks = [slice(k, k + rows_per_block) for k in range(0, rows, rows_per_block)]
     fns = [f] * len(row_blocks)
     if len(fixed) > lines_per_block or len(row_blocks) > 1:
-        hoisted = _hoist(f, "fn", **{"s" if fixed_axis == "t" else "t": nodes})
-        if hoisted is not None:
+        # over the very node rows each block samples, before any line
+        var = "s" if fixed_axis == "t" else "t"
+        hoisted = [_hoist(f, "fn", **{var: nodes[rb]}) for rb in row_blocks]
+        if None not in hoisted:
             every = slice(None)
-            fns = [hoisted(every, rb) if fixed_axis == "t" else hoisted(rb, every)
-                   for rb in row_blocks]
+            fns = [at(every, every) for at in hoisted]
     at = np.asarray(fixed, dtype=float)[:, None, None]
     out = np.empty((len(fixed), rows))
     for i in range(0, len(fixed), lines_per_block):

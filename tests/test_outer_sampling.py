@@ -148,7 +148,8 @@ def test_first_failing_line_decides_the_error(fixed):
 # ---------------------------------------------------------------------------
 #
 # With several blocks per call, line_integrals and cell_bounds evaluate the
-# subtrees of one variable of a compiled expression once per call. These
+# subtrees of one variable of a compiled expression once per call (per
+# block of node rows, for line_integrals), not once per block. These
 # calls take several blocks: 40 lines of 10 segments (6 lines per call of
 # f), 40 lines of 100 segments (rows split) and 7 x 8 cells (28 per call).
 
@@ -176,12 +177,13 @@ def _counting_cos(monkeypatch) -> list:
     return sizes
 
 
-def test_subtrees_of_the_node_variable_are_evaluated_once_per_call(monkeypatch):
+def test_subtrees_of_the_node_variable_are_evaluated_once_per_row_block(monkeypatch):
+    # 100 segments of 128 nodes: rows 0-63 and 64-99 are the row blocks
     f = to_bivariate(parse_expression("sin(t)*cos(s)"))
     nodes, weights = HUNDRED
     sizes = _counting_cos(monkeypatch)
     line_integrals(f, "t", MANY, nodes, weights)
-    assert sizes == [nodes.size]
+    assert sizes == [64 * 128, 36 * 128]
     sizes.clear()
     # a wrapper hides the capability: every block evaluates cos again
     wrapped = dataclasses.replace(f, fn=lambda t, s: f.fn(t, s))
@@ -243,7 +245,8 @@ def test_hoisted_cell_bounds_errors_match_per_cell_sampler(text):
 
 def test_hoisted_line_memory_stays_within_the_node_array():
     # 4096 segments, the most an enclose axis takes: cos(s) is hoisted
-    # once over the nodes (4 MiB), everything else is a block at a time
+    # once over every row block of the nodes (4 MiB in all), everything
+    # else is a block at a time
     f = to_bivariate(parse_expression("sin(t)*cos(s)"))
     edges = np.linspace(0.0, 1.0, 4097)
     nodes, weights = gl_nodes(edges[:-1], edges[1:], Q)
