@@ -214,7 +214,7 @@ def _sample(fn, vectorized: bool, *coords: np.ndarray) -> np.ndarray:
     coordinates (a constant, or f of one variable) comes back as a
     zero-stride view of the broadcast shape."""
     if vectorized:
-        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+        shape = np.broadcast(*coords).shape
         out = np.asarray(fn(*coords), dtype=float)
         return out if out.shape == shape else np.broadcast_to(out, shape)
     coords = np.broadcast_arrays(*coords)
