@@ -709,6 +709,15 @@ def _unary_rule(op: str, child: ExprNode) -> ExprNode:
     return Unary(op, child)
 
 
+def _over_sqrt(e: ExprNode, u: ExprNode) -> Optional[tuple[Const, Const]]:
+    """(c, k) if e is c / (k * sqrt(u)) with constants c and k, else None."""
+    if (isinstance(e, Binary) and e.op == "/" and isinstance(e.left, Const)
+            and isinstance(e.right, Binary) and e.right.op == "*"
+            and isinstance(e.right.left, Const) and e.right.right == Unary("sqrt", u)):
+        return e.left, e.right.left
+    return None
+
+
 def _binary_rule(op: str, left: ExprNode, right: ExprNode) -> ExprNode:
     """simplify of Binary(op, left, right) once both sides are simplified."""
     if isinstance(left, Const) and isinstance(right, Const):
@@ -732,6 +741,12 @@ def _binary_rule(op: str, left: ExprNode, right: ExprNode) -> ExprNode:
             return right
         if _is_const(right, 1.0):
             return left
+        # u * (c / (k * sqrt(u))) is (c / k) * sqrt(u) wherever u > 0, and
+        # the latter is also its limit at u = 0, where the former fails
+        for u, quotient in ((left, right), (right, left)):
+            over = _over_sqrt(quotient, u)
+            if over is not None:
+                return _binary_rule("*", _binary_rule("/", *over), Unary("sqrt", u))
     elif op == "/":
         # 0 / u is 0 wherever u is nonzero, as x * 0 is 0 wherever x is
         # defined; a literal 0 / 0 is kept so that it still fails
@@ -763,7 +778,8 @@ def _simplify(e: ExprNode, memo: dict) -> ExprNode:
 
 
 def simplify(e: ExprNode) -> ExprNode:
-    """Constant folding plus the unit laws x*1, x+0, x-0, x^1, x^0, x*0, 0/x."""
+    """Constant folding plus the unit laws x*1, x+0, x-0, x^1, x^0, x*0, 0/x,
+    and u * (c / (k * sqrt(u))) -> (c / k) * sqrt(u) for constants c, k."""
     return _simplify(e, {})
 
 

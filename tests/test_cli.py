@@ -265,6 +265,20 @@ def test_enclose_auto_bounds_with_identically_zero_partial(text):
     assert doc["flags"]["rigorous"] is False
 
 
+def test_enclose_auto_bounds_where_the_partial_divides_by_sqrt():
+    # the mixed partial of t*sqrt(t)*s was sqrt(t) + t * (1 / (2 * sqrt(t))),
+    # which failed with "division by zero" at t = 0; simplify now rewrites
+    # t * (1 / (2 * sqrt(t))) to 0.5 * sqrt(t)
+    code, doc = _capture_json(
+        ["enclose", "--f", "t*sqrt(t)*s", "--rect", "0", "1", "0", "1",
+         "--subdivide", "2", "2", "--json", "--no-timestamp"]
+    )
+    assert code == 0
+    enclosure = doc["results"]["enclosure"]
+    assert enclosure["lo"] <= 0.2 <= enclosure["hi"]  # (2/5) * (1/2)
+    assert doc["flags"]["rigorous"] is False
+
+
 def test_numerical_failure_exit_code():
     # log goes negative inside the rectangle -> DomainError -> exit 1
     code, _ = _capture(

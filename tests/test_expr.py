@@ -288,9 +288,20 @@ def test_mixed_partials_of_singular_sums_have_no_division():
     for text in ("sqrt(t)+sqrt(s)", "log(t+1)+sqrt(s)", "log(t-1)"):
         mixed = differentiate(differentiate(parse_expression(text), "t"), "s")
         assert mixed == Const(0.0), text
-    # still open: this partial divides by 2 sqrt(t), which is 0 at t = 0
+    # this partial used to divide by 2 sqrt(t), which is 0 at t = 0
     mixed = differentiate(differentiate(parse_expression("t*sqrt(t)*s"), "t"), "s")
-    assert to_string(mixed) == "sqrt(t) + t * (1 / (2 * sqrt(t)))"
+    assert to_string(mixed) == "sqrt(t) + 0.5 * sqrt(t)"
+    assert eval_expr(mixed, 0.0, 0.0) == 0.0
+
+
+def test_simplify_takes_u_over_k_sqrt_u_to_its_continuous_extension():
+    for text, want in (("t * (1 / (2 * sqrt(t)))", "0.5 * sqrt(t)"),
+                       ("(3 / (4 * sqrt(t + s))) * (t + s)", "0.75 * sqrt(t + s)")):
+        assert to_string(simplify(parse_expression(text))) == want
+    # only the same u under the root, and only constant c and k
+    for text in ("s * (1 / (2 * sqrt(t)))", "t * (s / (2 * sqrt(t)))",
+                 "t * (1 / (s * sqrt(t)))"):
+        assert simplify(parse_expression(text)) == parse_expression(text)
 
 
 def test_simplify_preserves_values():
