@@ -43,6 +43,7 @@ from .core import (
     UnivariateFunction,
     make_point,
     make_rectangle,
+    unchecked,
 )
 from .enclosure import (
     _MAX_AXIS_CELLS,
@@ -54,32 +55,28 @@ from .enclosure import (
 )
 from .expr import (
     DomainError,
-    Program,
     XorShift64Star,
     derive_seed,
-    differentiate,
     draw_polynomial,
     draw_polynomial_1d,
     parse_expression,
     polynomial,
     polynomial_1d,
-    run_program,
-    stacked_program,
     to_bivariate,
     to_string,
     to_univariate,
 )
 from .identity import corrected_from_terms, identity_report
-from .quadrature import NonFiniteSample, estimate_bounds, gl_nodes, sample_univariate
+from .quadrature import NonFiniteSample, estimate_bounds, sample_univariate
 from .rules import (
-    AnchorTerms,
-    IntervalTerms,
     Lambda,
     PointOutsideLambdaBox,
     RuleOutcome,
+    _require_lambda_box,
     anchor_terms,
     cheng_1d,
     cheng_from_terms,
+    in_lambda_box,
     interval_terms,
     ostrowski_1d,
     ostrowski_from_terms,
@@ -91,8 +88,15 @@ from .rules import (
     sarikaya_functional,
 )
 
-# no longer called here; it stays importable from this module, where
-# perfbench/tracing.py counts it
+from .stacked import AnchorSamples, IntervalSamples, join, rows, sample_1d, sample_2d
+from .stacked import BOUNDS_GRID as _BOUNDS_GRID
+from .stacked import BOUNDS_PAD as _BOUNDS_PAD
+from .stacked import DERIV_GRID as _DERIV_GRID
+from .stacked import VERIFY_CFG as _VERIFY_CFG
+
+# no longer called here; they stay importable from this module, where
+# perfbench/tracing.py counts them
+from .expr import differentiate  # noqa: F401
 from .identity import full_expansion_derived  # noqa: F401
 
 __all__ = [
@@ -107,11 +111,6 @@ __all__ = [
 SCHEMA_VERSION = "1"
 RULE_ORDER = ("t1", "t2", "t3", "t4", "t5", "corrected")
 
-_VERIFY_CFG = QuadConfig(gl_order=16, panels=1, abs_tol=1e-14)
-_BOUNDS_GRID = 33
-_BOUNDS_PAD = 0.25
-# points of the grid on which g's derivative range is sampled
-_DERIV_GRID = 129
 # trials sampled together; smaller chunks hold smaller arrays but pay the
 # per-call cost of numpy more often
 _CHUNK_TRIALS = 64
@@ -406,195 +405,50 @@ def _draw_trial(seed: int, index: int, degree: int, lam: float) -> _Trial:
     return _Trial(index, tseed, f, (t_lo, t_hi, s_lo, s_hi), p, q, g, (i_lo, i_hi), x)
 
 
-# one entry per --degree value
-@lru_cache(maxsize=7)
-def _templates(degree: int) -> tuple[Program, ...]:
-    """Stacked programs of f, its mixed partial, g and g' for the trials of
-    `--degree degree`, built on first use.
-
-    The templates are the Horner trees of a full (degree+1) x (degree+1)
-    polynomial and of a degree+1 coefficient univariate one, over slot
-    constants, differentiated as to_bivariate and to_univariate do. The
-    slots are distinct and neither 0 nor 1, so no unit law of simplify
-    fires and every coefficient keeps its own node. A trial fills the
-    slots with its coefficients, padded with zeros to the full degree. A
-    padded node adds a signed zero to a nonzero value, which leaves it
-    unchanged, so every sample equals the one the trial's own tree gives
-    (the tree in which simplify has dropped those nodes).
-    """
-    n = degree + 1
-    slots = [2.0 + j / 256.0 for j in range(n * n)]
-    f = polynomial([slots[i * n:(i + 1) * n] for i in range(n)])
-    g = polynomial_1d(slots[:n])
-    trees = (f, differentiate(differentiate(f, "t"), "s"), g, differentiate(g, "t"))
-    return tuple(stacked_program(e, slots) for e in trees)
-
-
-def _no_unit_coefficient(coeffs: list) -> bool:
-    """Whether no coefficient is 0 or 1: simplify would prune or shortcut
-    such a coefficient's node in the trial's own tree, and the stacked
-    samples are shown to equal its own only without them."""
-    return 0.0 not in coeffs and 1.0 not in coeffs
+# one entry per (anchor count, ends) that a --rules subset gives
+@lru_cache(maxsize=6)
+def _fixture_samples(anchors: int, ends: bool) -> tuple:
+    """The fixtures' samples (1D, then 2D or None without anchors), taken
+    once per process: unlike a trial's, they depend on nothing but the
+    number of anchors and `ends`. Every call shares them, read-only."""
+    n = len(_FIXTURES_1D)
+    one = IntervalSamples(np.tile([0.0, 1.0], (n, 1)), np.array([x for _, _, x, *_ in _FIXTURES_1D]),
+                     np.zeros((n, 3)), *np.zeros((4, n)))
+    for j, (_, text, x, magnitude, lo, hi) in enumerate(_FIXTURES_1D):
+        terms = interval_terms(_univariate_from_text(text), Interval1D(0.0, 1.0), x, _VERIFY_CFG,
+                               ends=ends)
+        one.put(j, terms, lo, hi, magnitude)
+    two = None
+    if anchors:
+        n = len(_FIXTURES_2D)
+        two = AnchorSamples(np.tile([0.0, 1.0, 0.0, 1.0], (n, 1)), np.full((n, anchors, 2), 0.5),
+                         np.zeros((n, anchors + 2, anchors + 2)), np.zeros((n, anchors + 2)),
+                         np.zeros((n, anchors + 2)), np.zeros((n, anchors)), *np.zeros((2, n)))
+        unit = make_rectangle(0.0, 1.0, 0.0, 1.0)
+        centre = make_point(unit, 0.5, 0.5)
+        for j, (_, text, lo, hi) in enumerate(_FIXTURES_2D):
+            two.put(j, anchor_terms(_bivariate_from_text(text), unit, [centre] * anchors,
+                                         _VERIFY_CFG), DerivativeBounds(lo, hi))
+    for field in (*one, *(two or ())):
+        field.flags.writeable = False
+    return one, two
 
 
-def _finite_rows(values: np.ndarray) -> np.ndarray:
-    """Per trial (leading axis), whether all of its values are finite."""
-    return np.isfinite(values).reshape(len(values), -1).all(axis=1)
+def _fixture_case_1d(j: int) -> dict:
+    name, text, x, *_ = _FIXTURES_1D[j]
+    return {"source": f"fixture:{name}", "seed": None, "expr": text, "interval": [0.0, 1.0],
+            "x": x}
 
 
-def _reduce(weights: np.ndarray, values: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """np.vecdot of weights and values over the last axis, in the layout
-    that sampling each trial's own tree gives: the rows of the trials
-    marked flat (their polynomial does not vary along these rows) are
-    reduced as zero-stride rows of their first value."""
-    out = np.vecdot(weights, values)
-    if flat.any():
-        rows = values[flat]
-        out[flat] = np.vecdot(weights[flat], np.broadcast_to(rows[..., :1], rows.shape))
-    return out
-
-
-def _stacked_1d(trials: list, degree: int, ends: bool) -> list:
-    """IntervalTerms and the padded derivative range of g for every
-    trial, sampled for all trials at once; None for a trial whose samples
-    must be taken on its own: one with a non-finite sample, a coefficient
-    of 0 or 1, or x outside its interval (interval_terms raises)."""
-    _, _, program_g, program_dg = _templates(degree)
-    k, n = len(trials), degree + 1
-    coeffs = np.zeros((k, n))
-    for row, trial in zip(coeffs, trials):
-        row[:len(trial.g)] = trial.g
-    columns = coeffs.T[:, :, None]
-    lo, hi = np.array([trial.interval for trial in trials]).T
-    x = np.array([trial.x for trial in trials])
-    nodes, weights = gl_nodes(lo, hi, _VERIFY_CFG)
-    at = np.broadcast_to(run_program(program_g, np.stack((x, lo, hi), axis=1), 0.0, columns),
-                         (k, 3))
-    vals = np.broadcast_to(run_program(program_g, nodes, 0.0, columns), nodes.shape)
-    integral = _reduce(weights, vals, np.array([len(trial.g) == 1 for trial in trials]))
-    grid = np.linspace(lo, hi, _DERIV_GRID, axis=-1)
-    deriv = np.broadcast_to(run_program(program_dg, grid, 0.0, columns), grid.shape)
-    d_min, d_max = deriv.min(axis=1), deriv.max(axis=1)
-    pad = _BOUNDS_PAD * (d_max - d_min) + 1e-12
-    d_lo, d_hi = d_min - pad, d_max + pad
-    ok = np.array([_no_unit_coefficient(trial.g) and trial.interval[0] <= trial.x
-                   <= trial.interval[1] for trial in trials])
-    ok &= (_finite_rows(at) & _finite_rows(vals) & np.isfinite(integral)
-           & np.isfinite(d_lo) & np.isfinite(d_hi))
-    out = []
-    for trial, good, (at_x, at_lo, at_hi), value, dl, dh in zip(
-            trials, ok.tolist(), at.tolist(), integral.tolist(), d_lo.tolist(), d_hi.tolist()):
-        terms = IntervalTerms(iv=Interval1D(*trial.interval), x=trial.x, at_x=at_x,
-                              at_lo=at_lo if ends else None, at_hi=at_hi if ends else None,
-                              integral=value)
-        out.append((terms, dl, dh) if good else None)
-    return out
-
-
-def _split_nodes(lo: np.ndarray, x: np.ndarray, hi: np.ndarray) -> tuple:
-    """Nodes and weights of every trial's axis [lo, hi] split at x, shape
-    (trials, 2 * nodes), as integrate_2d takes them for a split at x."""
-    nodes, weights = gl_nodes(np.stack((lo, x), axis=1), np.stack((x, hi), axis=1), _VERIFY_CFG)
-    return nodes.reshape(len(x), -1), weights.reshape(len(x), -1)
-
-
-def _stacked_2d(trials: list, degree: int, anchors: tuple) -> list:
-    """The AnchorTerms at `anchors` and the sampled mixed-partial bounds of
-    f for every trial, sampled for all trials at once; None for a trial
-    whose samples must be taken on its own: one with a non-finite sample,
-    a coefficient of 0 or 1, or an anchor not strictly inside the
-    rectangle (on an edge, the split double integral has one segment, not
-    two)."""
-    program_f, program_mixed, _, _ = _templates(degree)
-    k, n = len(trials), degree + 1
-    coeffs = np.zeros((k, n * n))
-    for row, trial in zip(coeffs, trials):
-        for i, f_row in enumerate(trial.f):
-            row[i * n:i * n + len(f_row)] = f_row
-    columns = coeffs.T[:, :, None, None]
-    rect = np.array([trial.rect for trial in trials])
-    t_lo, t_hi, s_lo, s_hi = rect.T
-    flat_t = np.array([len(trial.f) == 1 for trial in trials])
-    flat_s = np.array([len(trial.f[0]) == 1 for trial in trials])
-
-    def f_at(ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
-        shape = np.broadcast_shapes(ts.shape, ss.shape)
-        return np.broadcast_to(run_program(program_f, ts, ss, columns), shape)
-
-    # mixed-partial bounds as estimate_bounds samples them: one linspace
-    # over the starts (a, c) and ends (b, d) of each trial
-    axes = np.linspace(rect[:, 0::2], rect[:, 1::2], _BOUNDS_GRID, axis=-1)
-    mixed = run_program(program_mixed, axes[:, 0, :, None], axes[:, 1, None, :], columns)
-    mixed = np.broadcast_to(mixed, (k, _BOUNDS_GRID, _BOUNDS_GRID))
-    m_lo, m_hi = mixed.min(axis=(1, 2)), mixed.max(axis=(1, 2))
-    pad = _BOUNDS_PAD * (m_hi - m_lo) + 1e-12
-    lower, upper = m_lo - pad, m_hi + pad
-    ok = _finite_rows(mixed) & np.isfinite(lower) & np.isfinite(upper)
-    del mixed
-    ok &= [_no_unit_coefficient([value for row in trial.f for value in row])
-           for trial in trials]
-    xy = np.array([[getattr(trial, name) for name in anchors] for trial in trials])
-    x, y = xy[:, :, 0], xy[:, :, 1]
-    ok &= ((t_lo[:, None] < x) & (x < t_hi[:, None])
-           & (s_lo[:, None] < y) & (y < s_hi[:, None])).all(axis=1)
-
-    # the anchors' coordinates first, then the edges, as anchor_terms
-    # takes them
-    at_t = np.concatenate((x, rect[:, :2]), axis=1)
-    at_s = np.concatenate((y, rect[:, 2:]), axis=1)
-    points = f_at(at_t[:, :, None], at_s[:, None, :])
-    tn, tw = gl_nodes(t_lo, t_hi, _VERIFY_CFG)
-    sn, sw = gl_nodes(s_lo, s_hi, _VERIFY_CFG)
-    lines_t = f_at(tn[:, None, :], at_s[:, :, None])
-    lines_s = f_at(at_t[:, :, None], sn[:, None, :])
-    ok &= _finite_rows(points) & _finite_rows(lines_t) & _finite_rows(lines_s)
-    along_t = _reduce(tw[:, None, :], lines_t, flat_t).tolist()
-    along_s = _reduce(sw[:, None, :], lines_s, flat_s).tolist()
-    del lines_t, lines_s
-
-    # the double integral split at each anchor, one `tw @ grid @ sw` per
-    # trial as integrate_2d takes it: a constant's grid stays zero-stride
-    constant = (flat_t & flat_s).tolist()
-    doubles = []
-    for a in range(len(anchors)):
-        tn, tw = _split_nodes(t_lo, x[:, a], t_hi)
-        sn, sw = _split_nodes(s_lo, y[:, a], s_hi)
-        grids = f_at(tn[:, :, None], sn[:, None, :])
-        finite = _finite_rows(grids)
-        ok &= finite
-        double = [None] * k
-        for j in np.flatnonzero(finite):
-            grid = (np.broadcast_to(grids[j, 0, 0], grids.shape[1:]) if constant[j]
-                    else np.ascontiguousarray(grids[j]))
-            double[j] = float(tw[j] @ grid @ sw[j])
-        doubles.append(double)
-        del grids
-
-    out = []
-    last = len(anchors)
-    for j, (trial, good, values) in enumerate(zip(trials, ok.tolist(), points.tolist())):
-        if not good:
-            out.append(None)
-            continue
-        r = make_rectangle(*trial.rect)
-        terms = []
-        for a, name in enumerate(anchors):
-            nodes = (a, last, last + 1)
-            terms.append(AnchorTerms(
-                rect=r,
-                point=make_point(r, *getattr(trial, name)),
-                values=tuple(tuple(values[u][v] for v in nodes) for u in nodes),
-                along_t=tuple(along_t[j][u] for u in nodes),
-                along_s=tuple(along_s[j][u] for u in nodes),
-                double=doubles[a][j],
-            ))
-        out.append((terms, DerivativeBounds(lower[j], upper[j])))
-    return out
+def _fixture_case_2d(j: int) -> dict:
+    name, text, lo, hi = _FIXTURES_2D[j]
+    return {"source": f"fixture:{name}", "seed": None, "expr": text,
+            "rect": [0.0, 1.0, 0.0, 1.0], "point": [0.5, 0.5], "lower": lo, "upper": hi}
 
 
 def _trial_terms_1d(trial: _Trial, ends: bool) -> tuple:
-    """What _stacked_1d gives for one trial, through the public functions
-    on the trial's own tree."""
+    """What stacked.sample_1d gives for one trial, through the public
+    functions on the trial's own tree."""
     g = to_univariate(polynomial_1d(trial.g))
     iv = Interval1D(*trial.interval)
     d_lo, d_hi = _sampled_deriv_range(g, iv)
@@ -602,8 +456,8 @@ def _trial_terms_1d(trial: _Trial, ends: bool) -> tuple:
 
 
 def _trial_terms_2d(trial: _Trial, anchors: tuple) -> tuple:
-    """What _stacked_2d gives for one trial, through the public functions
-    on the trial's own tree."""
+    """What stacked.sample_2d gives for one trial, through the public
+    functions on the trial's own tree."""
     f = to_bivariate(polynomial(trial.f))
     r = make_rectangle(*trial.rect)
     db = estimate_bounds(f, r, grid_n=_BOUNDS_GRID, pad_rel=_BOUNDS_PAD)
@@ -611,18 +465,32 @@ def _trial_terms_2d(trial: _Trial, anchors: tuple) -> tuple:
     return anchor_terms(f, r, points, _VERIFY_CFG), db
 
 
-def _trial_case_1d(trial: _Trial):
-    """Maker of the shared fields of a trial's t1 and t2 records."""
-    return lambda: {"source": f"trial:{trial.index}", "seed": trial.seed,
-                    "expr": to_string(polynomial_1d(trial.g)),
-                    "interval": list(trial.interval), "x": trial.x}
+def _trial_case_1d(trial: _Trial) -> dict:
+    """The shared fields of a trial's t1 and t2 records."""
+    return {"source": f"trial:{trial.index}", "seed": trial.seed,
+            "expr": to_string(polynomial_1d(trial.g)), "interval": list(trial.interval),
+            "x": trial.x}
 
 
-def _trial_case_2d(trial: _Trial, db: DerivativeBounds):
-    """Maker of the shared fields of a trial's two-variable records."""
-    return lambda: {"source": f"trial:{trial.index}", "seed": trial.seed,
-                    "expr": to_string(polynomial(trial.f)), "rect": list(trial.rect),
-                    "lower": db.lower, "upper": db.upper}
+def _trial_case_2d(trial: _Trial, lower: float, upper: float) -> dict:
+    """The shared fields of a trial's two-variable records."""
+    return {"source": f"trial:{trial.index}", "seed": trial.seed,
+            "expr": to_string(polynomial(trial.f)), "rect": list(trial.rect),
+            "lower": lower, "upper": upper}
+
+
+def _first_worst(gaps: np.ndarray, worst: Optional[float]) -> Optional[int]:
+    """The entry that a scan of gaps in order, taking each gap larger than
+    the worst so far (None before the first), takes last; None if it takes
+    none. No gap is larger than NaN, and NaN is larger than none."""
+    start, taken = 0, None
+    if worst is None:
+        start, taken, worst = 1, 0, gaps[0]
+    rest = gaps[start:]
+    larger = rest > worst
+    if larger.any():
+        taken = start + int(np.argmax(rest == rest[larger].max()))
+    return taken
 
 
 class _RuleTally:
@@ -633,14 +501,18 @@ class _RuleTally:
         self.worst_gap: Optional[float] = None
         self.worst_case: Optional[dict] = None
 
-    def record(self, outcome: RuleOutcome, case, extra: dict) -> None:
-        """Count one outcome; case() and extra make up its record, which is
-        made only if the outcome is the worst so far."""
-        self.trials += 1
-        gap = outcome.gap
-        if self.worst_gap is None or gap > self.worst_gap:
-            self.worst_gap = gap
-            self.worst_case = dict(case(), **extra, lhs=outcome.lhs, rhs=outcome.rhs)
+    def record(self, outcome: RuleOutcome, record) -> None:
+        """Count a column of outcomes, in trial order. record(j) makes the
+        record of entry j; it is made only for the entry that is the worst
+        case after this column (the first of the largest gaps)."""
+        gaps = outcome.gap
+        self.trials += len(gaps)
+        self.violations += int(np.count_nonzero(~outcome.satisfied))
+        j = _first_worst(gaps, self.worst_gap)
+        if j is not None:
+            self.worst_gap = float(gaps[j])
+            self.worst_case = dict(record(j), lhs=float(outcome.lhs[j]),
+                                   rhs=float(outcome.rhs[j]))
 
     def summary(self) -> dict:
         assert self.violations <= self.trials
@@ -678,15 +550,24 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
     so the order of drawing does not matter), then the chunk is sampled
     together: f, its mixed partial, g and g' at every point, line, double
     integral and bound-grid node of all its trials, through the stacked
-    templates of `--degree` (_stacked_1d, _stacked_2d). The rules, tallies
-    and re-checks then run trial by trial, in trial order, on the
-    IntervalTerms and AnchorTerms built from those samples. Where the
-    stacked samples of a trial's g or f are not shown to keep its bits, or
-    one is non-finite, that part of the trial goes through interval_terms,
-    estimate_bounds and anchor_terms on its own trees instead
-    (_trial_terms_1d, _trial_terms_2d), which also raise the errors a bad
-    sample calls for. A record's polynomial text is printed only when
-    the record is kept (a worst case) or re-checked.
+    templates of `--degree` (stacked.sample_1d, stacked.sample_2d). Where
+    the stacked samples of a trial's g or f are not shown to keep its
+    bits, or one is non-finite, that part of the trial goes through
+    interval_terms, estimate_bounds and anchor_terms on its own trees
+    instead (_trial_terms_1d, _trial_terms_2d), which also raise the errors
+    a bad sample calls for, and its terms are written into the chunk's
+    rows.
+
+    Each rule then runs once per chunk, on columns with one entry per
+    trial: the same rules.*_from_terms functions that take one case take
+    the columns (IntervalSamples.terms, AnchorSamples.terms). The
+    fixtures' rows are taken once per process (_fixture_samples) and
+    audited in front of the first chunk's. Each tally counts the
+    chunk's violations and takes its worst case in trial order; t3 and t4
+    re-check each violation from its record first. A record's polynomial
+    text is printed only when the record is kept or re-checked. A trial
+    that raises (a bad sample on its own trees, or t4's anchor outside its
+    box) raises once the trials before it are audited.
     """
     rules = opts["rules"]
     lam = opts["lam"]
@@ -695,73 +576,105 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
     ends = "t2" in tallies
     p_rules = [rule for rule in _RULES_2D if rule in tallies]
     anchors = ("p",) * bool(p_rules) + ("q",) * ("t4" in tallies)
-
-    def apply(rule: str, case, extra: dict, outcome: RuleOutcome) -> None:
-        tally = tallies[rule]
-        if not outcome.satisfied and rule in ("t3", "t4"):
-            # independent recomputation from the record before a violation
-            # is reported
-            tally.rechecks += 1
-            outcome = _eval_rule_case(rule, dict(case(), **extra), _VERIFY_CFG.refined())
-        if not outcome.satisfied:
-            tally.violations += 1
-        tally.record(outcome, case, extra)
-
-    def audit_1d(terms: IntervalTerms, case, magnitude: float, lower: float,
-                 upper: float) -> None:
-        # t1 and t2 read one integral and the same point values
-        if "t1" in tallies:
-            apply("t1", case, {"magnitude": magnitude},
-                  ostrowski_from_terms(terms, DerivativeBound1D.abs_bound(magnitude)))
-        if "t2" in tallies:
-            apply("t2", case, {"lower": lower, "upper": upper},
-                  cheng_from_terms(terms, DerivativeBound1D.from_range(lower, upper)))
-
-    def audit_2d(terms: list, db: DerivativeBounds, case, p: list, q: list) -> None:
-        # t3, t5 and corrected at p, t4 at q, from one set of anchor terms
-        for rule in p_rules:
-            apply(rule, case, {"point": p}, _RULES_2D[rule](terms[0], db))
-        if "t4" in tallies:
-            apply("t4", case, {"point": q, "lambda": lam},
-                  qiaoling_from_terms(terms[-1], db, Lambda(lam)))
-
+    at_q = len(anchors) - 1
     one_variable = "t1" in tallies or "t2" in tallies
     two_variable = bool(anchors)
 
-    for name, text, x, magnitude, lo, hi in _FIXTURES_1D:
+    def tally(rule: str, outcome: RuleOutcome, record) -> None:
+        if rule in ("t3", "t4"):
+            # independent recomputation from the record before a violation
+            # is reported
+            for j in np.flatnonzero(~outcome.satisfied).tolist():
+                tallies[rule].rechecks += 1
+                again = _eval_rule_case(rule, record(j), _VERIFY_CFG.refined())
+                outcome.lhs[j], outcome.rhs[j] = again.lhs, again.rhs
+                outcome.satisfied[j] = again.satisfied
+        tallies[rule].record(outcome, record)
+
+    def audit_1d(s: IntervalSamples, case) -> None:
+        # t1 and t2 read one integral and the same point values
+        terms = s.terms()
+        if "t1" in tallies:
+            bound = unchecked(DerivativeBound1D, kind="abs", lower=-s.magnitude,
+                              upper=s.magnitude)
+            tally("t1", ostrowski_from_terms(terms, bound),
+                  lambda j: dict(case(j), magnitude=float(s.magnitude[j])))
+        if "t2" in tallies:
+            bound = unchecked(DerivativeBound1D, kind="range", lower=s.lower, upper=s.upper)
+            tally("t2", cheng_from_terms(terms, bound),
+                  lambda j: dict(case(j), lower=float(s.lower[j]), upper=float(s.upper[j])))
+
+    def audit_2d(s: AnchorSamples, case) -> None:
+        # t3, t5 and corrected at p, t4 at q, from one set of samples
+        db = unchecked(DerivativeBounds, lower=s.lower, upper=s.upper)
+        if p_rules:
+            terms = s.terms(0)
+            for rule in p_rules:
+                tally(rule, _RULES_2D[rule](terms, db),
+                      lambda j: dict(case(j), point=s.xy[j, 0].tolist()))
+        if "t4" in tallies:
+            tally("t4", qiaoling_from_terms(s.terms(at_q), db, Lambda(lam)),
+                  lambda j: dict(case(j), point=s.xy[j, at_q].tolist(), **{"lambda": lam}))
+
+    def per_trial(chunk: list, one, two) -> tuple[int, Optional[EngineError]]:
+        """Take on its own, in trial order, each trial part that stacking
+        cannot give, and raise t4's error for an anchor outside its box.
+        Returns how many leading trials can be audited, and the error of
+        the next one (None if there is none)."""
+        own_1d = set() if one is None else set(np.flatnonzero(~one[1]).tolist())
+        own_2d = set() if two is None else set(np.flatnonzero(~two[1]).tolist())
+        outside = set()
+        if "t4" in tallies:
+            at = two[0].terms(at_q)
+            outside = set(np.flatnonzero(~in_lambda_box(at.rect, at.point, lam)).tolist())
+        for j in sorted(own_1d | own_2d | outside):
+            trial = chunk[j]
+            try:
+                if j in own_1d:
+                    terms, d_lo, d_hi = _trial_terms_1d(trial, ends)
+                    magnitude = max(abs(d_lo), abs(d_hi))
+                    # the bounds t1 and t2 take raise on a non-finite range
+                    if "t1" in tallies:
+                        DerivativeBound1D.abs_bound(magnitude)
+                    if "t2" in tallies:
+                        DerivativeBound1D.from_range(d_lo, d_hi)
+                    one[0].put(j, terms, d_lo, d_hi, magnitude)
+                if j in own_2d:
+                    two[0].put(j, *_trial_terms_2d(trial, anchors))
+                if j in outside:
+                    r = make_rectangle(*trial.rect)
+                    _require_lambda_box(r, make_point(r, *trial.q), lam)
+            except EngineError as exc:
+                return j, exc
+        return len(chunk), None
+
+    def audit(fixtures, chunk: list, one, two) -> None:
+        """Audit the fixtures' rows (unless fixtures is None), then those of
+        the chunk's trials (one, two: their samples), as one column."""
         if one_variable:
-            base = {"source": f"fixture:{name}", "seed": None, "expr": text,
-                    "interval": [0.0, 1.0], "x": x}
-            terms = interval_terms(_univariate_from_text(text), Interval1D(0.0, 1.0), x,
-                                   _VERIFY_CFG, ends=ends)
-            audit_1d(terms, lambda base=base: base, magnitude, lo, hi)
-
-    unit = make_rectangle(0.0, 1.0, 0.0, 1.0)
-    centre = make_point(unit, 0.5, 0.5)
-    for name, text, lo, hi in _FIXTURES_2D:
+            s, lead = join(fixtures and fixtures[0], one)
+            audit_1d(s, lambda j: _fixture_case_1d(j) if j < lead
+                     else _trial_case_1d(chunk[j - lead]))
         if two_variable:
-            base = {"source": f"fixture:{name}", "seed": None, "expr": text,
-                    "rect": [0.0, 1.0, 0.0, 1.0], "point": [0.5, 0.5],
-                    "lower": lo, "upper": hi}
-            terms = anchor_terms(_bivariate_from_text(text), unit, [centre] * len(anchors),
-                                 _VERIFY_CFG)
-            audit_2d(terms, DerivativeBounds(lo, hi), lambda base=base: base,
-                     [0.5, 0.5], [0.5, 0.5])
+            s, lead = join(fixtures and fixtures[1], two)
+            audit_2d(s, lambda j: _fixture_case_2d(j) if j < lead
+                     else _trial_case_2d(chunk[j - lead], float(s.lower[j]), float(s.upper[j])))
 
+    # the fixtures' rows are audited in front of the first chunk's
+    fixtures = _fixture_samples(len(anchors), ends)
     for start in range(0, opts["trials"], _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, opts["trials"])
         chunk = [_draw_trial(opts["seed"], k, degree, lam) for k in range(start, stop)]
-        unused = [None] * len(chunk)
-        stacked_1d = _stacked_1d(chunk, degree, ends) if one_variable else unused
-        stacked_2d = _stacked_2d(chunk, degree, anchors) if two_variable else unused
-        for trial, one, two in zip(chunk, stacked_1d, stacked_2d):
-            if one_variable:
-                terms, d_lo, d_hi = one or _trial_terms_1d(trial, ends)
-                audit_1d(terms, _trial_case_1d(trial), max(abs(d_lo), abs(d_hi)),
-                         d_lo, d_hi)
-            if two_variable:
-                terms, db = two or _trial_terms_2d(trial, anchors)
-                audit_2d(terms, db, _trial_case_2d(trial, db), list(trial.p), list(trial.q))
+        one = sample_1d(chunk, degree) if one_variable else None
+        two = sample_2d(chunk, degree, anchors) if two_variable else None
+        n, error = per_trial(chunk, one, two)
+        if fixtures is not None or n:
+            audit(fixtures, chunk, one and rows(one[0], n), two and rows(two[0], n))
+        fixtures = None
+        if error is not None:
+            raise error
+    if fixtures is not None:
+        audit(fixtures, [], None, None)
 
     report = VerifyReport(
         rules={rule: tallies[rule].summary() for rule in rules},
@@ -798,7 +711,7 @@ def _resolve_point(r: Rectangle, coords: Optional[list]) -> EvalPoint:
 
 
 def _run_enclose(opts: dict) -> tuple[dict, dict, int]:
-    f = to_bivariate(parse_expression(opts["f"]))
+    f = _bivariate_from_text(opts["f"])
     r = make_rectangle(*opts["rect"])
     m, n = opts["subdivide"]
     q = QuadConfig()
@@ -832,7 +745,7 @@ def _run_enclose(opts: dict) -> tuple[dict, dict, int]:
 
 
 def _run_identity(opts: dict) -> tuple[dict, dict, int]:
-    f = to_bivariate(parse_expression(opts["f"]))
+    f = _bivariate_from_text(opts["f"])
     r = make_rectangle(*opts["rect"])
     pt = _resolve_point(r, opts["point"])
     report = identity_report(f, r, pt, QuadConfig(), tol=opts["tol"])
@@ -858,7 +771,7 @@ def _run_identity(opts: dict) -> tuple[dict, dict, int]:
 
 
 def _run_compare(opts: dict) -> tuple[dict, dict, int]:
-    f = to_bivariate(parse_expression(opts["f"]))
+    f = _bivariate_from_text(opts["f"])
     r = make_rectangle(*opts["rect"])
     pt = _resolve_point(r, opts["point"])
     estimated = opts["bounds"] == "auto"

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 __all__ = [
     "EngineError",
     "DegenerateDomain",
@@ -31,7 +33,31 @@ __all__ = [
     "make_rectangle",
     "make_point",
     "derivative_bounds",
+    "square",
+    "unchecked",
 ]
+
+
+def square(v):
+    """v ** 2 through Python's float power (libm pow), for a float or for
+    each entry of an array. numpy's square (v * v) differs from pow in the
+    last bit for some v, so formulas that take either kind square this
+    way to give an array entry the bits of the float."""
+    if isinstance(v, np.ndarray):
+        return np.array([entry ** 2 for entry in v.tolist()])
+    return v ** 2
+
+
+def unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls with the given fields, made
+    without its __post_init__ checks: for a column of values (arrays with
+    one entry per case) that the caller has checked entry by entry. The
+    properties and formulas over such an instance give, entry by entry,
+    the bits they give on one checked instance."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class EngineError(Exception):

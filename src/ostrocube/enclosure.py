@@ -62,6 +62,7 @@ from .core import (
     EvalPoint,
     QuadConfig,
     Rectangle,
+    square,
 )
 from .identity import corrected_from_terms
 from .quadrature import (
@@ -142,9 +143,9 @@ def _axis_terms(
     of kernels.signed_moment and kernels.abs_moment."""
     lo, hi = edges[:-1], edges[1:]
     weights = (0.75 * (hi - lo), 0.25 * (anchors - lo), 0.25 * (hi - anchors))
-    # float ** as in kernels, so every cell's moments keep their bits
-    left = np.array([(x - a) ** 2 for a, x in zip(lo.tolist(), anchors.tolist())])
-    right = np.array([(b - x) ** 2 for b, x in zip(hi.tolist(), anchors.tolist())])
+    # squared as in kernels, so every cell's moments keep their bits
+    left = square(anchors - lo)
+    right = square(hi - anchors)
     return weights, left - right, left + right
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EngineError, EvalPoint, Interval1D, Rectangle
+from .core import EngineError, EvalPoint, Interval1D, Rectangle, square
 
 __all__ = [
     "OutOfRange",
@@ -131,7 +131,7 @@ def signed_moment(r: Rectangle, pt: EvalPoint) -> float:
     a, b = r.t_axis.lo, r.t_axis.hi
     c, d = r.s_axis.lo, r.s_axis.hi
     x, y = pt.x, pt.y
-    return ((y - c) ** 2 - (d - y) ** 2) * ((x - a) ** 2 - (b - x) ** 2) / 16.0
+    return (square(y - c) - square(d - y)) * (square(x - a) - square(b - x)) / 16.0
 
 
 def abs_moment(r: Rectangle, pt: EvalPoint) -> float:
@@ -141,7 +141,7 @@ def abs_moment(r: Rectangle, pt: EvalPoint) -> float:
     x, y = pt.x, pt.y
     return (
         25.0
-        * ((y - c) ** 2 + (d - y) ** 2)
-        * ((x - a) ** 2 + (b - x) ** 2)
+        * (square(y - c) + square(d - y))
+        * (square(x - a) + square(b - x))
         / 256.0
     )

@@ -32,6 +32,14 @@ rule's hand-written sum to them, and the `*_functional` functions are the
 one-anchor case. The 1D rules t1 and t2 likewise read one integral and
 their point values (`interval_terms`, `IntervalTerms`). Every result keeps
 the bits of evaluating the rule's terms one by one.
+
+The `*_from_terms` functions are also the audit's array path: given terms,
+rectangles, points and bounds whose fields hold numpy arrays with one
+entry per case (built with `core.unchecked`), each returns a RuleOutcome
+of arrays whose entries equal, bit for bit, the outcome of each case on
+its own. Every operation of the formulas is elementwise IEEE arithmetic
+except squaring, which goes through `core.square` so that an array entry
+is squared by the same libm pow as a float.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .core import (
     QuadConfig,
     Rectangle,
     UnivariateFunction,
+    square,
 )
 from .quadrature import (
     _axis_quadrature,
@@ -70,6 +79,7 @@ __all__ = [
     "IntervalTerms",
     "AnchorTerms",
     "default_slack",
+    "in_lambda_box",
     "interval_terms",
     "anchor_terms",
     "ostrowski_from_terms",
@@ -196,7 +206,7 @@ def cheng_from_terms(
         - ((x - b) * terms.at_hi - (x - a) * terms.at_lo) / (2.0 * length)
         - avg
     )
-    rhs = ((x - a) ** 2 + (b - x) ** 2) / (8.0 * length) * (b1.upper - b1.lower)
+    rhs = (square(x - a) + square(b - x)) / (8.0 * length) * (b1.upper - b1.lower)
     return _outcome(lhs, rhs, slack)
 
 
@@ -338,8 +348,8 @@ def sarikaya_from_terms(
         + terms.double / area
     )
     rhs = (
-        ((x - a) ** 2 + (b - x) ** 2)
-        * ((y - c) ** 2 + (d - y) ** 2)
+        (square(x - a) + square(b - x))
+        * (square(y - c) + square(d - y))
         / (32.0 * area)
         * (db.upper - db.lower)
     )
@@ -362,15 +372,24 @@ def _lambda_box(iv: Interval1D, lam: float) -> tuple[float, float]:
     return iv.lo + shrink, iv.hi - shrink
 
 
-def _require_lambda_box(r: Rectangle, pt: EvalPoint, lv: float) -> None:
+def in_lambda_box(r: Rectangle, pt: EvalPoint, lv: float):
+    """Whether pt lies in t4's shrunken box, up to 1e-12 of each side;
+    one bool per entry where r and pt hold columns."""
     x, y = pt.x, pt.y
     tol_t = 1e-12 * r.t_axis.length
     tol_s = 1e-12 * r.s_axis.length
     x_lo, x_hi = _lambda_box(r.t_axis, lv)
     y_lo, y_hi = _lambda_box(r.s_axis, lv)
-    if not (x_lo - tol_t <= x <= x_hi + tol_t and y_lo - tol_s <= y <= y_hi + tol_s):
+    return ((x_lo - tol_t <= x) & (x <= x_hi + tol_t)
+            & (y_lo - tol_s <= y) & (y <= y_hi + tol_s))
+
+
+def _require_lambda_box(r: Rectangle, pt: EvalPoint, lv: float) -> None:
+    if not np.all(in_lambda_box(r, pt, lv)):
+        x_lo, x_hi = _lambda_box(r.t_axis, lv)
+        y_lo, y_hi = _lambda_box(r.s_axis, lv)
         raise PointOutsideLambdaBox(
-            f"point ({x}, {y}) outside [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}] "
+            f"point ({pt.x}, {pt.y}) outside [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}] "
             f"for lambda={lv}"
         )
 
@@ -402,8 +421,8 @@ def qiaoling_from_terms(
     rhs = (
         db.halfwidth
         / r.area
-        * (shape * r.t_axis.length ** 2 / 4.0 + u * u)
-        * (shape * r.s_axis.length ** 2 / 4.0 + v * v)
+        * (shape * square(r.t_axis.length) / 4.0 + u * u)
+        * (shape * square(r.s_axis.length) / 4.0 + v * v)
     )
     return _outcome(lhs, rhs, slack)
 
@@ -464,7 +483,8 @@ def quarter_rule_from_terms(
     int_xs, int_as, int_bs = terms.along_s
     kx = 3.0 * (x - a) - (b - x)
     ky = 3.0 * (y - c) - (d - y)
-    signed_factor = ((y - c) ** 2 - (d - y) ** 2) * ((x - a) ** 2 - (b - x) ** 2)
+    yc, dy, xa, bx = square(y - c), square(d - y), square(x - a), square(b - x)
+    signed_factor = (yc - dy) * (xa - bx)
     lhs = abs(
         quarter_rule_anchor_weight(r, pt) * terms.values[0][0] / 16.0
         + _quarter_rule_boundary_term(r, pt, terms.values) / 16.0
@@ -477,8 +497,8 @@ def quarter_rule_from_terms(
     )
     rhs = (
         25.0
-        * ((y - c) ** 2 + (d - y) ** 2)
-        * ((x - a) ** 2 + (b - x) ** 2)
+        * (yc + dy)
+        * (xa + bx)
         / (512.0 * area)
         * (db.upper - db.lower)
     )

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ostrocube import (
@@ -17,6 +18,7 @@ from ostrocube import (
     make_point,
     make_rectangle,
 )
+from ostrocube.core import square, unchecked
 from ostrocube.expr import XorShift64Star
 
 
@@ -150,3 +152,18 @@ def test_interval_midpoint_and_contains():
     assert iv.contains(-1.0) and not iv.contains(3.0 + 1e-9)
     assert iv.contains(3.0 + 1e-9, slop=1e-8)
     assert not math.isnan(iv.midpoint)
+
+
+def test_square_gives_each_array_entry_the_bits_of_float_pow():
+    # numpy's own square (v * v) differs from libm pow in the last bit for
+    # some v; the array rules of verify must match their float forms
+    values = np.random.default_rng(3).uniform(-2.0, 2.0, 20000)
+    assert square(values).tolist() == [v ** 2 for v in values.tolist()]
+    assert square(0.3) == 0.3 ** 2
+
+
+def test_unchecked_holds_columns_that_the_properties_read_per_entry():
+    lo, hi = np.array([0.0, -1.0]), np.array([0.5, 2.0])
+    column = unchecked(Interval1D, lo=lo, hi=hi)
+    assert column.length.tolist() == [Interval1D(0.0, 0.5).length, Interval1D(-1.0, 2.0).length]
+    assert column.midpoint.tolist() == [0.25, 0.5]

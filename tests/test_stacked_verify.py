@@ -9,13 +9,15 @@ per-trial path.
 """
 
 import io
+import math
 import tracemalloc
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from helpers import reference_run_verify
-from ostrocube import cli
+from ostrocube import cli, stacked
 
 _SUBSETS = ("t1,t2", "t3,corrected", "t4", "t5", "t1", "t2,t4", "t3,t4,t5")
 
@@ -122,6 +124,37 @@ def test_non_finite_samples_fail_as_the_per_trial_loop_does(monkeypatch, capsys,
     assert err.startswith("numerical failure: ")
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+@pytest.mark.parametrize("field, degree", [("interval", 6), ("rect", 0)])
+def test_degenerate_domains_fail_as_the_per_trial_loop_does(monkeypatch, capsys, field, degree):
+    # a constant f has finite samples on an infinite rectangle; t3 and t4
+    # are left out, as their re-checks would fail on it too
+    trial = cli._draw_trial(5, 3, degree, 0.0)
+    a, _, c, d = trial.rect
+    bad = {"interval": (trial.x, trial.x), "rect": (a, math.inf, c, d)}[field]
+    crafted = {3: trial._replace(**{field: bad})}
+    argv = ["--trials", "6", "--seed", "5", "--degree", str(degree), "--rules", "t2,t5"]
+    code, out = _run(monkeypatch, argv, crafted)
+    err = capsys.readouterr().err
+    assert (code, out, err) == (*_run(monkeypatch, argv, crafted, reference=True),
+                                capsys.readouterr().err)
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_one_chunk_runs_five_stacked_programs(monkeypatch):
+    # one run each per chunk, whatever its size: g at its point, ends and
+    # nodes; g'; f at its points and lines; f on both split double-integral
+    # grids; the mixed partial
+    runs = []
+    run_program = stacked.run_program
+    monkeypatch.setattr(stacked, "run_program",
+                        lambda *args: runs.append(args) or run_program(*args))
+    code, _ = _run(monkeypatch, ["--trials", "1", "--seed", "1"])
+    assert code == 0
+    assert len(runs) == 5
+
+
 def test_stacked_audit_memory_stays_small():
     # each intermediate of the stacked templates is dropped after its last
     # use: 4.1 MiB traced at the peak, 13 MiB when every one is kept
@@ -139,12 +172,23 @@ def test_stacked_audit_memory_stays_small():
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 @pytest.mark.parametrize("degree", range(7))
 def test_stacked_terms_equal_per_trial_terms(degree, lam):
-    # every trial's samples, not only the ones a document shows
+    # every trial's samples, not only the ones a document shows: the rows
+    # the stack gives equal the rows that each trial's own terms fill in
     trials = [cli._draw_trial(500 + degree, k, degree, lam) for k in range(64)]
     anchors = ("p", "q")
-    one = cli._stacked_1d(trials, degree, True)
-    two = cli._stacked_2d(trials, degree, anchors)
-    for trial, got_1d, got_2d in zip(trials, one, two):
-        assert got_1d is not None and got_2d is not None
-        assert got_1d == cli._trial_terms_1d(trial, True)
-        assert got_2d == cli._trial_terms_2d(trial, anchors)
+    one, ok_1d = stacked.sample_1d(trials, degree)
+    two, ok_2d = stacked.sample_2d(trials, degree, anchors)
+    assert ok_1d.all() and ok_2d.all()
+    own_1d = type(one)(*(field.copy() for field in one))
+    own_2d = type(two)(*(field.copy() for field in two))
+    for j, trial in enumerate(trials):
+        terms, d_lo, d_hi = cli._trial_terms_1d(trial, True)
+        assert own_1d.interval[j].tolist() == [terms.iv.lo, terms.iv.hi]
+        assert own_1d.x[j] == terms.x
+        own_1d.put(j, terms, d_lo, d_hi, max(abs(d_lo), abs(d_hi)))
+        terms, db = cli._trial_terms_2d(trial, anchors)
+        assert own_2d.rect[j].tolist() == list(trial.rect)
+        assert own_2d.xy[j].tolist() == [[pt.point.x, pt.point.y] for pt in terms]
+        own_2d.put(j, terms, db)
+    for got, own in zip((*one, *two), (*own_1d, *own_2d)):
+        assert np.array_equal(got, own)
