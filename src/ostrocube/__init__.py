@@ -58,7 +58,6 @@ from .identity import (
     full_expansion_verbatim,
     identity_report,
     kernel_weighted_integral,
-    quadrant_expansion_derived,
     quadrant_expansion_verbatim,
 )
 from .kernels import (
@@ -80,7 +79,6 @@ from .quadrature import (
     gl_rule,
     integrate_1d,
     integrate_2d,
-    mixed_partial_fd,
 )
 from .rules import (
     Lambda,
@@ -90,7 +88,6 @@ from .rules import (
     ostrowski_1d,
     qiaoling_functional,
     quarter_rule_functional,
-    sarikaya_H,
     sarikaya_functional,
 )
 

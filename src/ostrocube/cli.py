@@ -102,7 +102,6 @@ from .identity import full_expansion_derived  # noqa: F401
 __all__ = [
     "UsageError",
     "CliInvocation",
-    "VerifyReport",
     "parse_args",
     "run",
     "main",
@@ -525,24 +524,6 @@ class _RuleTally:
         }
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Audit outcome: per-rule tallies with self-reproducing worst cases
-    (re-running a worst_case record through the same rule reproduces its
-    recorded lhs and rhs exactly), the corpus descriptor, tool version."""
-
-    rules: dict
-    corpus: dict
-    tool_version: str
-
-    def as_results(self) -> dict:
-        return {
-            "rules": self.rules,
-            "corpus": self.corpus,
-            "tool_version": self.tool_version,
-        }
-
-
 def _run_verify(opts: dict) -> tuple[dict, dict, int]:
     """The rule audit: the fixtures, then the random trials in chunks.
 
@@ -676,9 +657,9 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
     if fixtures is not None:
         audit(fixtures, [], None, None)
 
-    report = VerifyReport(
-        rules={rule: tallies[rule].summary() for rule in rules},
-        corpus={
+    results = {
+        "rules": {rule: tallies[rule].summary() for rule in rules},
+        "corpus": {
             "trials": opts["trials"],
             "seed": opts["seed"],
             "degree": opts["degree"],
@@ -687,9 +668,8 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
             "fixtures_2d": [name for name, *_ in _FIXTURES_2D],
             "domain": [-1.0, 1.0],
         },
-        tool_version=__version__,
-    )
-    results = report.as_results()
+        "tool_version": __version__,
+    }
     total_violations = sum(t.violations for t in tallies.values())
     exit_code = 0
     for rule in opts["expect_hold"]:

@@ -40,11 +40,11 @@ __all__ = [
 
 def square(v):
     """v ** 2 through Python's float power (libm pow), for a float or for
-    each entry of an array. numpy's square (v * v) differs from pow in the
-    last bit for some v, so formulas that take either kind square this
-    way to give an array entry the bits of the float."""
+    each entry of an array of any shape. numpy's square (v * v) differs
+    from pow in the last bit for some v, so formulas that take either kind
+    square this way to give an array entry the bits of the float."""
     if isinstance(v, np.ndarray):
-        return np.array([entry ** 2 for entry in v.tolist()])
+        return np.array([entry ** 2 for entry in v.ravel().tolist()]).reshape(v.shape)
     return v ** 2
 
 

@@ -60,11 +60,13 @@ from .core import (
     Enclosure,
     EngineError,
     EvalPoint,
+    Interval1D,
     QuadConfig,
     Rectangle,
-    square,
+    unchecked,
 )
-from .identity import corrected_from_terms
+from .identity import corrected_from_terms, expansion_weights
+from .kernels import abs_moment, signed_moment
 from .quadrature import (
     _check_finite,
     cell_bounds,
@@ -134,21 +136,6 @@ class ComparisonReport:
     violated: dict
 
 
-def _axis_terms(
-    edges: np.ndarray, anchors: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Per-axis data of the cells [edges[i], edges[i+1]] anchored at
-    anchors[i]: the weights of the boundary-functional nodes (anchor, lo,
-    hi) as identity.expansion_weights gives them, and the per-axis factors
-    of kernels.signed_moment and kernels.abs_moment."""
-    lo, hi = edges[:-1], edges[1:]
-    weights = (0.75 * (hi - lo), 0.25 * (anchors - lo), 0.25 * (hi - anchors))
-    # squared as in kernels, so every cell's moments keep their bits
-    left = square(anchors - lo)
-    right = square(hi - anchors)
-    return weights, left - right, left + right
-
-
 def _assemble(
     f: BivariateFunction,
     t_edges: np.ndarray,
@@ -167,8 +154,16 @@ def _assemble(
     array has shape (m, n).
     """
     m, n = len(t_anchors), len(s_anchors)
-    wt, t_signed, t_abs = _axis_terms(t_edges, t_anchors)
-    ws, s_signed, s_abs = _axis_terms(s_edges, s_anchors)
+    # every cell at once: t columns and s rows, so a formula over one
+    # rectangle and anchor gives each cell's value at [i, j]
+    cells = unchecked(
+        Rectangle,
+        t_axis=unchecked(Interval1D, lo=t_edges[:-1, None], hi=t_edges[1:, None]),
+        s_axis=unchecked(Interval1D, lo=s_edges[None, :-1], hi=s_edges[None, 1:]),
+    )
+    anchors = unchecked(EvalPoint, x=t_anchors[:, None], y=s_anchors[None, :])
+    _, wt = expansion_weights(cells.t_axis, anchors.x)
+    _, ws = expansion_weights(cells.s_axis, anchors.y)
     # each axis's line positions: anchors first, then edges, so a cell's
     # nodes (anchor, lo, hi) are the rows i, m + i and m + i + 1
     t_at = np.concatenate((t_anchors, t_edges))
@@ -192,12 +187,12 @@ def _assemble(
     abs_mass = np.zeros((m, n))
     for rt, w_t in zip(t_rows, wt):
         for rs, w_s in zip(s_rows, ws):
-            term = w_t[:, None] * w_s[None, :] * values[rt, rs]
+            term = w_t * w_s * values[rt, rs]
             points += term
             abs_mass += np.abs(term)
 
-    cell_lines = [(w[:, None], t_base[rt], t_fine[rt]) for rt, w in zip(t_rows, wt)]
-    cell_lines += [(w[None, :], s_base[:, rs], s_fine[:, rs]) for rs, w in zip(s_rows, ws)]
+    cell_lines = [(w, t_base[rt], t_fine[rt]) for rt, w in zip(t_rows, wt)]
+    cell_lines += [(w, s_base[:, rs], s_fine[:, rs]) for rs, w in zip(s_rows, ws)]
     lines = np.zeros((m, n))
     truncation = np.zeros((m, n))
     for w, base, fine in cell_lines:
@@ -205,14 +200,14 @@ def _assemble(
         truncation += w * np.abs(base - fine)
         abs_mass += np.abs(w * base)
 
-    ms = midpoint * (s_signed[None, :] * t_signed[:, None] / 16.0)
+    ms = midpoint * signed_moment(cells, anchors)
     abs_mass += np.abs(ms)
     center = ms - points + lines
     # truncation from the two-resolution comparison, roundoff proportional
     # to the absolute mass of the assembled terms; the config's abs_tol
     # floor is added once per enclosure by the callers
     pad = truncation + 48.0 * _EPS * abs_mass
-    moment = halfwidth * (25.0 * s_abs[None, :] * t_abs[:, None] / 256.0)
+    moment = halfwidth * abs_moment(cells, anchors)
     return center, pad, moment
 
 

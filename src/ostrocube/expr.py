@@ -69,7 +69,6 @@ __all__ = [
     "polynomial",
     "polynomial_1d",
     "random_polynomial",
-    "random_polynomial_1d",
     "Program",
     "compile_expr",
     "run_program",
@@ -1088,9 +1087,3 @@ def random_polynomial(rng: XorShift64Star, max_degree: int = 6) -> ExprNode:
     """Dense random polynomial in t and s (draw_polynomial, polynomial)."""
     return polynomial(draw_polynomial(rng, max_degree))
 
-
-def random_polynomial_1d(
-    rng: XorShift64Star, max_degree: int = 6, var: str = "t"
-) -> ExprNode:
-    """Dense random univariate polynomial with coefficients in [-1, 1]."""
-    return polynomial_1d(draw_polynomial_1d(rng, max_degree), var)

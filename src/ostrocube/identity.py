@@ -73,7 +73,6 @@ __all__ = [
     "QuadrantComparison",
     "kernel_weighted_integral",
     "quadrant_expansion_verbatim",
-    "quadrant_expansion_derived",
     "quadrant_oracle",
     "verbatim_from_terms",
     "full_expansion_verbatim",
@@ -222,15 +221,6 @@ def quadrant_expansion_verbatim(
     """The stated right-hand side for one quadrant, kept term for term; the
     audit reports where it differs from the derived form."""
     return _quadrant_expansions(_quadrant_samples(f, r, pt, q), quad)[0]
-
-
-def quadrant_expansion_derived(
-    f: BivariateFunction, r: Rectangle, pt: EvalPoint, quad: Quadrant, q: QuadConfig
-) -> float:
-    """One quadrant of the derived expansion: per-branch endpoint weights
-    3w/4 on the anchor and w/4 on the far endpoint, all signs positive on
-    the point block."""
-    return _quadrant_expansions(_quadrant_samples(f, r, pt, q), quad)[1]
 
 
 def verbatim_from_terms(terms: AnchorTerms) -> float:

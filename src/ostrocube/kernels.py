@@ -14,14 +14,15 @@ test suite before anything else relies on them:
     integral of k        = ((x-lo)^2 - (hi-x)^2) / 4
     integral of |k|      = 5 ((x-lo)^2 + (hi-x)^2) / 16
 
-The two-variable moments are the products of the per-axis factors.
+The two-variable moments are the products of the per-axis factors. Over
+a rectangle and point whose fields are arrays that broadcast (built with
+`core.unchecked`), they give each entry the bits of its own case; the
+grid assembler in `enclosure` takes every cell's moments this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import EngineError, EvalPoint, Interval1D, Rectangle, square
 
@@ -30,7 +31,6 @@ __all__ = [
     "AnchorOnBoundary",
     "Kernel1D",
     "kernel_eval",
-    "kernel_values",
     "kernel_jump",
     "signed_moment_1d",
     "abs_moment_1d",
@@ -82,12 +82,6 @@ def kernel_eval(k: Kernel1D, t: float) -> float:
     if t <= k.anchor:
         return t - k.left_offset
     return t - k.right_offset
-
-
-def kernel_values(k: Kernel1D, ts: np.ndarray) -> np.ndarray:
-    """Vectorized kernel_eval without range checks (caller guarantees)."""
-    ts = np.asarray(ts, dtype=float)
-    return np.where(ts <= k.anchor, ts - k.left_offset, ts - k.right_offset)
 
 
 def kernel_jump(k: Kernel1D) -> tuple[float, float]:

@@ -73,7 +73,6 @@ __all__ = [
     "integrate_2d",
     "grid_values",
     "line_integrals",
-    "mixed_partial_fd",
     "estimate_bounds",
     "cell_bounds",
     "default_fd_steps",
@@ -375,24 +374,6 @@ def line_integrals(
                                   else f"{f.label}(., {at_j})")
             out[i:i + len(x), rb] = sums
     return out
-
-
-def mixed_partial_fd(f, t: float, s: float, h_t: float, h_s: float) -> float:
-    """Cross central difference for d2f/dtds.
-
-    (f(t+h,s+k) - f(t+h,s-k) - f(t-h,s+k) + f(t-h,s-k)) / (4hk); exact for
-    bilinear functions at any step.
-    """
-    f = as_bivariate(f)
-    v = (
-        f.eval(t + h_t, s + h_s)
-        - f.eval(t + h_t, s - h_s)
-        - f.eval(t - h_t, s + h_s)
-        + f.eval(t - h_t, s - h_s)
-    ) / (4.0 * h_t * h_s)
-    if not np.isfinite(v):
-        raise NonFiniteSample(f"non-finite mixed-partial stencil at ({t}, {s})")
-    return float(v)
 
 
 def default_fd_steps(r: Rectangle) -> tuple[float, float]:

@@ -86,13 +86,11 @@ __all__ = [
     "cheng_from_terms",
     "ostrowski_1d",
     "cheng_1d",
-    "sarikaya_H",
     "sarikaya_from_terms",
     "sarikaya_functional",
     "qiaoling_from_terms",
     "qiaoling_functional",
     "quarter_rule_anchor_weight",
-    "quarter_rule_boundary_term",
     "quarter_rule_from_terms",
     "quarter_rule_functional",
 ]
@@ -309,7 +307,9 @@ def anchor_terms(
     ]
 
 
-def _sarikaya_H(r: Rectangle, pt: EvalPoint, v: Values3x3) -> float:
+def _t3_boundary(r: Rectangle, pt: EvalPoint, v: Values3x3) -> float:
+    """Boundary-value combination H of t3 from the 3x3 values: one corner
+    block over the area plus one edge block per axis."""
     a, b, c, d = _axes(r)
     x, y = pt.x, pt.y
     (_, f_xc, f_xd), (f_ay, f_ac, f_ad), (f_by, f_bc, f_bd) = v
@@ -320,12 +320,6 @@ def _sarikaya_H(r: Rectangle, pt: EvalPoint, v: Values3x3) -> float:
     edge_t = ((x - a) * f_ay + (b - x) * f_by) / r.t_axis.length
     edge_s = ((y - c) * f_xc + (d - y) * f_xd) / r.s_axis.length
     return corner + edge_t + edge_s
-
-
-def sarikaya_H(f: BivariateFunction, r: Rectangle, pt: EvalPoint) -> float:
-    """Boundary-value combination of the midpoint-kernel rule: one corner
-    block over the area plus one edge block per axis."""
-    return _sarikaya_H(r, pt, _anchor_values(f, r, [pt])[0])
 
 
 def sarikaya_from_terms(
@@ -340,7 +334,7 @@ def sarikaya_from_terms(
     int_xs, int_as, int_bs = terms.along_s
     lhs = abs(
         0.25 * terms.values[0][0]
-        + 0.25 * _sarikaya_H(r, pt, terms.values)
+        + 0.25 * _t3_boundary(r, pt, terms.values)
         - int_ty / (2.0 * r.t_axis.length)
         - int_xs / (2.0 * r.s_axis.length)
         - ((y - c) * int_tc + (d - y) * int_td) / (2.0 * area)
@@ -448,7 +442,9 @@ def quarter_rule_anchor_weight(r: Rectangle, pt: EvalPoint) -> float:
     return (3.0 * (x - a) - (b - x)) * (3.0 * (y - c) - (d - y)) / r.area
 
 
-def _quarter_rule_boundary_term(r: Rectangle, pt: EvalPoint, v: Values3x3) -> float:
+def _t5_boundary(r: Rectangle, pt: EvalPoint, v: Values3x3) -> float:
+    """Boundary-value combination H of t5 from the 3x3 values: the four
+    stated blocks summed, divided by the area."""
     a, b, c, d = _axes(r)
     x, y = pt.x, pt.y
     (_, f_xc, f_xd), (f_ay, f_ac, f_ad), (f_by, f_bc, f_bd) = v
@@ -461,14 +457,6 @@ def _quarter_rule_boundary_term(r: Rectangle, pt: EvalPoint, v: Values3x3) -> fl
         + (3.0 * (d - y) * f_bd - (y - c) * f_bc) * (b - x)
     )
     return blocks / r.area
-
-
-def quarter_rule_boundary_term(
-    f: BivariateFunction, r: Rectangle, pt: EvalPoint
-) -> float:
-    """Boundary-value combination H of the quarter-kernel rule: the four
-    stated blocks summed, divided by the area."""
-    return _quarter_rule_boundary_term(r, pt, _anchor_values(f, r, [pt])[0])
 
 
 def quarter_rule_from_terms(
@@ -487,7 +475,7 @@ def quarter_rule_from_terms(
     signed_factor = (yc - dy) * (xa - bx)
     lhs = abs(
         quarter_rule_anchor_weight(r, pt) * terms.values[0][0] / 16.0
-        + _quarter_rule_boundary_term(r, pt, terms.values) / 16.0
+        + _t5_boundary(r, pt, terms.values) / 16.0
         - kx * int_xs / (4.0 * area)
         - ky * int_ty / (4.0 * area)
         - (3.0 * (b - x) * int_bs - (x - a) * int_as) / (4.0 * area)

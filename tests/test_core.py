@@ -160,6 +160,15 @@ def test_square_gives_each_array_entry_the_bits_of_float_pow():
     values = np.random.default_rng(3).uniform(-2.0, 2.0, 20000)
     assert square(values).tolist() == [v ** 2 for v in values.tolist()]
     assert square(0.3) == 0.3 ** 2
+    # an array of any shape: a 2x3 block of values for which numpy's square
+    # misses pow's last bit
+    block = np.array([[1.9370793198511116, 1.360633979563148, -1.1872896613409183],
+                      [-1.5235834214368071, -1.0892768296116935, -0.34583984976660265]])
+    got = square(block)
+    assert got.shape == (2, 3) and not np.array_equal(got, np.square(block))
+    assert [v.hex() for v in got.ravel().tolist()] == [
+        (v ** 2).hex() for v in block.ravel().tolist()
+    ]
 
 
 def test_unchecked_holds_columns_that_the_properties_read_per_entry():

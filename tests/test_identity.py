@@ -13,7 +13,6 @@ from ostrocube import (
     make_point,
     make_rectangle,
     parse_expression,
-    quadrant_expansion_derived,
     quadrant_expansion_verbatim,
     signed_moment,
     to_bivariate,
@@ -80,7 +79,7 @@ def test_quadrant_verbatim_sign_defect_on_affine_slab():
     assert got == pytest.approx(-1 / 16, abs=1e-12)
     oracle = quadrant_oracle(AFFINE_SLAB, UNIT, CORNER, Quadrant.LL, Q)
     assert oracle == pytest.approx(1 / 16, abs=1e-12)
-    derived = quadrant_expansion_derived(AFFINE_SLAB, UNIT, CORNER, Quadrant.LL, Q)
+    derived = identity_report(AFFINE_SLAB, UNIT, CORNER, Q).per_quadrant[Quadrant.LL].derived
     assert derived == pytest.approx(1 / 16, abs=1e-12)
 
 
@@ -154,9 +153,8 @@ def test_derived_equals_quadrant_sum():
         r = make_rectangle(-0.4, 0.8, -0.1, 1.0)
         pt = make_point(r, 0.3, 0.55)
         full = full_expansion_derived(f, r, pt, Q)
-        parts = sum(
-            quadrant_expansion_derived(f, r, pt, quad, Q) for quad in Quadrant
-        )
+        per_quadrant = identity_report(f, r, pt, Q).per_quadrant
+        parts = sum(per_quadrant[quad].derived for quad in Quadrant)
         assert abs(full - parts) <= 1e-12 * (1 + abs(full))
 
 

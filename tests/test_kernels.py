@@ -138,15 +138,3 @@ def test_moments_2d_against_brute_force():
         brute_abs = brute_kernel_moment_2d(a, b, c, d, x, y, absolute=True)
         assert abs(signed_moment(r, pt) - brute_signed) <= 1e-8 * (1 + abs(brute_signed))
         assert abs(abs_moment(r, pt) - brute_abs) <= 1e-8 * (1 + abs(brute_abs))
-
-
-def test_kernel_values_matches_scalar_eval():
-    import numpy as np
-
-    from ostrocube.kernels import kernel_values
-
-    k = Kernel1D(Interval1D(0.0, 1.0), 0.3)
-    ts = np.linspace(0.0, 1.0, 11)
-    vec = kernel_values(k, ts)
-    scal = [kernel_eval(k, float(t)) for t in ts]
-    assert np.array_equal(vec, np.array(scal))

@@ -23,7 +23,7 @@ from helpers import (
 from ostrocube import expr
 from ostrocube import QuadConfig, make_point, make_rectangle, parse_expression, to_bivariate
 from ostrocube.core import BivariateFunction
-from ostrocube.expr import XorShift64Star, eval_expr, random_polynomial_1d
+from ostrocube.expr import XorShift64Star, draw_polynomial_1d, eval_expr, polynomial_1d
 from ostrocube.quadrature import (
     BLOCK_SAMPLES,
     NonFiniteSample,
@@ -48,7 +48,7 @@ def _functions():
     yield "const", to_bivariate(parse_expression("2.5"))
     for var in ("t", "s"):
         for k in range(3):
-            poly = random_polynomial_1d(XorShift64Star(100 + k), 6, var)
+            poly = polynomial_1d(draw_polynomial_1d(XorShift64Star(100 + k), 6), var)
             yield f"{var}-poly{k}", to_bivariate(poly)
     yield "plain", BivariateFunction(fn=lambda t, s: math.exp(0.5 * t) * math.cos(t * s))
     yield "plain-s", BivariateFunction(fn=lambda t, s: s ** 3 - s)

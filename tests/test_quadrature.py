@@ -15,7 +15,6 @@ from ostrocube import (
     integrate_1d,
     integrate_2d,
     make_rectangle,
-    mixed_partial_fd,
     parse_expression,
     to_bivariate,
 )
@@ -124,16 +123,18 @@ def test_fubini_consistency_on_polynomials():
 
 
 def test_mixed_partial_fd():
+    # sample_mixed's cross stencil, taken for a function without mixed_fn
+    def fd(f, t, s, h_t, h_s):
+        return float(sample_mixed(f, np.array(t), np.array(s), None, fd_steps=(h_t, h_s)))
+
     bilinear = BivariateFunction(fn=lambda t, s: t * s)
-    assert mixed_partial_fd(bilinear, 0.3, 0.8, 0.05, 0.07) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert fd(bilinear, 0.3, 0.8, 0.05, 0.07) == pytest.approx(1.0, abs=1e-12)
     quartic = BivariateFunction(fn=lambda t, s: t * t * s * s)
     h = 1e-4
     # the stencil is exact for t^2 s^2, so only cancellation noise remains
-    assert mixed_partial_fd(quartic, 0.5, 0.5, h, h) == pytest.approx(1.0, abs=1e-7)
+    assert fd(quartic, 0.5, 0.5, h, h) == pytest.approx(1.0, abs=1e-7)
     const = BivariateFunction(fn=lambda t, s: 7.0)
-    assert mixed_partial_fd(const, 0.5, 0.5, 0.01, 0.01) == 0.0
+    assert fd(const, 0.5, 0.5, 0.01, 0.01) == 0.0
 
 
 def test_estimate_bounds_bilinear():

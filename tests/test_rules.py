@@ -17,13 +17,14 @@ from ostrocube import (
     to_univariate,
 )
 from ostrocube.rules import (
+    _t3_boundary,
+    _t5_boundary,
+    anchor_terms,
     cheng_1d,
     ostrowski_1d,
     qiaoling_functional,
     quarter_rule_anchor_weight,
-    quarter_rule_boundary_term,
     quarter_rule_functional,
-    sarikaya_H,
     sarikaya_functional,
 )
 
@@ -38,6 +39,11 @@ AFFINE_SLAB = to_bivariate(parse_expression("(1+t)*s"))
 SQUARE = to_univariate(parse_expression("t^2"))
 LINEAR = to_univariate(parse_expression("t"))
 IV = Interval1D(0, 1)
+
+
+def _values(f):
+    """The 3x3 point values of f at MID that the rules' boundary terms read."""
+    return anchor_terms(f, UNIT, [MID], Q)[0].values
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +101,11 @@ def test_cheng_requires_range_kind():
 
 
 def test_sarikaya_H_values():
-    assert sarikaya_H(ONE, UNIT, MID) == pytest.approx(3.0, abs=1e-14)
+    assert _t3_boundary(UNIT, MID, _values(ONE)) == pytest.approx(3.0, abs=1e-14)
     f_t = to_bivariate(parse_expression("t"))
-    assert sarikaya_H(f_t, UNIT, MID) == pytest.approx(1.5, abs=1e-14)
+    assert _t3_boundary(UNIT, MID, _values(f_t)) == pytest.approx(1.5, abs=1e-14)
     zero = to_bivariate(parse_expression("0"))
-    assert sarikaya_H(zero, UNIT, MID) == 0.0
+    assert _t3_boundary(UNIT, MID, _values(zero)) == 0.0
 
 
 def test_sarikaya_annihilates_constants():
@@ -183,10 +189,10 @@ def test_quarter_rule_anchor_weight_values():
 
 
 def test_quarter_rule_boundary_term_values():
-    assert quarter_rule_boundary_term(ONE, UNIT, MID) == pytest.approx(2.0, abs=1e-14)
-    assert quarter_rule_boundary_term(TS, UNIT, MID) == pytest.approx(9 / 4, abs=1e-14)
+    assert _t5_boundary(UNIT, MID, _values(ONE)) == pytest.approx(2.0, abs=1e-14)
+    assert _t5_boundary(UNIT, MID, _values(TS)) == pytest.approx(9 / 4, abs=1e-14)
     zero = to_bivariate(parse_expression("0"))
-    assert quarter_rule_boundary_term(zero, UNIT, MID) == 0.0
+    assert _t5_boundary(UNIT, MID, _values(zero)) == 0.0
 
 
 def test_quarter_rule_constant_failure_is_asserted():
