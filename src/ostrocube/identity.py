@@ -24,8 +24,10 @@ three ways:
 All expansions are arithmetic over shared samples. The full ones read one
 `rules.AnchorTerms` set; the stated and derived expansion of each quadrant
 read its 3x3 point values too, plus twelve half-line integrals (every node
-line over each half of the other axis) and the four quadrant integrals,
-which an identity report samples once for all quadrants.
+line over each half of the other axis) and the four quadrant integrals.
+An identity report samples f once on the anchor's split grid, whose
+reductions are the terms' double integral and the quadrant integrals, and
+the exact mixed partial once over the same nodes for the four oracles.
 
 The derived form must agree with the oracle (that agreement is the
 acceptance gate); the stated form does not. Two distinct defects are
@@ -50,16 +52,19 @@ from .core import (
     MissingMixedPartial,
     QuadConfig,
     Rectangle,
+    make_point,
 )
 from .kernels import abs_moment, s_kernel, signed_moment, t_kernel
 from .quadrature import (
     _axis_quadrature,
     _check_finite,
+    _row_blocks,
     gl_nodes,
     grid_values,
     integrate_2d,
     line_integrals,
     sample_mixed,
+    split_grid,
 )
 from .rules import AnchorTerms, RuleOutcome, anchor_terms
 
@@ -132,6 +137,68 @@ def quadrant_oracle(
     return float(tw @ integrand @ sw)
 
 
+def _halves(iv: Interval1D, anchor: float, n: int) -> tuple[Optional[slice], Optional[slice]]:
+    """The rows of [iv.lo, anchor] and of [anchor, iv.hi] among the n nodes
+    of iv split at the anchor (quadrature splits an axis only inside it);
+    None for a half of zero width, as _quadrant_rect gives it."""
+    if anchor - iv.lo <= 0.0:
+        return None, slice(None)
+    if iv.hi - anchor <= 0.0:
+        return slice(None), None
+    return slice(None, n // 2), slice(n // 2, None)
+
+
+def _quadrant_integrals(
+    tw: np.ndarray, sw: np.ndarray, grid: np.ndarray, r: Rectangle, pt: EvalPoint
+) -> dict:
+    """tw @ grid @ sw over the rows and columns of each quadrant of a grid
+    on the split nodes, the value a grid of that quadrant alone gives;
+    exactly 0.0 for a quadrant of zero width."""
+    t_halves = _halves(r.t_axis, pt.x, len(tw))
+    s_halves = _halves(r.s_axis, pt.y, len(sw))
+    out = {}
+    for quad in Quadrant:
+        bt, bs = _branches(quad)
+        rows, cols = t_halves[bt], s_halves[bs]
+        out[quad] = (0.0 if rows is None or cols is None
+                     else float(tw[rows] @ grid[rows, cols] @ sw[cols]))
+    return out
+
+
+def _quadrant_oracles(
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig, fd_fallback: bool = True
+) -> dict:
+    """quadrant_oracle of every quadrant, bit for bit, from one sampling of
+    the mixed partial over the split nodes, one row block at a time: each
+    block of (T - t_off) * (S - s_off) * mixed takes the kernel offsets of
+    its rows' and columns' halves. An error is the one the quadrants raise
+    one by one: after a block fails, they are sampled again in turn."""
+    make_point(r, pt.x, pt.y)  # the split nodes cover r only
+    tn, tw = _axis_quadrature(r.t_axis, q, (pt.x,))
+    sn, sw = _axis_quadrature(r.s_axis, q, (pt.y,))
+    kt, ks = t_kernel(r, pt), s_kernel(r, pt)
+    factors = []
+    for nodes, iv, anchor, k in ((tn, r.t_axis, pt.x, kt), (sn, r.s_axis, pt.y, ks)):
+        fac = np.empty(len(nodes))
+        for half, off in zip(_halves(iv, anchor, len(nodes)), (k.left_offset, k.right_offset)):
+            if half is not None:
+                fac[half] = nodes[half] - off
+        factors.append(fac)
+    t_fac, s_fac = factors
+    integrand = np.empty((len(tn), len(sn)))
+    try:
+        for rows in _row_blocks(len(tn), len(sn)):
+            mixed = sample_mixed(f, tn[rows, None], sn[None, :], r, fd_fallback=fd_fallback)
+            _check_finite(mixed, f"mixed partial of {f.label}")
+            block = np.multiply(t_fac[rows, None], s_fac, out=integrand[rows])
+            block *= mixed
+    except Exception:
+        for quad in Quadrant:
+            quadrant_oracle(f, r, pt, quad, q, fd_fallback=fd_fallback)
+        raise
+    return _quadrant_integrals(tw, sw, integrand, r, pt)
+
+
 def kernel_weighted_integral(
     f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig, fd_fallback: bool = True
 ) -> float:
@@ -144,7 +211,7 @@ def kernel_weighted_integral(
             f"function {f.label!r} has no exact mixed partial and the "
             "finite-difference fallback is disabled"
         )
-    return sum(quadrant_oracle(f, r, pt, quad, q, fd_fallback=fd_fallback) for quad in Quadrant)
+    return sum(_quadrant_oracles(f, r, pt, q, fd_fallback=fd_fallback).values())
 
 
 def _half_lines(
@@ -168,13 +235,22 @@ def _quadrant_samples(
     the anchor's terms, whose values hold every quadrant node; along_t[j][k],
     the integral of f(t, (y, c, d)[j]) over the t-half k ([a, x], then
     [x, b]); along_s[i][k], that of f((x, a, b)[i], s) over the s-half k
-    ([c, y], then [y, d]); and the integral over each quadrant."""
-    double = {}
-    for quad in Quadrant:
-        sub = _quadrant_rect(r, pt, quad)
-        double[quad] = 0.0 if sub is None else integrate_2d(f, sub, q)
+    ([c, y], then [y, d]); and the integral over each quadrant. f is
+    sampled once on the split grid, which gives the terms' double integral
+    and the quadrants'. An error is the one the quadrants raise one by one,
+    as they are the first samples an audit takes."""
+    make_point(r, pt.x, pt.y)  # the split grid covers r only
+    try:
+        _, tw, _, sw, grid = split_grid(f, r, q, pt)
+    except Exception:
+        for quad in Quadrant:
+            sub = _quadrant_rect(r, pt, quad)
+            if sub is not None:
+                integrate_2d(f, sub, q)
+        raise
+    double = _quadrant_integrals(tw, sw, grid, r, pt)
     return (
-        anchor_terms(f, r, [pt], q)[0],
+        anchor_terms(f, r, [pt], q, doubles=[float(tw @ grid @ sw)])[0],
         _half_lines(f, "s", [pt.y, r.s_axis.lo, r.s_axis.hi], r.t_axis, pt.x, q),
         _half_lines(f, "t", [pt.x, r.t_axis.lo, r.t_axis.hi], r.s_axis, pt.y, q),
         double,
@@ -362,9 +438,9 @@ def identity_report(
             f"identity_report needs an exact mixed partial for {f.label!r}"
         )
     samples = _quadrant_samples(f, r, pt, q)
+    oracles = _quadrant_oracles(f, r, pt, q, fd_fallback=False)
     per_quadrant = {
-        quad: QuadrantComparison(*_quadrant_expansions(samples, quad),
-                                 quadrant_oracle(f, r, pt, quad, q, fd_fallback=False))
+        quad: QuadrantComparison(*_quadrant_expansions(samples, quad), oracles[quad])
         for quad in Quadrant
     }
     oracle = sum(c.oracle for c in per_quadrant.values())

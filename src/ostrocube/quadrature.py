@@ -11,7 +11,7 @@ per-axis coordinates that broadcast against each other (t along one axis,
 s along another; for line integrals the fixed coordinates along a leading
 axis in front of the node rows), so each one-variable subtree of an
 expression is computed along its own axis only. Results are the same to
-the last bit as sampling full grids, under two layout rules:
+the last bit as sampling full grids, under these rules:
 
 - a reduction sees the layout it would see from a full grid. Along a line,
   a value that does not vary stays a zero-stride row, as a scalar fixed
@@ -23,6 +23,11 @@ the last bit as sampling full grids, under two layout rules:
   bad line's cross-section label with its count, and an error raised
   while several lines are sampled together is raised again by the first
   line that fails on its own.
+- a grid that a reduction reads whole (split_grid, integrate_2d) is
+  filled in row blocks too, so every call of f stays within BLOCK_SAMPLES
+  values; only the grid itself grows with the node count. Its error is
+  the one the whole grid raises: after a block fails, the whole grid is
+  sampled in one call again.
 - a subtree of one variable is evaluated once per sampler call, not once
   per block, when a call takes several blocks and f (its mixed partial,
   for cell_bounds) is a compiled expression. line_integrals evaluates
@@ -71,6 +76,7 @@ __all__ = [
     "gl_nodes",
     "integrate_1d",
     "integrate_2d",
+    "split_grid",
     "grid_values",
     "line_integrals",
     "estimate_bounds",
@@ -85,8 +91,9 @@ _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS ** (1.0 / 3.0)
 
 # Most values one call of an integrand returns to the grid routines
-# (grid_values, line_integrals, cell_bounds); it keeps their memory flat in
-# the grid size.
+# (grid_values, split_grid and integrate_2d, line_integrals, cell_bounds,
+# and the identity oracle's sampling of the mixed partial); it keeps the
+# evaluator's temporaries flat in the grid size.
 BLOCK_SAMPLES = 8192
 
 
@@ -180,9 +187,13 @@ def _axis_quadrature(
     return _segments_quadrature(tuple(_segment_edges(iv.lo, iv.hi, breakpoints)), q)
 
 
-# The rules and identity audits integrate over the same few intervals many
-# times per anchor (every rule re-integrates the same lines), so the node
-# arrays of recent intervals are kept. An entry of the default or refined
+# The rules and identity audits read the same few axes many times per
+# anchor (every rule integrates the same lines, and an identity report reads
+# each split axis for f's grid and again for the mixed partial's), so the
+# node arrays of recent axes are kept. gl_nodes computes each segment
+# elementwise, so the rows of one segment of a split axis are, bit for bit,
+# the nodes of that segment alone: a quadrant's block of a split grid is
+# the quadrant's own grid. An entry of the default or refined
 # configuration, split once, is at most 8 KB, so 128 entries stay under 1 MB.
 @lru_cache(maxsize=128)
 def _segments_quadrature(
@@ -280,25 +291,71 @@ def integrate_1d(
     return float(weights @ vals)
 
 
+def _row_blocks(rows: int, width: int, min_rows: int = 1) -> list[slice]:
+    """Slices of whole rows of a grid `width` wide, each of at most
+    BLOCK_SAMPLES values, or min_rows rows if that is more."""
+    per_block = max(min_rows, BLOCK_SAMPLES // width)
+    return [slice(k, k + per_block) for k in range(0, rows, per_block)]
+
+
+def _reduction_grid(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """f on the outer grid ts x ss in the layout a quadrature reduction
+    takes it: laid out in full, as matmul reduces a full grid in another
+    order than a zero-stride one, unless f is a constant, which stays a
+    zero-stride view. Each call of f receives a block of whole rows, at
+    most BLOCK_SAMPLES values (two rows if a row is longer than half of
+    that, so that a zero-stride block shows f varies along neither axis).
+    Raises the first block's error, NonFiniteSample for a non-finite one."""
+    shape = (len(ts), len(ss))
+    out, value = None, None
+    for rows in _row_blocks(*shape, min_rows=2):
+        block = sample_bivariate(f, ts[rows, None], ss[None, :])
+        _check_finite(block, f.label)
+        if out is None:
+            if not any(block.strides) and (value is None or value == block[0, 0]):
+                value = block[0, 0]  # a constant so far: nothing to lay out
+                continue
+            out = np.empty(shape)
+            if rows.start:
+                out[:rows.start] = value
+        out[rows] = block
+    return np.broadcast_to(value, shape) if out is None else out
+
+
+def split_grid(
+    f,
+    r: Rectangle,
+    q: QuadConfig,
+    split: Optional[EvalPoint] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(tn, tw, sn, sw, values): the composite rule's nodes and weights on
+    each axis of r, split at the lines through split, and f on their
+    tensor grid, sampled in row blocks. `tw @ values @ sw` is the integral
+    of f over r, and over a sub-rectangle whose sides are segments of the
+    split, the same product over those rows and columns. An error is the
+    one that sampling the whole grid in one call raises: after a block
+    fails, the whole grid is sampled again."""
+    f = as_bivariate(f)
+    tn, tw = _axis_quadrature(r.t_axis, q, () if split is None else (split.x,))
+    sn, sw = _axis_quadrature(r.s_axis, q, () if split is None else (split.y,))
+    try:
+        values = _reduction_grid(f, tn, sn)
+    except Exception:
+        _check_finite(sample_bivariate(f, tn[:, None], sn[None, :]), f.label)
+        raise
+    return tn, tw, sn, sw, values
+
+
 def integrate_2d(
     f,
     r: Rectangle,
     q: QuadConfig,
     split: Optional[EvalPoint] = None,
 ) -> float:
-    """Tensor-product composite Gauss-Legendre integral of f over r."""
-    f = as_bivariate(f)
-    t_breaks = (split.x,) if split is not None else ()
-    s_breaks = (split.y,) if split is not None else ()
-    tn, tw = _axis_quadrature(r.t_axis, q, t_breaks)
-    sn, sw = _axis_quadrature(r.s_axis, q, s_breaks)
-    vals = sample_bivariate(f, tn[:, None], sn[None, :])
-    _check_finite(vals, f.label)
-    if any(vals.strides):
-        # f of one variable: laid out in full, as matmul reduces a full grid
-        # in another order than a zero-stride one; a constant stays a view
-        vals = np.ascontiguousarray(vals)
-    return float(tw @ vals @ sw)
+    """Tensor-product composite Gauss-Legendre integral of f over r
+    (split_grid reduced)."""
+    _, tw, _, sw, values = split_grid(f, r, q, split)
+    return float(tw @ values @ sw)
 
 
 def grid_values(f, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -306,10 +363,9 @@ def grid_values(f, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
     receives a block of ts against all of ss and returns at most
     BLOCK_SAMPLES values (one row if a row is longer)."""
     f = as_bivariate(f)
-    per_block = max(1, BLOCK_SAMPLES // len(ss))
     out = np.empty((len(ts), len(ss)))
-    for k in range(0, len(ts), per_block):
-        out[k:k + per_block] = sample_bivariate(f, ts[k:k + per_block, None], ss[None, :])
+    for rows in _row_blocks(len(ts), len(ss)):
+        out[rows] = sample_bivariate(f, ts[rows, None], ss[None, :])
     return out
 
 
@@ -337,8 +393,7 @@ def line_integrals(
     f = as_bivariate(f)
     rows, width = nodes.shape
     lines_per_block = max(1, BLOCK_SAMPLES // (rows * width))
-    rows_per_block = max(1, BLOCK_SAMPLES // width)
-    row_blocks = [slice(k, k + rows_per_block) for k in range(0, rows, rows_per_block)]
+    row_blocks = _row_blocks(rows, width)
     fns = [f] * len(row_blocks)
     if len(fixed) > lines_per_block or len(row_blocks) > 1:
         # over the very node rows each block samples, before any line

@@ -284,16 +284,23 @@ def _lines(
 
 
 def anchor_terms(
-    f: BivariateFunction, r: Rectangle, anchors: Sequence[EvalPoint], q: QuadConfig
+    f: BivariateFunction,
+    r: Rectangle,
+    anchors: Sequence[EvalPoint],
+    q: QuadConfig,
+    doubles: Optional[Sequence[float]] = None,
 ) -> list[AnchorTerms]:
     """AnchorTerms of every anchor: one grid of point values, the lines
     s = y, t = x of each anchor plus the four edge lines (shared by all
-    anchors), and one split double integral per anchor."""
+    anchors), and one split double integral per anchor, unless doubles
+    gives them (identity reduces them from the grid it samples anyway)."""
     a, b, c, d = _axes(r)
     k = len(anchors)
     values = _anchor_values(f, r, anchors)
     along_t = _lines(f, "s", [pt.y for pt in anchors] + [c, d], r.t_axis, q)
     along_s = _lines(f, "t", [pt.x for pt in anchors] + [a, b], r.s_axis, q)
+    if doubles is None:
+        doubles = [integrate_2d(f, r, q, split=pt) for pt in anchors]
     return [
         AnchorTerms(
             rect=r,
@@ -301,7 +308,7 @@ def anchor_terms(
             values=values[n],
             along_t=(along_t[n], along_t[k], along_t[k + 1]),
             along_s=(along_s[n], along_s[k], along_s[k + 1]),
-            double=integrate_2d(f, r, q, split=pt),
+            double=doubles[n],
         )
         for n, pt in enumerate(anchors)
     ]
