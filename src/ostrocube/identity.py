@@ -165,6 +165,17 @@ def _quadrant_integrals(
     return out
 
 
+def _kernel_factor(nodes: np.ndarray, iv: Interval1D, anchor: float, kernel) -> np.ndarray:
+    """The kernel at each of the split nodes of iv: node - offset, with the
+    offset of the node's half (T - t_off of quadrant_oracle)."""
+    out = np.empty(len(nodes))
+    offsets = (kernel.left_offset, kernel.right_offset)
+    for half, off in zip(_halves(iv, anchor, len(nodes)), offsets):
+        if half is not None:
+            out[half] = nodes[half] - off
+    return out
+
+
 def _quadrant_oracles(
     f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig, fd_fallback: bool = True
 ) -> dict:
@@ -176,15 +187,8 @@ def _quadrant_oracles(
     make_point(r, pt.x, pt.y)  # the split nodes cover r only
     tn, tw = _axis_quadrature(r.t_axis, q, (pt.x,))
     sn, sw = _axis_quadrature(r.s_axis, q, (pt.y,))
-    kt, ks = t_kernel(r, pt), s_kernel(r, pt)
-    factors = []
-    for nodes, iv, anchor, k in ((tn, r.t_axis, pt.x, kt), (sn, r.s_axis, pt.y, ks)):
-        fac = np.empty(len(nodes))
-        for half, off in zip(_halves(iv, anchor, len(nodes)), (k.left_offset, k.right_offset)):
-            if half is not None:
-                fac[half] = nodes[half] - off
-        factors.append(fac)
-    t_fac, s_fac = factors
+    t_fac = _kernel_factor(tn, r.t_axis, pt.x, t_kernel(r, pt))
+    s_fac = _kernel_factor(sn, r.s_axis, pt.y, s_kernel(r, pt))
     integrand = np.empty((len(tn), len(sn)))
     try:
         for rows in _row_blocks(len(tn), len(sn)):
