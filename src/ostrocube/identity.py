@@ -54,7 +54,7 @@ from .core import (
     Rectangle,
     make_point,
 )
-from .kernels import abs_moment, s_kernel, signed_moment, t_kernel
+from .kernels import Kernel1D, abs_moment, s_kernel, signed_moment, t_kernel
 from .quadrature import (
     _axis_quadrature,
     _check_finite,
@@ -165,7 +165,9 @@ def _quadrant_integrals(
     return out
 
 
-def _kernel_factor(nodes: np.ndarray, iv: Interval1D, anchor: float, kernel) -> np.ndarray:
+def _kernel_factor(
+    nodes: np.ndarray, iv: Interval1D, anchor: float, kernel: Kernel1D
+) -> np.ndarray:
     """The kernel at each of the split nodes of iv: node - offset, with the
     offset of the node's half (T - t_off of quadrant_oracle)."""
     out = np.empty(len(nodes))
