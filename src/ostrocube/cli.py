@@ -121,11 +121,6 @@ def _bivariate_from_text(text: str) -> BivariateFunction:
     return to_bivariate(parse_expression(text))
 
 
-@lru_cache(maxsize=512)
-def _univariate_from_text(text: str):
-    return to_univariate(parse_expression(text))
-
-
 class UsageError(EngineError):
     """Invalid command line; maps to exit code 2."""
 
@@ -217,8 +212,10 @@ def _validated_rect(values: Sequence[float]) -> list[float]:
 
 
 def _validated_expr(text: str) -> str:
+    """The text, once it parses: the function it parses to is cached, and
+    the run takes it from the cache."""
     try:
-        parse_expression(text)
+        _bivariate_from_text(text)
     except EngineError as exc:
         raise UsageError(f"--f: {exc}")
     return text
@@ -329,7 +326,7 @@ def _eval_rule_case(rule: str, case: dict, q: QuadConfig) -> RuleOutcome:
     them."""
     if rule in ("t1", "t2"):
         iv = Interval1D(*case["interval"])
-        g = _univariate_from_text(case["expr"])
+        g = to_univariate(parse_expression(case["expr"]))
         if rule == "t1":
             bound = DerivativeBound1D.abs_bound(case["magnitude"])
             return ostrowski_1d(g, iv, case["x"], bound, q)
@@ -346,7 +343,7 @@ def _eval_rule_case(rule: str, case: dict, q: QuadConfig) -> RuleOutcome:
     if rule == "t5":
         return quarter_rule_functional(f, r, pt, db, q)
     if rule == "corrected":
-        return corrected_from_terms(anchor_terms(f, r, [pt], q)[0], db)
+        return corrected_from_terms(anchor_terms(f, r, pt, q), db)
     raise AssertionError(f"unknown rule {rule!r}")
 
 
@@ -404,19 +401,18 @@ def _draw_trial(seed: int, index: int, degree: int, lam: float) -> _Trial:
     return _Trial(index, tseed, f, (t_lo, t_hi, s_lo, s_hi), p, q, g, (i_lo, i_hi), x)
 
 
-# one entry per (anchor count, ends) that a --rules subset gives
-@lru_cache(maxsize=6)
-def _fixture_samples(anchors: int, ends: bool) -> tuple:
+# one entry per anchor count that a --rules subset gives
+@lru_cache(maxsize=3)
+def _fixture_samples(anchors: int) -> tuple:
     """The fixtures' samples (1D, then 2D or None without anchors), taken
     once per process: unlike a trial's, they depend on nothing but the
-    number of anchors and `ends`. Every call shares them, read-only."""
+    number of anchors. Every call shares them, read-only."""
     n = len(_FIXTURES_1D)
-    one = IntervalSamples(np.tile([0.0, 1.0], (n, 1)), np.array([x for _, _, x, *_ in _FIXTURES_1D]),
-                     np.zeros((n, 3)), *np.zeros((4, n)))
+    xs = np.array([x for _, _, x, *_ in _FIXTURES_1D])
+    one = IntervalSamples(np.tile([0.0, 1.0], (n, 1)), xs, np.zeros((n, 3)), *np.zeros((4, n)))
     for j, (_, text, x, magnitude, lo, hi) in enumerate(_FIXTURES_1D):
-        terms = interval_terms(_univariate_from_text(text), Interval1D(0.0, 1.0), x, _VERIFY_CFG,
-                               ends=ends)
-        one.put(j, terms, lo, hi, magnitude)
+        g = to_univariate(parse_expression(text))
+        one.put(j, interval_terms(g, Interval1D(0.0, 1.0), x, _VERIFY_CFG), lo, hi, magnitude)
     two = None
     if anchors:
         n = len(_FIXTURES_2D)
@@ -426,8 +422,8 @@ def _fixture_samples(anchors: int, ends: bool) -> tuple:
         unit = make_rectangle(0.0, 1.0, 0.0, 1.0)
         centre = make_point(unit, 0.5, 0.5)
         for j, (_, text, lo, hi) in enumerate(_FIXTURES_2D):
-            two.put(j, anchor_terms(_bivariate_from_text(text), unit, [centre] * anchors,
-                                         _VERIFY_CFG), DerivativeBounds(lo, hi))
+            terms = anchor_terms(_bivariate_from_text(text), unit, centre, _VERIFY_CFG)
+            two.put(j, [terms] * anchors, DerivativeBounds(lo, hi))
     for field in (*one, *(two or ())):
         field.flags.writeable = False
     return one, two
@@ -445,13 +441,13 @@ def _fixture_case_2d(j: int) -> dict:
             "rect": [0.0, 1.0, 0.0, 1.0], "point": [0.5, 0.5], "lower": lo, "upper": hi}
 
 
-def _trial_terms_1d(trial: _Trial, ends: bool) -> tuple:
+def _trial_terms_1d(trial: _Trial) -> tuple:
     """What stacked.sample_1d gives for one trial, through the public
     functions on the trial's own tree."""
     g = to_univariate(polynomial_1d(trial.g))
     iv = Interval1D(*trial.interval)
     d_lo, d_hi = _sampled_deriv_range(g, iv)
-    return interval_terms(g, iv, trial.x, _VERIFY_CFG, ends=ends), d_lo, d_hi
+    return interval_terms(g, iv, trial.x, _VERIFY_CFG), d_lo, d_hi
 
 
 def _trial_terms_2d(trial: _Trial, anchors: tuple) -> tuple:
@@ -461,7 +457,7 @@ def _trial_terms_2d(trial: _Trial, anchors: tuple) -> tuple:
     r = make_rectangle(*trial.rect)
     db = estimate_bounds(f, r, grid_n=_BOUNDS_GRID, pad_rel=_BOUNDS_PAD)
     points = [make_point(r, *getattr(trial, name)) for name in anchors]
-    return anchor_terms(f, r, points, _VERIFY_CFG), db
+    return [anchor_terms(f, r, pt, _VERIFY_CFG) for pt in points], db
 
 
 def _trial_case_1d(trial: _Trial) -> dict:
@@ -534,10 +530,10 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
     templates of `--degree` (stacked.sample_1d, stacked.sample_2d). Where
     the stacked samples of a trial's g or f are not shown to keep its
     bits, or one is non-finite, that part of the trial goes through
-    interval_terms, estimate_bounds and anchor_terms on its own trees
-    instead (_trial_terms_1d, _trial_terms_2d), which also raise the errors
-    a bad sample calls for, and its terms are written into the chunk's
-    rows.
+    interval_terms, estimate_bounds and anchor_terms (once per anchor) on
+    its own trees instead (_trial_terms_1d, _trial_terms_2d), which also
+    raise the errors a bad sample calls for, and its terms are written
+    into the chunk's rows.
 
     Each rule then runs once per chunk, on columns with one entry per
     trial: the same rules.*_from_terms functions that take one case take
@@ -554,7 +550,6 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
     lam = opts["lam"]
     degree = opts["degree"]
     tallies = {rule: _RuleTally() for rule in rules}
-    ends = "t2" in tallies
     p_rules = [rule for rule in _RULES_2D if rule in tallies]
     anchors = ("p",) * bool(p_rules) + ("q",) * ("t4" in tallies)
     at_q = len(anchors) - 1
@@ -612,7 +607,7 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
             trial = chunk[j]
             try:
                 if j in own_1d:
-                    terms, d_lo, d_hi = _trial_terms_1d(trial, ends)
+                    terms, d_lo, d_hi = _trial_terms_1d(trial)
                     magnitude = max(abs(d_lo), abs(d_hi))
                     # the bounds t1 and t2 take raise on a non-finite range
                     if "t1" in tallies:
@@ -642,7 +637,7 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
                      else _trial_case_2d(chunk[j - lead], float(s.lower[j]), float(s.upper[j])))
 
     # the fixtures' rows are audited in front of the first chunk's
-    fixtures = _fixture_samples(len(anchors), ends)
+    fixtures = _fixture_samples(len(anchors))
     for start in range(0, opts["trials"], _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, opts["trials"])
         chunk = [_draw_trial(opts["seed"], k, degree, lam) for k in range(start, stop)]
@@ -699,7 +694,7 @@ def _run_enclose(opts: dict) -> tuple[dict, dict, int]:
     if (m, n) == (1, 1):
         pt = _resolve_point(r, opts["point"])
         if estimated:
-            db = estimate_bounds(f, r, grid_n=_BOUNDS_GRID, pad_rel=0.05)
+            db = estimate_bounds(f, r)
         else:
             db = DerivativeBounds(*opts["bounds"])
         report = single_cell_enclosure(f, r, pt, db, q, bounds_estimated=estimated)
@@ -756,7 +751,7 @@ def _run_compare(opts: dict) -> tuple[dict, dict, int]:
     pt = _resolve_point(r, opts["point"])
     estimated = opts["bounds"] == "auto"
     if estimated:
-        db = estimate_bounds(f, r, grid_n=_BOUNDS_GRID, pad_rel=0.05)
+        db = estimate_bounds(f, r)
     else:
         db = DerivativeBounds(*opts["bounds"])
     report = compare_bounds(f, r, pt, db, Lambda(opts["lam"]), QuadConfig(),

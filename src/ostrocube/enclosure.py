@@ -340,7 +340,7 @@ def compare_bounds(
     function's slack. The four rules read one set of anchor terms
     (rules.anchor_terms).
     """
-    terms = anchor_terms(f, r, [pt], q)[0]
+    terms = anchor_terms(f, r, pt, q)
     corrected = corrected_from_terms(terms, db)
     outcomes = {
         "sarikaya": sarikaya_from_terms(terms, db, slack=slack),

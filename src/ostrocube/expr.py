@@ -878,18 +878,6 @@ def differentiate(e: ExprNode, var: str) -> ExprNode:
     return d(e)
 
 
-def _differentiable(e: ExprNode) -> bool:
-    """Whether differentiate(e, ...) succeeds: it fails only on '^' with a
-    non-constant exponent over a base that is not provably positive."""
-    if isinstance(e, Unary):
-        return _differentiable(e.child)
-    if isinstance(e, Binary):
-        if e.op == "^" and not isinstance(e.right, Const) and not _provably_positive(e.left):
-            return False
-        return _differentiable(e.left) and _differentiable(e.right)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------
@@ -968,11 +956,8 @@ def to_bivariate(e: ExprNode) -> BivariateFunction:
 
 
 def to_univariate(e: ExprNode, var: str = "t") -> UnivariateFunction:
-    """Package an expression as g(var), binding the other variable to 0.
-
-    The derivative is taken on the first call of deriv_fn, so a caller
-    that never asks for it does not pay for it.
-    """
+    """Package an expression as g(var), binding the other variable to 0,
+    with its exact derivative where symbolic differentiation succeeds."""
     if var not in ("t", "s"):
         raise ValueError(f"var must be 't' or 's', got {var!r}")
 
@@ -982,16 +967,13 @@ def to_univariate(e: ExprNode, var: str = "t") -> UnivariateFunction:
             return lambda v: run_program(program, v, 0.0)
         return lambda v: run_program(program, 0.0, v)
 
-    derived: list = []
-
-    def deriv_fn(v):
-        if not derived:
-            derived.append(_bind(differentiate(e, var)))
-        return derived[0](v)
-
+    try:
+        deriv_fn = _bind(differentiate(e, var))
+    except UnsupportedDerivative:
+        deriv_fn = None
     return UnivariateFunction(
         fn=_bind(e),
-        deriv_fn=deriv_fn if _differentiable(e) else None,
+        deriv_fn=deriv_fn,
         vectorized=True,
         label=to_string(e),
     )

@@ -256,7 +256,7 @@ def _quadrant_samples(
         raise
     double = _quadrant_integrals(tw, sw, grid, r, pt)
     return (
-        anchor_terms(f, r, [pt], q, doubles=[float(tw @ grid @ sw)])[0],
+        anchor_terms(f, r, pt, q, double=float(tw @ grid @ sw)),
         _half_lines(f, "s", [pt.y, r.s_axis.lo, r.s_axis.hi], r.t_axis, pt.x, q),
         _half_lines(f, "t", [pt.x, r.t_axis.lo, r.t_axis.hi], r.s_axis, pt.y, q),
         double,
@@ -340,7 +340,7 @@ def full_expansion_verbatim(
     """The stated assembled expansion, un-normalized (no division by the
     area; the t5 rule statement equals this divided by the area, minus its
     derivative-midpoint term)."""
-    return verbatim_from_terms(anchor_terms(f, r, [pt], q)[0])
+    return verbatim_from_terms(anchor_terms(f, r, pt, q))
 
 
 def expansion_weights(iv: Interval1D, anchor: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -386,7 +386,7 @@ def full_expansion_derived(
     """The re-derived expansion, un-normalized: tensor product of the two
     per-axis boundary functionals applied to f. Validated against
     kernel_weighted_integral before anything downstream trusts it."""
-    return derived_from_terms(anchor_terms(f, r, [pt], q)[0])
+    return derived_from_terms(anchor_terms(f, r, pt, q))
 
 
 def corrected_from_terms(terms: AnchorTerms, db: DerivativeBounds) -> RuleOutcome:

@@ -125,25 +125,24 @@ def gl_rule(order: int) -> GLRule:
     if int(order) != order or not 2 <= order <= 64:
         raise UnsupportedOrder(f"Gauss-Legendre order must be in 2..64, got {order!r}")
     n = int(order)
-    k = np.arange(1, n + 1, dtype=float)
-    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
-    dp = np.ones_like(x)
-    for _ in range(100):
-        p_prev = np.ones_like(x)
-        p = x.copy()
+
+    def legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_n and P_n' at x, by the three-term recurrence."""
+        p_prev, p = np.ones_like(x), x
         for j in range(2, n + 1):
             p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    k = np.arange(1, n + 1, dtype=float)
+    x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, dp = legendre(x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
     # one clean evaluation at the converged nodes
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    _, dp = legendre(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     idx = np.argsort(x)
     x = x[idx]

@@ -25,13 +25,12 @@ with zero observed violations.
 Every two-variable rule at an anchor (x, y) is arithmetic over the same
 samples of f: the 3 x 3 point values on {x, a, b} x {y, c, d}, six line
 integrals and the double integral split at the anchor. `anchor_terms`
-takes them once per anchor (`AnchorTerms`), for several anchors of one
-rectangle at a time, so the edge lines t = a, b and s = c, d are
-integrated once for all of them; the `*_from_terms` functions apply each
-rule's hand-written sum to them, and the `*_functional` functions are the
-one-anchor case. The 1D rules t1 and t2 likewise read one integral and
-their point values (`interval_terms`, `IntervalTerms`). Every result keeps
-the bits of evaluating the rule's terms one by one.
+takes them at one anchor (`AnchorTerms`); the `*_from_terms` functions
+apply each rule's hand-written sum to them, and each `*_functional`
+function is anchor_terms followed by its rule. The 1D rules t1 and t2
+likewise read one integral and their point values (`interval_terms`,
+`IntervalTerms`). Every result keeps the bits of evaluating the rule's
+terms one by one.
 
 The `*_from_terms` functions are also the audit's array path: given terms,
 rectangles, points and bounds whose fields hold numpy arrays with one
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -259,21 +258,6 @@ class AnchorTerms:
     double: float
 
 
-def _anchor_values(
-    f: BivariateFunction, r: Rectangle, anchors: Sequence[EvalPoint]
-) -> list[Values3x3]:
-    """f on {x, a, b} x {y, c, d} for every anchor, from one grid."""
-    a, b, c, d = _axes(r)
-    k = len(anchors)
-    ts = [pt.x for pt in anchors] + [a, b]
-    ss = [pt.y for pt in anchors] + [c, d]
-    grid = grid_values(f, np.array(ts), np.array(ss)).tolist()
-    return [
-        tuple(tuple(grid[i][j] for j in (n, k, k + 1)) for i in (n, k, k + 1))
-        for n in range(k)
-    ]
-
-
 def _lines(
     f: BivariateFunction, fixed_axis: str, fixed: list, iv: Interval1D, q: QuadConfig
 ) -> list[float]:
@@ -286,32 +270,24 @@ def _lines(
 def anchor_terms(
     f: BivariateFunction,
     r: Rectangle,
-    anchors: Sequence[EvalPoint],
+    pt: EvalPoint,
     q: QuadConfig,
-    doubles: Optional[Sequence[float]] = None,
-) -> list[AnchorTerms]:
-    """AnchorTerms of every anchor: one grid of point values, the lines
-    s = y, t = x of each anchor plus the four edge lines (shared by all
-    anchors), and one split double integral per anchor, unless doubles
-    gives them (identity reduces them from the grid it samples anyway)."""
+    double: Optional[float] = None,
+) -> AnchorTerms:
+    """AnchorTerms of the anchor pt: one grid of point values, the lines
+    s = y, c, d and t = x, a, b, and the double integral split at pt,
+    unless double gives it (identity reduces it from the grid it samples
+    anyway)."""
     a, b, c, d = _axes(r)
-    k = len(anchors)
-    values = _anchor_values(f, r, anchors)
-    along_t = _lines(f, "s", [pt.y for pt in anchors] + [c, d], r.t_axis, q)
-    along_s = _lines(f, "t", [pt.x for pt in anchors] + [a, b], r.s_axis, q)
-    if doubles is None:
-        doubles = [integrate_2d(f, r, q, split=pt) for pt in anchors]
-    return [
-        AnchorTerms(
-            rect=r,
-            point=pt,
-            values=values[n],
-            along_t=(along_t[n], along_t[k], along_t[k + 1]),
-            along_s=(along_s[n], along_s[k], along_s[k + 1]),
-            double=doubles[n],
-        )
-        for n, pt in enumerate(anchors)
-    ]
+    values = grid_values(f, np.array([pt.x, a, b]), np.array([pt.y, c, d])).tolist()
+    return AnchorTerms(
+        rect=r,
+        point=pt,
+        values=tuple(map(tuple, values)),
+        along_t=tuple(_lines(f, "s", [pt.y, c, d], r.t_axis, q)),
+        along_s=tuple(_lines(f, "t", [pt.x, a, b], r.s_axis, q)),
+        double=integrate_2d(f, r, q, split=pt) if double is None else double,
+    )
 
 
 def _t3_boundary(r: Rectangle, pt: EvalPoint, v: Values3x3) -> float:
@@ -365,7 +341,7 @@ def sarikaya_functional(
     q: QuadConfig,
     slack: Optional[float] = None,
 ) -> RuleOutcome:
-    return sarikaya_from_terms(anchor_terms(f, r, [pt], q)[0], db, slack)
+    return sarikaya_from_terms(anchor_terms(f, r, pt, q), db, slack)
 
 
 def _lambda_box(iv: Interval1D, lam: float) -> tuple[float, float]:
@@ -439,7 +415,7 @@ def qiaoling_functional(
 ) -> RuleOutcome:
     """Lambda-weighted rule; the anchor must lie in the shrunken box."""
     _require_lambda_box(r, pt, lam.value)
-    return qiaoling_from_terms(anchor_terms(f, r, [pt], q)[0], db, lam, slack)
+    return qiaoling_from_terms(anchor_terms(f, r, pt, q), db, lam, slack)
 
 
 def quarter_rule_anchor_weight(r: Rectangle, pt: EvalPoint) -> float:
@@ -514,4 +490,4 @@ def quarter_rule_functional(
     derivative spread on the unit square the lhs evaluates to 3/16 while
     the rhs is 0.
     """
-    return quarter_rule_from_terms(anchor_terms(f, r, [pt], q)[0], db, slack)
+    return quarter_rule_from_terms(anchor_terms(f, r, pt, q), db, slack)

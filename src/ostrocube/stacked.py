@@ -125,9 +125,7 @@ class IntervalSamples(NamedTuple):
     def put(self, j: int, terms: IntervalTerms, lower: float, upper: float,
             magnitude: float) -> None:
         """Write one case's terms and g' bounds into row j."""
-        self.at[j, 0] = terms.at_x
-        if terms.at_lo is not None:
-            self.at[j, 1:] = terms.at_lo, terms.at_hi
+        self.at[j] = terms.at_x, terms.at_lo, terms.at_hi
         self.integral[j] = terms.integral
         self.lower[j], self.upper[j], self.magnitude[j] = lower, upper, magnitude
 
@@ -252,7 +250,7 @@ def sample_2d(trials: list, degree: int, anchors: tuple) -> tuple[AnchorSamples,
     flat_s = np.array([len(trial.f[0]) == 1 for trial in trials])
 
     # mixed-partial bounds as estimate_bounds samples them: one linspace
-    # over the starts (a, c) and ends (b, d) of each trial
+    # from the lower edges (a, c) to the upper edges (b, d) of each trial
     axes = np.linspace(rect[:, 0::2], rect[:, 1::2], BOUNDS_GRID, axis=-1)
     mixed = run_program(program_mixed, axes[:, 0, :, None], axes[:, 1, None, :], columns)
     mixed = np.broadcast_to(mixed, (k, BOUNDS_GRID, BOUNDS_GRID))

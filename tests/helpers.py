@@ -16,7 +16,9 @@ the shared anchor terms and quadrant samples must match them bit for bit,
 the reference derivative builds the unsimplified tree that simplify
 must turn into the one-pass derivative, and the reference verify loop
 samples each trial's own trees one trial at a time, which the stacked
-chunks must match byte for byte.
+chunks must match byte for byte. It takes the anchor terms of a trial's
+anchors p and q together, as anchor_terms did when it took several
+anchors at once (`reference_anchor_terms`).
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ from ostrocube.identity import (
 )
 from ostrocube.kernels import abs_moment, signed_moment
 from ostrocube.rules import (
+    AnchorTerms,
     Lambda,
-    anchor_terms,
     cheng_from_terms,
     interval_terms,
     ostrowski_from_terms,
@@ -78,8 +80,10 @@ from ostrocube.quadrature import (
     as_bivariate,
     estimate_bounds,
     gl_rule,
+    grid_values,
     integrate_1d,
     integrate_2d,
+    line_integrals,
     sample_bivariate,
     sample_mixed,
     sample_univariate,
@@ -817,6 +821,41 @@ def tree_key(e: ExprNode):
 # ---------------------------------------------------------------------------
 
 
+def reference_anchor_terms(f, r, anchors, q, doubles=None) -> list:
+    """rules.anchor_terms as it took several anchors of one rectangle at
+    once: one grid of point values over every anchor's x and y and the
+    edges, the lines s = y, t = x of each anchor plus the four edge lines
+    (shared by all anchors), and one split double integral per anchor,
+    unless doubles gives them."""
+    a, b = r.t_axis.lo, r.t_axis.hi
+    c, d = r.s_axis.lo, r.s_axis.hi
+    k = len(anchors)
+    grid = grid_values(f, np.array([pt.x for pt in anchors] + [a, b]),
+                       np.array([pt.y for pt in anchors] + [c, d])).tolist()
+
+    def lines(fixed_axis, fixed, iv):
+        nodes, weights = _axis_quadrature(iv, q)
+        return line_integrals(f, fixed_axis, fixed, nodes[None, :],
+                              weights[None, :])[:, 0].tolist()
+
+    along_t = lines("s", [pt.y for pt in anchors] + [c, d], r.t_axis)
+    along_s = lines("t", [pt.x for pt in anchors] + [a, b], r.s_axis)
+    if doubles is None:
+        doubles = [integrate_2d(f, r, q, split=pt) for pt in anchors]
+    out = []
+    for n, pt in enumerate(anchors):
+        idx = (n, k, k + 1)
+        out.append(AnchorTerms(
+            rect=r,
+            point=pt,
+            values=tuple(tuple(grid[i][j] for j in idx) for i in idx),
+            along_t=tuple(along_t[u] for u in idx),
+            along_s=tuple(along_s[u] for u in idx),
+            double=doubles[n],
+        ))
+    return out
+
+
 class _ReferenceTally:
     def __init__(self) -> None:
         self.trials = 0
@@ -854,8 +893,8 @@ def _reference_deriv_range(g, iv) -> tuple[float, float]:
 def reference_run_verify(opts: dict, crafted: Optional[dict] = None):
     """cli._run_verify as it ran each trial on its own: every trial is
     drawn, turned into expression trees with their labels and sampled
-    through anchor_terms, interval_terms and estimate_bounds before the
-    next is drawn. crafted maps a trial index to a trial record (fields
+    through reference_anchor_terms, interval_terms and estimate_bounds
+    before the next is drawn. crafted maps a trial index to a trial record (fields
     seed, f, rect, p, q, g, interval, x) that replaces what the index
     would draw."""
     from ostrocube import cli
@@ -888,7 +927,7 @@ def reference_run_verify(opts: dict, crafted: Optional[dict] = None):
     def audit_2d(f, r, db, base, p, q) -> None:
         p_rules = [rule for rule in cli._RULES_2D if rule in tallies]
         points = ([p] if p_rules else []) + ([q] if "t4" in tallies else [])
-        terms = anchor_terms(f, r, [make_point(r, *pt) for pt in points], cfg)
+        terms = reference_anchor_terms(f, r, [make_point(r, *pt) for pt in points], cfg)
         for rule in p_rules:
             apply(rule, dict(base, point=p), cli._RULES_2D[rule](terms[0], db))
         if "t4" in tallies:

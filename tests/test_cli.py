@@ -116,6 +116,19 @@ def test_parse_args_rejects_bad_expression():
         parse_args(["identity", "--f", "t++s", "--rect", "0", "1", "0", "1"])
 
 
+def test_run_main_parses_a_fresh_expression_once(monkeypatch):
+    # --f is validated through the cached function that the run then uses
+    calls = []
+    real = ostrocube.cli.parse_expression
+    monkeypatch.setattr(ostrocube.cli, "parse_expression",
+                        lambda text: calls.append(text) or real(text))
+    text = "sin(t*s) + 0.4375*t^2"  # no other test runs this text
+    with redirect_stdout(io.StringIO()):
+        assert run_main(["identity", "--f", text, "--rect", "0", "1", "0", "1",
+                         "--point", "0.3", "0.6", "--json"]) == 0
+    assert calls == [text]
+
+
 def test_parse_args_rejects_point_outside_rect():
     with pytest.raises(UsageError):
         parse_args(["identity", "--f", "t*s", "--rect", "0", "1", "0", "1",

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +58,19 @@ def test_gl_rule_matches_numpy(order):
     nodes, weights = np.polynomial.legendre.leggauss(order)
     assert rule.nodes == pytest.approx(nodes, abs=5e-14)
     assert rule.weights == pytest.approx(weights, abs=5e-14)
+
+
+# md5 of the bytes of gl_rule(n).nodes and .weights for n = 2..64, as the
+# rule computed them before its recurrence was written once
+GL_RULE_MD5 = json.loads((Path(__file__).parent / "data" / "gl_rule_md5.json").read_text())
+
+
+def test_gl_rule_digests():
+    assert sorted(map(int, GL_RULE_MD5)) == list(range(2, 65))
+    for n, (nodes_md5, weights_md5) in GL_RULE_MD5.items():
+        rule = gl_rule(int(n))
+        assert hashlib.md5(rule.nodes.tobytes()).hexdigest() == nodes_md5, n
+        assert hashlib.md5(rule.weights.tobytes()).hexdigest() == weights_md5, n
 
 
 def test_gl_rule_rejects_out_of_range_orders():

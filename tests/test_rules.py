@@ -43,7 +43,7 @@ IV = Interval1D(0, 1)
 
 def _values(f):
     """The 3x3 point values of f at MID that the rules' boundary terms read."""
-    return anchor_terms(f, UNIT, [MID], Q)[0].values
+    return anchor_terms(f, UNIT, MID, Q).values
 
 
 # ---------------------------------------------------------------------------

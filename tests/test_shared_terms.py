@@ -5,7 +5,8 @@ the quadrant expansions read it plus shared half-lines and quadrant
 integrals, and `differentiate` simplifies as it builds. All must give the
 same bits as the code they replaced, which `helpers` keeps: the rules and
 quadrant expansions evaluating their own points, lines and double
-integrals, and the raw derivative followed by `simplify`.
+integrals, `anchor_terms` taking several anchors at once, and the raw
+derivative followed by `simplify`.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from helpers import (
     random_ast,
+    reference_anchor_terms,
     reference_corrected,
     reference_diff,
     reference_full_expansion_derived,
@@ -95,7 +97,7 @@ def test_rules_from_shared_terms_match_reference_bodies():
         one_variable += ("t" in text) != ("s" in text)
         constant += "t" not in text and "s" not in text
         f = to_bivariate(poly)
-        at_p, at_q = anchor_terms(f, r, [p, q], VERIFY_CFG)
+        at_p, at_q = (anchor_terms(f, r, pt, VERIFY_CFG) for pt in (p, q))
 
         out = sarikaya_from_terms(at_p, db)
         assert (out.lhs, out.rhs) == reference_sarikaya(f, r, p, db, VERIFY_CFG), k
@@ -112,11 +114,14 @@ def test_rules_from_shared_terms_match_reference_bodies():
 
 
 def _bits(value):
-    """A report field with every float as its hex string, so -0.0 != 0.0."""
+    """A report or its field with every float as its hex string, so
+    -0.0 != 0.0."""
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, dict):
         return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
     if hasattr(value, "__dataclass_fields__"):
         return {k: _bits(getattr(value, k)) for k in value.__dataclass_fields__}
     return value
@@ -169,13 +174,26 @@ def test_identity_cases_cover_boundary_anchors_and_both_configurations():
     assert any(pt.x in (r.t_axis.lo, r.t_axis.hi) for r, pt in default)
 
 
-def test_anchor_terms_of_several_anchors_equal_one_at_a_time():
-    f = to_bivariate(parse_expression("exp(t*s) + sin(3*t) * cos(s)"))
+def test_anchor_terms_equal_the_several_anchor_reference():
+    # one anchor per call gives the bits that the lists of anchors gave,
+    # whether the anchor was sampled alone or with others (as verify's p
+    # and q were), inside, on an edge or on a corner
+    fs = [to_bivariate(parse_expression(text)) for text in _NAMED]
+    fs += [to_bivariate(random_polynomial(XorShift64Star(derive_seed(61, k)), k))
+           for k in (0, 2, 6)]
     r = make_rectangle(-0.4, 0.9, 0.1, 1.3)
-    anchors = [make_point(r, 0.2, 0.7), make_point(r, -0.4, 1.3), make_point(r, 0.5, 0.5)]
-    together = anchor_terms(f, r, anchors, QuadConfig())
-    assert together == [anchor_terms(f, r, [pt], QuadConfig())[0] for pt in anchors]
-    assert together[1].along_s[0] == together[1].along_s[1]  # x == a
+    anchors = [make_point(r, *xy) for xy in
+               ((0.2, 0.7), (0.25, 0.25), (-0.4, 0.6), (0.3, 1.3), (0.9, 0.1), (-0.4, 1.3))]
+    for f in fs:
+        for q in (QuadConfig(), VERIFY_CFG):
+            together = reference_anchor_terms(f, r, anchors, q)
+            for pt, ref in zip(anchors, together):
+                got = _bits(anchor_terms(f, r, pt, q))
+                assert got == _bits(ref), (f.label, pt)
+                assert got == _bits(reference_anchor_terms(f, r, [pt], q)[0])
+    given = anchor_terms(f, r, anchors[0], VERIFY_CFG, double=0.5)
+    assert given.double == 0.5
+    assert given.values == anchor_terms(f, r, anchors[0], VERIFY_CFG).values
 
 
 _SINGULAR = ("sqrt(t)+sqrt(s)", "t*sqrt(t)*s", "log(t-1)", "log(t+1)+sqrt(s)",

@@ -108,6 +108,14 @@ def test_crafted_trials_take_the_per_trial_path(monkeypatch):
                                  ("2d", 14)]
 
 
+@pytest.mark.parametrize("rules", _SUBSETS)
+def test_crafted_trials_match_per_trial_loop_per_rule_subset(monkeypatch, rules):
+    # the per-trial path always takes g's end values and takes each anchor
+    # on its own; the subsets without t2, or with one anchor, must not see it
+    _assert_same(monkeypatch, ["--trials", "20", "--seed", "21", "--degree", "4", "--rules",
+                               rules], _crafted(21, 4, 0.0))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("poly", ["f", "g"])
@@ -182,7 +190,7 @@ def test_stacked_terms_equal_per_trial_terms(degree, lam):
     own_1d = type(one)(*(field.copy() for field in one))
     own_2d = type(two)(*(field.copy() for field in two))
     for j, trial in enumerate(trials):
-        terms, d_lo, d_hi = cli._trial_terms_1d(trial, True)
+        terms, d_lo, d_hi = cli._trial_terms_1d(trial)
         assert own_1d.interval[j].tolist() == [terms.iv.lo, terms.iv.hi]
         assert own_1d.x[j] == terms.x
         own_1d.put(j, terms, d_lo, d_hi, max(abs(d_lo), abs(d_hi)))
