@@ -26,6 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -110,8 +111,9 @@ __all__ = [
 SCHEMA_VERSION = "1"
 RULE_ORDER = ("t1", "t2", "t3", "t4", "t5", "corrected")
 
-# trials sampled together; smaller chunks hold smaller arrays but pay the
-# per-call cost of numpy more often
+# trials sampled together; the buffers that stacked keeps for a chunk's
+# grids grow to its largest grid (1 MiB and 0.5 MiB at 64 trials and two
+# anchors), and smaller chunks pay the per-call cost of numpy more often
 _CHUNK_TRIALS = 64
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
@@ -526,8 +528,9 @@ def _run_verify(opts: dict) -> tuple[dict, dict, int]:
     Every trial of a chunk is drawn first (each from its own derived seed,
     so the order of drawing does not matter), then the chunk is sampled
     together: f, its mixed partial, g and g' at every point, line, double
-    integral and bound-grid node of all its trials, through the stacked
-    templates of `--degree` (stacked.sample_1d, stacked.sample_2d). Where
+    integral and bound-grid node of all its trials, through Horner
+    recurrences over the trials' coefficients padded to `--degree`
+    (stacked.sample_1d, stacked.sample_2d). Where
     the stacked samples of a trial's g or f are not shown to keep its
     bits, or one is non-finite, that part of the trial goes through
     interval_terms, estimate_bounds and anchor_terms (once per anchor) on
@@ -791,19 +794,45 @@ def _emit_text(doc: dict, stream) -> None:
     stream.write(f"runtime_ms = {doc['runtime_ms']}\n")
 
 
-def _render_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2). With indent, json encodes in pure Python,
-    float by float; the per-cell widths of an enclose grid (up to 2^20 of
-    them) are joined with float.__repr__ instead, which json uses for a
-    finite float, at the same indentation."""
-    widths = doc["results"].get("per_cell_width")
-    if not widths or not all(type(w) is float and math.isfinite(w) for w in widths):
-        return json.dumps(doc, indent=2)
-    text = json.dumps(dict(doc, results=dict(doc["results"], per_cell_width=[])), indent=2)
-    body = ",\n      ".join(map(float.__repr__, widths))
-    # a key in a string value would have its quotes escaped
-    return text.replace('\n    "per_cell_width": []',
-                        f'\n    "per_cell_width": [\n      {body}\n    ]', 1)
+def _render_json(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), for a value whose line breaks are
+    followed by pad (a newline and the value's indentation).
+
+    With indent, json encodes in pure Python, value by value. This writes
+    dict, list, tuple, str, int, float, bool and None as json does, and a
+    list of finite floats (the per-cell widths of an enclose grid, up to
+    2^20 of them) in one join of float.__repr__, which json uses for a
+    finite float. Any other value, or a dict with a key that is not a str,
+    is written by json.dumps."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        try:
+            body = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:
+            body = "n"
+        # the repr of a finite float has no "n", that of inf and nan has one
+        if "n" in body:
+            body = ("," + inner).join([_render_json(item, inner) for item in value])
+        return f"[{inner}{body}{pad}]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = ("," + inner).join([f"{encode_basestring_ascii(key)}: {_render_json(item, inner)}"
+                                   for key, item in value.items()])
+        return f"{{{inner}{body}{pad}}}"
+    return json.dumps(value, indent=2).replace("\n", pad)
 
 
 def run(inv: CliInvocation, stdout=None) -> int:

@@ -15,8 +15,9 @@ decimal point ("2.5", "1e-3"; not ".5").
 
 Evaluation accepts scalars or numpy arrays. An expression is compiled
 once into a Program, one step per distinct subtree, and every evaluation
-runs that program: the functions of `to_bivariate` and `to_univariate`,
-`eval_expr` and the stacked templates of the verification harness. The
+runs that program: the functions of `to_bivariate` and `to_univariate`
+and `eval_expr` (`stacked_program` compiles a polynomial template for many
+coefficient sets, which the tests hold the audit's recurrences to). The
 functions of `to_bivariate` also let the grid samplers evaluate their
 subtrees of one variable once per axis (`_Compiled.hoist`).
 Differentiation is symbolic (product/quotient/chain rules), with

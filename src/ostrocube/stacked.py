@@ -1,24 +1,34 @@
 """Stacked sampling of the audit's random polynomials.
 
-`verify` samples a chunk of trials at once: each trial's coefficients fill
-the slots of one template per degree (`templates`), and every sample of
-the chunk comes from a few runs of those programs over arrays with a
-leading trial axis (`sample_1d`, `sample_2d`). The samples are kept as
-columns, one row per case (`IntervalSamples`, `AnchorSamples`), from
-which the rules' terms are read for all rows at once (`terms`); a case
-sampled on its own is written into its row (`put`). Every sample and
-every reduction keeps the bits that sampling the trial's own tree gives.
+`verify` samples a chunk of trials at once (`sample_1d`, `sample_2d`).
+Each trial's coefficients are padded with zeros to the chunk's degree,
+and every sample of the chunk comes from Horner recurrences over arrays
+with a leading trial axis: f's rows are summed in s for every row at
+once, then f in t over the rows (`_f_grid`); the mixed partial and g'
+are the slopes of those sums (`_horner_slope`). Each step of a
+recurrence is the operation that the trial's own tree, the Horner tree
+that `expr.polynomial` builds and `expr.differentiate` differentiates,
+takes at that node, so every sample keeps the tree's bits: a padded
+coefficient only adds a signed zero to a nonzero value. Every step over a
+full grid writes into one of a few buffers that each thread keeps for the
+next chunk (`_kept`), so a chunk faults in no new memory.
+
+The samples are kept as columns, one row per case (`IntervalSamples`,
+`AnchorSamples`), none of them a view of a kept buffer, from which the
+rules' terms are read for all rows at once (`terms`); a case sampled on
+its own is written into its row (`put`). Every sample and every reduction
+keeps the bits that sampling the trial's own tree gives.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import DerivativeBounds, EvalPoint, Interval1D, QuadConfig, Rectangle, unchecked
-from .expr import Program, differentiate, polynomial, polynomial_1d, run_program, stacked_program
 from .quadrature import gl_nodes
 from .rules import AnchorTerms, IntervalTerms
 
@@ -27,7 +37,6 @@ __all__ = [
     "BOUNDS_GRID",
     "BOUNDS_PAD",
     "DERIV_GRID",
-    "templates",
     "IntervalSamples",
     "AnchorSamples",
     "rows",
@@ -46,28 +55,81 @@ BOUNDS_PAD = 0.25
 DERIV_GRID = 129
 
 
-# one entry per --degree value
-@lru_cache(maxsize=7)
-def templates(degree: int) -> tuple[Program, ...]:
-    """Stacked programs of f, its mixed partial, g and g' for the trials of
-    `--degree degree`, built on first use.
+def _horner(coeffs, x, out: np.ndarray) -> np.ndarray:
+    """coeffs[0] + x * (coeffs[1] + x * (... + x * coeffs[-1])) into out,
+    innermost sum first, as the Horner tree of expr.polynomial_1d takes it.
+    The coefficients are arrays (or the rows of one), each broadcasting
+    with x to out's shape."""
+    h = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        h = np.add(c, np.multiply(x, h, out=out), out=out)
+    if h is not out:
+        np.copyto(out, h)
+    return out
 
-    The templates are the Horner trees of a full (degree+1) x (degree+1)
-    polynomial and of a degree+1 coefficient univariate one, over slot
-    constants, differentiated as to_bivariate and to_univariate do. The
-    slots are distinct and neither 0 nor 1, so no unit law of simplify
-    fires and every coefficient keeps its own node. A trial fills the
-    slots with its coefficients, padded with zeros to the full degree. A
-    padded node adds a signed zero to a nonzero value, which leaves it
-    unchanged, so every sample equals the one the trial's own tree gives
-    (the tree in which simplify has dropped those nodes).
-    """
-    n = degree + 1
-    slots = [2.0 + j / 256.0 for j in range(n * n)]
-    f = polynomial([slots[i * n:(i + 1) * n] for i in range(n)])
-    g = polynomial_1d(slots[:n])
-    trees = (f, differentiate(differentiate(f, "t"), "s"), g, differentiate(g, "t"))
-    return tuple(stacked_program(e, slots) for e in trees)
+
+def _horner_slope(coeffs, x, value: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The derivative in x of _horner's sum into out, as expr.differentiate
+    gives it: with the partial sums h_j = coeffs[j] + x * h_{j+1} (h_{n-1}
+    = coeffs[n-1]), written into value as they are needed, the slope is
+    d_0 of d_{n-2} = h_{n-1} and d_{j-1} = h_j + x * d_j; a constant's
+    slope is 0."""
+    if len(coeffs) == 1:
+        out.fill(0.0)
+        return out
+    h = d = coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        h = np.add(c, np.multiply(x, h, out=value), out=value)
+        d = np.add(h, np.multiply(x, d, out=out), out=out)
+    if d is not out:
+        np.copyto(out, d)
+    return out
+
+
+def _rows(coeffs: np.ndarray, s: np.ndarray) -> tuple:
+    """The coefficients of f (trials x t powers x s powers) as the columns
+    of every row, one per power of s, shaped to broadcast with s, and an
+    empty array of the shape of every row's sum over them."""
+    columns = coeffs.T[(...,) + (None,) * (s.ndim - 1)]
+    return columns, np.empty(np.broadcast_shapes(columns.shape[1:], s.shape))
+
+
+def _f_grid(coeffs: np.ndarray, t: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """f of every trial (coefficients as _rows takes them) on the grid of
+    t against s into out: each row's sum in s, for all rows at once, then
+    the sum in t over the rows."""
+    columns, rows = _rows(coeffs, s)
+    return _horner(_horner(columns, s, rows), t, out)
+
+
+def _mixed_grid(coeffs: np.ndarray, t: np.ndarray, s: np.ndarray, value: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """The mixed partial of f of every trial on the grid of t against s into
+    out: the slope in t over the rows' slopes in s (value is a work array
+    of out's shape)."""
+    columns, rows = _rows(coeffs, s)
+    return _horner_slope(_horner_slope(columns, s, np.empty_like(rows), rows), t, value, out)
+
+
+class _Kept(threading.local):
+    """The flat buffers that a chunk's full grids are written into, one set
+    per thread, each grown when a larger chunk needs more."""
+
+    def __init__(self) -> None:
+        self.flat = [np.empty(0), np.empty(0)]
+
+
+_KEPT = _Kept()
+
+
+def _kept(i: int, shape: tuple) -> np.ndarray:
+    """Kept buffer i of this thread, viewed as shape. What it holds is
+    written again by the next chunk: a sample returned from it is copied
+    first."""
+    size = math.prod(shape)
+    if _KEPT.flat[i].size < size:
+        _KEPT.flat[i] = np.empty(size)
+    return _KEPT.flat[i][:size].reshape(shape)
 
 
 def _no_unit_coefficient(coeffs: list) -> bool:
@@ -92,13 +154,6 @@ def _reduce(weights: np.ndarray, values: np.ndarray, flat: np.ndarray) -> np.nda
         kept = values[flat]
         out[flat] = np.vecdot(weights[flat], np.broadcast_to(kept[..., :1], kept.shape))
     return out
-
-
-def _run_full(program: Program, t, s, columns: np.ndarray, shape: tuple) -> np.ndarray:
-    """The samples of a stacked template, laid out in full over shape and
-    writable (a degree-0 template gives one value per trial)."""
-    out = run_program(program, t, s, columns)
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 class IntervalSamples(NamedTuple):
@@ -193,7 +248,6 @@ def sample_1d(trials: list, degree: int) -> tuple[IntervalSamples, np.ndarray]:
     per trial whether they are its own: False for a trial that must be
     sampled on its own, one with a non-finite sample, a coefficient of 0
     or 1, or an interval or point that interval_terms rejects."""
-    _, _, program_g, program_dg = templates(degree)
     k, n = len(trials), degree + 1
     coeffs = np.zeros((k, n))
     for row, trial in zip(coeffs, trials):
@@ -203,19 +257,20 @@ def sample_1d(trials: list, degree: int) -> tuple[IntervalSamples, np.ndarray]:
     lo, hi = interval.T
     x = np.array([trial.x for trial in trials])
     nodes, weights = gl_nodes(lo, hi, VERIFY_CFG)
-    # g at x, lo and hi, then at the nodes, in one run
+    # g at x, lo and hi, then at the nodes, in one evaluation
     ts = np.concatenate((x[:, None], interval, nodes), axis=1)
-    values = _run_full(program_g, ts, 0.0, columns, ts.shape)
-    at, vals = values[:, :3], np.ascontiguousarray(values[:, 3:])
-    integral = _reduce(weights, vals, np.array([len(trial.g) == 1 for trial in trials]))
+    values = _horner(columns, ts, _kept(0, ts.shape))
+    ok = np.array([_no_unit_coefficient(trial.g) for trial in trials])
+    ok &= _finite_rows(interval) & (lo < hi) & (lo <= x) & (x <= hi) & _finite_rows(values)
+    at = values[:, :3].copy()
+    integral = _reduce(weights, np.ascontiguousarray(values[:, 3:]),
+                       np.array([len(trial.g) == 1 for trial in trials]))
     grid = np.linspace(lo, hi, DERIV_GRID, axis=-1)
-    deriv = np.broadcast_to(run_program(program_dg, grid, 0.0, columns), grid.shape)
+    deriv = _horner_slope(columns, grid, _kept(0, grid.shape), _kept(1, grid.shape))
     d_min, d_max = deriv.min(axis=1), deriv.max(axis=1)
     pad = BOUNDS_PAD * (d_max - d_min) + 1e-12
     d_lo, d_hi = d_min - pad, d_max + pad
-    ok = np.array([_no_unit_coefficient(trial.g) for trial in trials])
-    ok &= _finite_rows(interval) & (lo < hi) & (lo <= x) & (x <= hi)
-    ok &= _finite_rows(values) & np.isfinite(integral) & np.isfinite(d_lo) & np.isfinite(d_hi)
+    ok &= np.isfinite(integral) & np.isfinite(d_lo) & np.isfinite(d_hi)
     magnitude = np.maximum(np.abs(d_lo), np.abs(d_hi))
     return IntervalSamples(interval, x, at, integral, d_lo, d_hi, magnitude), ok
 
@@ -237,13 +292,11 @@ def sample_2d(trials: list, degree: int, anchors: tuple) -> tuple[AnchorSamples,
     its own, one with a non-finite sample, a coefficient of 0 or 1, a
     non-finite rectangle, or an anchor not strictly inside it (on an edge,
     the split double integral has one segment, not two)."""
-    program_f, program_mixed, _, _ = templates(degree)
     k, n = len(trials), degree + 1
-    coeffs = np.zeros((k, n * n))
+    coeffs = np.zeros((k, n, n))
     for row, trial in zip(coeffs, trials):
         for i, f_row in enumerate(trial.f):
-            row[i * n:i * n + len(f_row)] = f_row
-    columns = coeffs.T[:, :, None, None]
+            row[i, :len(f_row)] = f_row
     rect = np.array([trial.rect for trial in trials])
     t_lo, t_hi, s_lo, s_hi = rect.T
     flat_t = np.array([len(trial.f) == 1 for trial in trials])
@@ -252,13 +305,15 @@ def sample_2d(trials: list, degree: int, anchors: tuple) -> tuple[AnchorSamples,
     # mixed-partial bounds as estimate_bounds samples them: one linspace
     # from the lower edges (a, c) to the upper edges (b, d) of each trial
     axes = np.linspace(rect[:, 0::2], rect[:, 1::2], BOUNDS_GRID, axis=-1)
-    mixed = run_program(program_mixed, axes[:, 0, :, None], axes[:, 1, None, :], columns)
-    mixed = np.broadcast_to(mixed, (k, BOUNDS_GRID, BOUNDS_GRID))
+    shape = (k, BOUNDS_GRID, BOUNDS_GRID)
+    mixed = _mixed_grid(coeffs, axes[:, 0, :, None], axes[:, 1, None, :], _kept(1, shape),
+                        _kept(0, shape))
     m_lo, m_hi = mixed.min(axis=(1, 2)), mixed.max(axis=(1, 2))
     pad = BOUNDS_PAD * (m_hi - m_lo) + 1e-12
     lower, upper = m_lo - pad, m_hi + pad
-    ok = _finite_rows(mixed) & np.isfinite(lower) & np.isfinite(upper) & _finite_rows(rect)
-    del mixed
+    # min and max take a NaN, and an infinity makes a bound infinite, so
+    # finite bounds mean finite samples
+    ok = np.isfinite(lower) & np.isfinite(upper) & _finite_rows(rect)
     ok &= [_no_unit_coefficient([value for row in trial.f for value in row])
            for trial in trials]
     xy = np.array([[getattr(trial, name) for name in anchors] for trial in trials])
@@ -274,23 +329,22 @@ def sample_2d(trials: list, degree: int, anchors: tuple) -> tuple[AnchorSamples,
     sn, sw = gl_nodes(s_lo, s_hi, VERIFY_CFG)
     ts = np.concatenate((x, rect[:, :2], tn), axis=1)
     ss = np.concatenate((y, rect[:, 2:], sn), axis=1)
-    grid = _run_full(program_f, ts[:, :, None], ss[:, None, :], columns,
-                     (k, ts.shape[1], ss.shape[1]))
-    points = grid[:, :m, :m]
+    grid = _f_grid(coeffs, ts[:, :, None], ss[:, None, :],
+                   _kept(0, (k, ts.shape[1], ss.shape[1])))
+    points = grid[:, :m, :m].copy()
     lines_t = np.ascontiguousarray(grid[:, m:, :m].transpose(0, 2, 1))
     lines_s = np.ascontiguousarray(grid[:, :m, m:])
     ok &= _finite_rows(points) & _finite_rows(lines_t) & _finite_rows(lines_s)
     along_t = _reduce(tw[:, None, :], lines_t, flat_t)
     along_s = _reduce(sw[:, None, :], lines_s, flat_s)
-    del lines_t, lines_s
 
-    # the double integral split at each anchor, every anchor in one run:
+    # the double integral split at each anchor, every anchor in one go:
     # `tw @ grid @ sw` per trial and anchor as integrate_2d takes it, as
     # one batched matmul; a constant's grid stays zero-stride
     tn, tw = _split_nodes(t_lo, x, t_hi)
     sn, sw = _split_nodes(s_lo, y, s_hi)
-    grids = _run_full(program_f, tn[..., :, None], sn[..., None, :], columns[..., None],
-                      tn.shape + sn.shape[-1:])
+    grids = _f_grid(coeffs, tn[..., :, None], sn[..., None, :],
+                    _kept(0, tn.shape + sn.shape[-1:]))
     ok &= _finite_rows(grids)
     double = np.vecdot(np.matmul(tw[..., None, :], grids)[..., 0, :], sw)
     for j in np.flatnonzero(flat_t & flat_s & ok).tolist():

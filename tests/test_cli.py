@@ -1,5 +1,8 @@
+import collections
+import enum
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -7,6 +10,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ostrocube
@@ -473,6 +477,62 @@ def test_json_rendering_equals_json_dumps(cells):
     if cells:
         doc["results"]["per_cell_width"] = widths + [float("inf"), float("nan")]
         assert _render_json(doc) == json.dumps(doc, indent=2)
+
+
+def _json_value(rnd: random.Random, depth: int):
+    """A random value built of dict, list, tuple, str, int, float, bool and
+    None, with empty containers, escapes, non-ASCII text, signed zeros,
+    non-finite floats and lists of finite floats among them."""
+    kind = rnd.randrange(9 if depth else 6)
+    if kind == 0:
+        return rnd.choice([None, True, False])
+    if kind == 1:
+        return rnd.choice([0, -7, 2**70, -(2**64) + 1])
+    if kind == 2:
+        return rnd.choice([0.0, -0.0, 1e-320, -2.5e300, 0.1, math.inf, -math.inf, math.nan])
+    if kind == 3:
+        return rnd.choice(["", "a", 'q"uote\\', "tab\tnl\n", "\u00e9\u4e2d\U0001f600", "\x00\x1f"])
+    if kind == 4:
+        return [rnd.uniform(-1e3, 1e3) * 10.0 ** rnd.randint(-300, 300)
+                for _ in range(rnd.randrange(4))]
+    if kind == 5:
+        return rnd.choice([[], (), {}])
+    if kind == 6:
+        return {rnd.choice(["k", "per_cell_width", "\u00e9", ""]) + str(j): _json_value(rnd, depth - 1)
+                for j in range(rnd.randrange(1, 4))}
+    items = [_json_value(rnd, depth - 1) for _ in range(rnd.randrange(1, 4))]
+    return items if kind == 7 else tuple(items)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_json_writer_gives_the_bytes_of_json_dumps(seed):
+    doc = _json_value(random.Random(seed), 4)
+    assert _render_json(doc) == json.dumps(doc, indent=2)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": np.float64(0.25), "y": [np.float64(1.5), 2.0]},
+    {"level": _Level.HIGH, "levels": [_Level.HIGH, 1.0]},
+    {"ordered": collections.OrderedDict(b=1, a=[2.0, (3, "x")])},
+    {1: "int key", 2.5: [], None: {}, True: (), "s": 1.0},
+    [{"nested": [[], [1.0, float("nan")], [True, 1.0]]}],
+    "top-level string",
+    1.0,
+])
+def test_json_writer_takes_json_dumps_for_other_types(doc):
+    assert _render_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{"x": np.int64(3)}, [object()], {(1, 2): 3}])
+def test_json_writer_raises_where_json_dumps_does(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        _render_json(doc)
 
 
 def test_json_output_of_a_grid_is_json_dumps():

@@ -10,8 +10,12 @@ per-trial path.
 
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,22 +154,25 @@ def test_degenerate_domains_fail_as_the_per_trial_loop_does(monkeypatch, capsys,
     assert code == 1 and err.startswith("error: ")
 
 
-def test_one_chunk_runs_five_stacked_programs(monkeypatch):
-    # one run each per chunk, whatever its size: g at its point, ends and
-    # nodes; g'; f at its points and lines; f on both split double-integral
-    # grids; the mixed partial
+@pytest.mark.parametrize("trials", [1, 64])
+def test_one_chunk_runs_eight_horner_recurrences(monkeypatch, trials):
+    # one evaluation each per chunk, whatever its size: g at its point, ends
+    # and nodes; f's rows and then f at its points and lines; f's rows and
+    # then f on both split double-integral grids; the slopes of g', and of
+    # the mixed partial's rows and then the mixed partial itself
     runs = []
-    run_program = stacked.run_program
-    monkeypatch.setattr(stacked, "run_program",
-                        lambda *args: runs.append(args) or run_program(*args))
-    code, _ = _run(monkeypatch, ["--trials", "1", "--seed", "1"])
+    for name in ("_horner", "_horner_slope"):
+        original = getattr(stacked, name)
+        monkeypatch.setattr(stacked, name, lambda *args, _name=name, _original=original:
+                            runs.append(_name) or _original(*args))
+    code, _ = _run(monkeypatch, ["--trials", str(trials), "--seed", "1"])
     assert code == 0
-    assert len(runs) == 5
+    assert (runs.count("_horner"), runs.count("_horner_slope")) == (5, 3)
 
 
 def test_stacked_audit_memory_stays_small():
-    # each intermediate of the stacked templates is dropped after its last
-    # use: 4.1 MiB traced at the peak, 13 MiB when every one is kept
+    # every full grid is written into one of two kept buffers (1 MiB and
+    # 0.5 MiB at 64 trials): 2.8 MiB traced at the peak
     tracemalloc.start()
     try:
         with redirect_stdout(io.StringIO()):
@@ -200,3 +207,50 @@ def test_stacked_terms_equal_per_trial_terms(degree, lam):
         own_2d.put(j, terms, db)
     for got, own in zip((*one, *two), (*own_1d, *own_2d)):
         assert np.array_equal(got, own)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 6])
+def test_samples_stay_as_they_are_when_the_next_chunk_is_sampled(degree):
+    # the chunk's full grids are written into buffers that the next chunk
+    # writes again; nothing a chunk returns may be a view of one
+    anchors = ("p", "q")
+    first = [cli._draw_trial(61, k, degree, 0.3) for k in range(25)]
+    then = [cli._draw_trial(62, k, 6, 0.3) for k in range(64)]
+    got = (*stacked.sample_1d(first, degree), *stacked.sample_2d(first, degree, anchors))
+    fields = [*got[0], got[1], *got[2], got[3]]
+    kept = [field.copy() for field in fields]
+    stacked.sample_1d(then, 6)
+    stacked.sample_2d(then, 6, anchors)
+    for field, copy in zip(fields, kept):
+        assert np.array_equal(field, copy) and field.tobytes() == copy.tobytes()
+
+
+_FAULTS = """
+import io, resource
+from contextlib import redirect_stdout
+from ostrocube import cli
+
+def audit():
+    with redirect_stdout(io.StringIO()):
+        assert cli.run_main(["verify", "--trials", "25", "--degree", "6", "--json"]) == 0
+
+audit()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+audit()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_an_audit_reuses_the_memory_of_the_one_before():
+    # the full grids go into kept buffers, so once one audit has run, the
+    # next faults in no new memory; fresh grids of a few hundred KiB each
+    # made the heap shrink after every audit and fault in again on the
+    # next, about 400 minor faults per audit
+    package = Path(cli.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert int(proc.stdout) < 20
