@@ -12,7 +12,7 @@ order they first appear (their file and line are not pinned).
 import hashlib
 import io
 import warnings
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -136,3 +136,42 @@ def test_failing_enclose_message_and_warnings(text, bounds, message, warned, cap
     assert captured.out == ""
     assert captured.err == f"numerical failure: {message}\n"
     assert list(dict.fromkeys(str(w.message) for w in caught)) == warned
+
+
+# Whole invocations, pinned as the md5 of the exit code, stdout, stderr and
+# the numpy warnings in the order they first appear: line integrals and
+# sampled bounds on grids of 24-96 cells, the stencil (`t^s` has no exact
+# mixed partial), a non-finite count on each path, and a domain error.
+_INVOCATIONS = {
+    "log-48-auto": (["--f", "log(2+t+s)*t", *_UNIT, "--bounds", "auto",
+                     "--subdivide", "48", "48"], "95231b4769a8495a08d3269932319ec8"),
+    "exp-32-given": (["--f", "exp(t*s)", *_UNIT, "--bounds", "1", "6",
+                      "--subdivide", "32", "32"], "e2fe04641bfa74c7e9a23446575f5c87"),
+    "pow-24-auto": (["--f", "t^s", "--rect", "0.1", "1", "0.1", "1", "--bounds", "auto",
+                     "--subdivide", "24", "24"], "3c67139593e184dd2d8204b84b5a728b"),
+    "overflow-96-given": (["--f", "exp(800*t)*(s+1)", *_UNIT, "--bounds", "-5", "5",
+                           "--subdivide", "96", "96"], "07d607baffd71a5d57c6afedaf067761"),
+    "overflow-48-auto": (["--f", "exp(800*t)*(s+1)", *_UNIT, "--bounds", "auto",
+                          "--subdivide", "48", "48"], "8fa7fdd71574c67952dfcccda6903e96"),
+    "logdomain-32-given": (["--f", "log(t-0.3)*s", *_UNIT, "--bounds", "-1", "1",
+                            "--subdivide", "32", "32"], "89502351e6b9718575ad3144bf060cc1"),
+    "logdomain-32-auto": (["--f", "log(t-0.3)*s", *_UNIT, "--bounds", "auto",
+                           "--subdivide", "32", "32"], "89502351e6b9718575ad3144bf060cc1"),
+}
+
+
+def invocation_digest(argv: list) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_main(argv)
+    seen = list(dict.fromkeys(str(w.message) for w in caught))
+    text = f"{code}\n{out.getvalue()}\n{err.getvalue()}\n{seen}"
+    return hashlib.md5(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(_INVOCATIONS))
+def test_enclose_invocation_digest(key):
+    args, md5 = _INVOCATIONS[key]
+    assert invocation_digest(["enclose", *args, "--json", "--no-timestamp"]) == md5
