@@ -315,28 +315,28 @@ def parse_expression(text: str) -> ExprNode:
 # ---------------------------------------------------------------------------
 
 
-def _log(v):
+def _log(v, out=None):
     if (np.asarray(v) <= 0.0).any():
         raise DomainError("log of a non-positive value")
-    return np.log(v)
+    return np.log(v, out=out)
 
 
-def _sqrt(v):
+def _sqrt(v, out=None):
     if (np.asarray(v) < 0.0).any():
         raise DomainError("sqrt of a negative value")
-    return np.sqrt(v)
+    return np.sqrt(v, out=out)
 
 
-def _divide(lv, rv):
+def _divide(lv, rv, out=None):
     if (np.asarray(rv) == 0.0).any():
         raise DomainError("division by zero")
-    return lv / rv
+    return lv / rv if out is None else np.divide(lv, rv, out=out)
 
 
-def _power(lv, rv):
+def _power(lv, rv, out=None):
     if type(rv) is float and rv >= 0.0 and rv.is_integer():
         # a literal whole exponent: no guard below can fail
-        return np.power(lv, rv)
+        return np.power(lv, rv, out=out)
     base = np.asarray(lv)
     expo = np.asarray(rv)
     if (base < 0.0).any() and not (expo == np.floor(expo)).all():
@@ -344,17 +344,17 @@ def _power(lv, rv):
     if ((base == 0.0) & (expo < 0.0)).any():
         raise DomainError("zero raised to a negative power")
     if expo.ndim:
-        return _power_per_element(lv, rv)
-    return np.power(lv, rv)
+        return _power_per_element(lv, rv, out)
+    return np.power(lv, rv, out=out)
 
 
-def _power_per_element(base, expo):
+def _power_per_element(base, expo, out=None):
     """np.power with an array exponent, equal element by element to np.power
     of the scalars. numpy's float64 power loop computes the exponents 0.5, 2
     and -1 as sqrt, square and reciprocal only when the exponent reaches it
     with stride 0, and with pow otherwise, which can differ in the last bit;
     without this, a sample would depend on how the coordinates were laid out."""
-    out = np.power(base, expo)
+    out = np.power(base, expo, out=out)
     # np.power has already warned about any of these elements
     with np.errstate(all="ignore"):
         for value, shortcut in ((0.5, np.sqrt), (2.0, np.square), (-1.0, np.reciprocal)):
@@ -366,6 +366,11 @@ _UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
           "log": _log, "sqrt": _sqrt}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
            "^": _power}
+# the same operations writing into out=
+_UNARY_INTO = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+               "log": _log, "sqrt": _sqrt}
+_BINARY_INTO = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide,
+                "^": _power}
 
 
 class Program(NamedTuple):
@@ -389,6 +394,12 @@ class Program(NamedTuple):
     a and b indices into those values (b None for a unary one) and frees
     the values it uses for the last time, which are dropped so that few
     intermediates are alive at a time. out holds the index of each output.
+
+    kept is code as _run_into runs it: (function, a, b, frees, register)
+    per operation. A full-grid step, one that reads both t and s and so
+    has the block's whole shape, writes with out= into one of n_registers
+    arrays of that shape (see _registers); any other step has register
+    None and allocates as in code.
     """
 
     steps: tuple
@@ -398,6 +409,8 @@ class Program(NamedTuple):
     n_inputs: int
     code: tuple
     out: tuple
+    kept: tuple
+    n_registers: int
 
 
 _T, _S = 1, 2
@@ -446,8 +459,40 @@ def _link(steps: list, reads: list, outputs: tuple) -> Program:
     for value, user in last_use.items():
         if value not in out:
             frees[user - first].append(value)
+    frees = [tuple(free) for free in frees]
     return Program(tuple(steps), tuple(reads), outputs, tuple(consts), n_inputs,
-                   tuple([step + (tuple(free),) for step, free in zip(code, frees)]), out)
+                   tuple([step + (free,) for step, free in zip(code, frees)]), out,
+                   *_registers(steps, reads, code, frees, first))
+
+
+def _registers(steps: list, reads: list, code: list, frees: list, first: int) -> tuple:
+    """(kept, n_registers) of a program, see Program: code with each
+    full-grid operation's out= form and register. A register is taken from
+    those free, the ones its operands free included (so the operation runs
+    in place), and freed at the last use of its value. "^" is given none of
+    its operands' registers, as its array-exponent form reads them after
+    writing."""
+    ops = [(op, r) for (op, _, _), r in zip(steps, reads) if op in _BINARY or op in _UNARY]
+    kept: list[tuple] = []
+    register: dict[int, int] = {}  # value -> its register
+    spare: list[int] = []
+    n_registers = 0
+    for k, ((fn, a, b), free, (op, r)) in enumerate(zip(code, frees, ops)):
+        released = [register.pop(v) for v in free if v in register]
+        reg = None
+        if r == _T | _S:
+            if op != "^":
+                spare += released
+                released = []
+            if spare:
+                reg = spare.pop()
+            else:
+                reg, n_registers = n_registers, n_registers + 1
+            register[first + k] = reg
+            fn = (_UNARY_INTO if b is None else _BINARY_INTO)[op]
+        spare += released
+        kept.append((fn, a, b, free, reg))
+    return tuple(kept), n_registers
 
 
 def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
@@ -496,6 +541,24 @@ def _run(program: Program, t, s, inputs) -> list:
         for i in frees:
             vals[i] = None
     return vals
+
+
+def _run_into(program: Program, t, s, inputs, registers: Sequence[np.ndarray]):
+    """The value of a one-output program at t and s, as run_program gives
+    it, with every full-grid step written into registers[n] (kept): the
+    result may be one of them."""
+    vals = [t, s, *program.consts, *inputs[:program.n_inputs]]
+    push = vals.append
+    for fn, a, b, frees, reg in program.kept:
+        if reg is None:
+            push(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
+        elif b is None:
+            push(fn(vals[a], out=registers[reg]))
+        else:
+            push(fn(vals[a], vals[b], out=registers[reg]))
+        for i in frees:
+            vals[i] = None
+    return vals[program.out[0]]
 
 
 def run_program(program: Program, t, s, inputs: Sequence = ()):
@@ -563,11 +626,29 @@ def _outputs(program: Program, t, s) -> list:
     return [vals[i] for i in program.out]
 
 
+class _Tail:
+    """f(t, s) of one block from hoisted values: a program and its inputs."""
+
+    __slots__ = ("program", "inputs")
+
+    def __init__(self, program: Program, inputs: list):
+        self.program = program
+        self.inputs = inputs
+
+    def __call__(self, t, s):
+        return _run(self.program, t, s, self.inputs)[self.program.out[0]]
+
+    def into(self, t, s, registers: Sequence[np.ndarray]):
+        return _run_into(self.program, t, s, self.inputs, registers)
+
+
 class _Compiled:
     """f(t, s) of an expression, compiled into a Program on its first use.
 
-    hoist is what the grid samplers look for on a function's fn (a wrapper
-    around it has none, and is sampled as it is)."""
+    hoist and into are what the grid samplers look for on a function's fn
+    (a wrapper around it has neither, and is sampled as it is); into(t, s,
+    registers) runs the program with its full-grid steps in registers, at
+    least program.n_registers arrays of the block's shape."""
 
     __slots__ = ("expr", "_program", "_splits")
 
@@ -584,6 +665,9 @@ class _Compiled:
 
     def __call__(self, t, s):
         return run_program(self.program, t, s)
+
+    def into(self, t, s, registers: Sequence[np.ndarray]):
+        return _run_into(self.program, t, s, (), registers)
 
     def _split(self, names: tuple) -> tuple:
         """The head of each variable in names (None if it has none) and
@@ -604,20 +688,18 @@ class _Compiled:
         may be None). None if there is no such subtree; otherwise
         at(t_rows, s_rows), the function of one block: at coordinates
         t[t_rows] and s[s_rows] it equals this function, taking the
-        hoisted values at those rows. Raises what evaluating a hoisted
-        subtree raises."""
+        hoisted values at those rows, and has into as well. Raises what
+        evaluating a hoisted subtree raises."""
         names = ("t",) * (t is not None) + ("s",) * (s is not None)
         heads, tail = self._split(names)
         if not any(heads):
             return None
         values = {var: _outputs(head, t, s) if head else []
                   for var, head in zip(names, heads)}
-        root = tail.out[0]
 
         def at(t_rows, s_rows):
-            given = ([v[t_rows] for v in values.get("t", ())]
-                     + [v[s_rows] for v in values.get("s", ())])
-            return lambda t, s: _run(tail, t, s, given)[root]
+            return _Tail(tail, [v[t_rows] for v in values.get("t", ())]
+                         + [v[s_rows] for v in values.get("s", ())])
 
         return at
 

@@ -48,6 +48,8 @@ to array exponents too by the expression evaluator.
 from __future__ import annotations
 
 import dataclasses
+import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -72,6 +74,7 @@ __all__ = [
     "UnsupportedOrder",
     "GLRule",
     "BLOCK_SAMPLES",
+    "REGISTER_BLOCK_SAMPLES",
     "gl_rule",
     "gl_nodes",
     "integrate_1d",
@@ -91,10 +94,17 @@ _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS ** (1.0 / 3.0)
 
 # Most values one call of an integrand returns to the grid routines
-# (grid_values, split_grid and integrate_2d, line_integrals, cell_bounds,
-# and the identity oracle's sampling of the mixed partial); it keeps the
-# evaluator's temporaries flat in the grid size.
+# (grid_values, split_grid and integrate_2d, the identity oracle's sampling
+# of the mixed partial, the stencil, and line_integrals and cell_bounds for
+# a plain callable or small call); it keeps the evaluator's temporaries flat
+# in the grid size and small enough for the heap to keep.
 BLOCK_SAMPLES = 8192
+# Most values one run of a compiled integrand takes where each block is
+# reduced at once (line_integrals; cell_bounds on an exact mixed partial)
+# and the call takes more than BLOCK_SAMPLES values: its full-grid steps
+# write into registers, buffers kept per thread (_kept), so these blocks,
+# 8x fewer runs, fault in no new memory.
+REGISTER_BLOCK_SAMPLES = 1 << 16
 
 
 class NonFiniteSample(EngineError):
@@ -265,6 +275,61 @@ def _hoist(f: BivariateFunction, field: str, t=None, s=None):
     return lambda t_rows, s_rows: dataclasses.replace(f, **{field: at(t_rows, s_rows)})
 
 
+class _Kept(threading.local):
+    """The flat buffers kept per thread, each grown when a larger view of it
+    is asked for."""
+
+    def __init__(self) -> None:
+        self.flat: list = []
+
+
+_KEPT = _Kept()
+# kept buffers 0 and 1 are stacked's chunk grids; the registers of a
+# compiled run are buffers _FIRST_REGISTER, _FIRST_REGISTER + 1, ...
+_FIRST_REGISTER = 2
+
+
+def _kept(i: int, shape: tuple) -> np.ndarray:
+    """Kept buffer i of this thread, viewed as shape. What it holds is
+    written again by the next use: a value returned from it is copied or
+    reduced first."""
+    size = math.prod(shape)
+    flat = _KEPT.flat
+    if len(flat) <= i:
+        flat += [np.empty(0)] * (i + 1 - len(flat))
+    if flat[i].size < size:
+        flat[i] = np.empty(size)
+    return flat[i][:size].reshape(shape)
+
+
+def _compiled(f: BivariateFunction, field: str):
+    """f's field ("fn" or "mixed_fn") if it can run into registers (expr's
+    compiled functions can; a plain callable or a wrapper cannot)."""
+    fn = getattr(f, field)
+    return fn if f.vectorized and hasattr(fn, "into") else None
+
+
+def _raising():
+    """numpy's error state with each floating-point error that it would
+    report raised instead: a register run reports nothing itself, and the
+    small blocks that sample again after it fails report what they did."""
+    return np.errstate(**{k: v if v == "ignore" else "raise" for k, v in np.geterr().items()})
+
+
+def _run_kept(fn, views: dict, *coords: np.ndarray) -> np.ndarray:
+    """fn (see _compiled) over coordinates that broadcast, as _sample gives
+    it, with its full-grid steps in the registers of the block's shape
+    (views, built once per shape and sampler call). The result may be a
+    register."""
+    shape = np.broadcast(*coords).shape
+    count = fn.program.n_registers
+    registers = views.get(shape)
+    if registers is None or len(registers) < count:
+        registers = views[shape] = [_kept(_FIRST_REGISTER + k, shape) for k in range(count)]
+    out = np.asarray(fn.into(*coords, registers), dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
+
+
 def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
@@ -290,10 +355,10 @@ def integrate_1d(
     return float(weights @ vals)
 
 
-def _row_blocks(rows: int, width: int, min_rows: int = 1) -> list[slice]:
-    """Slices of whole rows of a grid `width` wide, each of at most
-    BLOCK_SAMPLES values, or min_rows rows if that is more."""
-    per_block = max(min_rows, BLOCK_SAMPLES // width)
+def _row_blocks(rows: int, width: int, min_rows: int = 1, cap: int = 0) -> list[slice]:
+    """Slices of whole rows of a grid `width` wide, each of at most cap
+    values (BLOCK_SAMPLES if 0), or min_rows rows if that is more."""
+    per_block = max(min_rows, (cap or BLOCK_SAMPLES) // width)
     return [slice(k, k + per_block) for k in range(0, rows, per_block)]
 
 
@@ -385,14 +450,34 @@ def line_integrals(
     row's dot product is the one `weights @ values` computes. Each call of
     f returns whole lines, at most BLOCK_SAMPLES values (blocks of one
     line's rows if a line is longer); with several blocks, f's subtrees of
-    the node variable are evaluated once for all of them. A non-finite
-    sample is reported with the first bad line's cross-section label and
-    its count in that call.
+    the node variable are evaluated once for all of them. A call of more
+    than BLOCK_SAMPLES values of a compiled f runs blocks of up to
+    REGISTER_BLOCK_SAMPLES values into registers instead; if one of them
+    fails or meets a floating-point error, the whole call is sampled again
+    in the small blocks, which report it. A non-finite sample is reported
+    with the first bad line's cross-section label and its count in that
+    call.
     """
     f = as_bivariate(f)
+    if (len(fixed) * nodes.size > BLOCK_SAMPLES and nodes.shape[1] <= REGISTER_BLOCK_SAMPLES
+            and _compiled(f, "fn")):
+        try:
+            with _raising():
+                return _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=True)
+        except Exception:
+            pass  # the small blocks report it
+    return _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=False)
+
+
+def _line_integrals(f: BivariateFunction, fixed_axis: str, fixed: Sequence[float],
+                    nodes: np.ndarray, weights: np.ndarray, kept: bool) -> np.ndarray:
+    """line_integrals in blocks of BLOCK_SAMPLES values, or, if kept, of
+    REGISTER_BLOCK_SAMPLES values run into registers, raising on any
+    failure without naming a line."""
+    cap = REGISTER_BLOCK_SAMPLES if kept else BLOCK_SAMPLES
     rows, width = nodes.shape
-    lines_per_block = max(1, BLOCK_SAMPLES // (rows * width))
-    row_blocks = _row_blocks(rows, width)
+    lines_per_block = max(1, cap // (rows * width))
+    row_blocks = _row_blocks(rows, width, cap=cap)
     fns = [f] * len(row_blocks)
     if len(fixed) > lines_per_block or len(row_blocks) > 1:
         # over the very node rows each block samples, before any line
@@ -401,25 +486,31 @@ def line_integrals(
         if None not in hoisted:
             every = slice(None)
             fns = [at(every, every) for at in hoisted]
+    views: dict = {}
     at = np.asarray(fixed, dtype=float)[:, None, None]
     out = np.empty((len(fixed), rows))
     for i in range(0, len(fixed), lines_per_block):
         x = at[i:i + lines_per_block]
         for rb, fn in zip(row_blocks, fns):
-            block = nodes[rb]
-            try:
-                vals = sample_bivariate(fn, *((x, block) if fixed_axis == "t" else (block, x)))
-            except Exception:
-                if len(x) > 1:
-                    # one line at a time, so that the first failing line
-                    # raises what it would raise alone
-                    for j in range(i, i + len(x)):
-                        line_integrals(f, fixed_axis, fixed[j:j + 1], nodes, weights)
-                raise
+            coords = (x, nodes[rb]) if fixed_axis == "t" else (nodes[rb], x)
+            if kept:
+                vals = _run_kept(fn.fn, views, *coords)
+            else:
+                try:
+                    vals = sample_bivariate(fn, *coords)
+                except Exception:
+                    if len(x) > 1:
+                        # one line at a time, so that the first failing line
+                        # raises what it would raise alone
+                        for j in range(i, i + len(x)):
+                            line_integrals(f, fixed_axis, fixed[j:j + 1], nodes, weights)
+                    raise
             sums = np.vecdot(weights[rb], vals)
             # the weights are finite, so a non-finite sample leaves its
             # line's sum non-finite: only then are the samples scanned
             if not np.isfinite(sums).all():
+                if kept:
+                    raise NonFiniteSample("a non-finite sample in a register run")
                 finite = np.isfinite(vals).reshape(len(x), -1).all(axis=1)
                 if not finite.all():
                     j = int(np.argmin(finite))
@@ -481,7 +572,11 @@ def cell_bounds(
     sampled in row-major blocks of at most BLOCK_SAMPLES values (one cell
     if a cell grid is larger); with several blocks, the exact partial's
     subtrees of one variable are evaluated once over all cell rows of
-    that axis. Returns (lower, upper), each of shape (m, n).
+    that axis. A compiled exact partial over more than BLOCK_SAMPLES
+    values runs blocks of up to REGISTER_BLOCK_SAMPLES values into
+    registers instead, and is sampled again in the small blocks if one of
+    them fails or meets a floating-point error. Returns (lower, upper),
+    each of shape (m, n).
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -494,28 +589,59 @@ def cell_bounds(
     samples = np.linspace(starts, ends, grid_n).T
     ts, ss = samples[:m], samples[m:]
     steps = _FD_STEP * (ends - starts)
-    h_t, h_s = steps[:m], steps[m:]
-    lo = np.empty(m * n)
-    hi = np.empty(m * n)
-    per_block = max(1, BLOCK_SAMPLES // (grid_n * grid_n))
-    hoisted = None
-    if m * n > per_block:
-        hoisted = _hoist(f, "mixed_fn", t=ts[:, :, None], s=ss[:, None, :])
-    for start in range(0, m * n, per_block):
-        cells = np.arange(start, min(start + per_block, m * n))
-        i, j = np.divmod(cells, n)
-        fd_steps = (h_t[i, None, None], h_s[j, None, None])
-        vals = sample_mixed(f if hoisted is None else hoisted(i, j), ts[i, :, None],
-                            ss[j, None, :], None, fd_fallback=True, fd_steps=fd_steps)
-        _check_finite(vals, f"mixed partial of {f.label}")
-        lo[cells] = vals.min(axis=(1, 2))
-        hi[cells] = vals.max(axis=(1, 2))
+    extremes = None
+    if (f.has_exact_mixed and m * n * grid_n * grid_n > BLOCK_SAMPLES
+            and grid_n * grid_n <= REGISTER_BLOCK_SAMPLES and _compiled(f, "mixed_fn")):
+        try:
+            with _raising():
+                extremes = _cell_extremes(f, ts, ss, None)
+        except Exception:
+            pass  # the small blocks report it
+    if extremes is None:
+        extremes = _cell_extremes(f, ts, ss, (steps[:m], steps[m:]))
+    lo, hi = extremes
     pad = pad_rel * (hi - lo) + 1e-12
     lower = lo - pad
     upper = hi + pad
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvalidBounds("derivative bounds must be finite")
     return lower.reshape(m, n), upper.reshape(m, n)
+
+
+def _cell_extremes(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray,
+                   fd_steps: Optional[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The min and max of the mixed partial over the sample rows ts[i] x
+    ss[j] of every cell (i, j), row-major: with fd_steps (h_t, h_s) per
+    cell row and column, by sample_mixed in blocks of BLOCK_SAMPLES
+    values; without, by the compiled exact partial in blocks of
+    REGISTER_BLOCK_SAMPLES values run into registers, raising on any
+    failure without counting it."""
+    (m, grid_n), n = ts.shape, len(ss)
+    cap = REGISTER_BLOCK_SAMPLES if fd_steps is None else BLOCK_SAMPLES
+    lo = np.empty(m * n)
+    hi = np.empty(m * n)
+    per_block = max(1, cap // (grid_n * grid_n))
+    hoisted = None
+    if m * n > per_block:
+        hoisted = _hoist(f, "mixed_fn", t=ts[:, :, None], s=ss[:, None, :])
+    views: dict = {}
+    for start in range(0, m * n, per_block):
+        cells = np.arange(start, min(start + per_block, m * n))
+        i, j = np.divmod(cells, n)
+        g = f if hoisted is None else hoisted(i, j)
+        if fd_steps is None:
+            vals = _run_kept(g.mixed_fn, views, ts[i, :, None], ss[j, None, :])
+        else:
+            h_t, h_s = fd_steps
+            vals = sample_mixed(g, ts[i, :, None], ss[j, None, :], None, fd_fallback=True,
+                                fd_steps=(h_t[i, None, None], h_s[j, None, None]))
+            _check_finite(vals, f"mixed partial of {f.label}")
+        lo[cells] = vals.min(axis=(1, 2))
+        hi[cells] = vals.max(axis=(1, 2))
+    # min and max take a NaN, and an infinity makes one of them infinite
+    if fd_steps is None and not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise NonFiniteSample("a non-finite sample in a register run")
+    return lo, hi
 
 
 def estimate_bounds(

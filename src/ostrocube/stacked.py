@@ -10,8 +10,9 @@ recurrence is the operation that the trial's own tree, the Horner tree
 that `expr.polynomial` builds and `expr.differentiate` differentiates,
 takes at that node, so every sample keeps the tree's bits: a padded
 coefficient only adds a signed zero to a nonzero value. Every step over a
-full grid writes into one of a few buffers that each thread keeps for the
-next chunk (`_kept`), so a chunk faults in no new memory.
+full grid writes into kept buffer 0 or 1 of this thread
+(`quadrature._kept`, whose buffers from 2 on are the registers of
+compiled runs), so a chunk faults in no new memory.
 
 The samples are kept as columns, one row per case (`IntervalSamples`,
 `AnchorSamples`), none of them a view of a kept buffer, from which the
@@ -22,14 +23,12 @@ keeps the bits that sampling the trial's own tree gives.
 
 from __future__ import annotations
 
-import math
-import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .core import DerivativeBounds, EvalPoint, Interval1D, QuadConfig, Rectangle, unchecked
-from .quadrature import gl_nodes
+from .quadrature import _kept, gl_nodes
 from .rules import AnchorTerms, IntervalTerms
 
 __all__ = [
@@ -109,27 +108,6 @@ def _mixed_grid(coeffs: np.ndarray, t: np.ndarray, s: np.ndarray, value: np.ndar
     of out's shape)."""
     columns, rows = _rows(coeffs, s)
     return _horner_slope(_horner_slope(columns, s, np.empty_like(rows), rows), t, value, out)
-
-
-class _Kept(threading.local):
-    """The flat buffers that a chunk's full grids are written into, one set
-    per thread, each grown when a larger chunk needs more."""
-
-    def __init__(self) -> None:
-        self.flat = [np.empty(0), np.empty(0)]
-
-
-_KEPT = _Kept()
-
-
-def _kept(i: int, shape: tuple) -> np.ndarray:
-    """Kept buffer i of this thread, viewed as shape. What it holds is
-    written again by the next chunk: a sample returned from it is copied
-    first."""
-    size = math.prod(shape)
-    if _KEPT.flat[i].size < size:
-        _KEPT.flat[i] = np.empty(size)
-    return _KEPT.flat[i][:size].reshape(shape)
 
 
 def _no_unit_coefficient(coeffs: list) -> bool:

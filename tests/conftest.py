@@ -1,5 +1,6 @@
 """Collects acceptance-criterion outcomes and prints one line per criterion
-in the terminal summary."""
+in the terminal summary, followed by the known misses that the containment
+sweep (test_containment.py) records."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 
 _RESULTS: dict[int, tuple[str, str]] = {}
 _EXPECTED: dict[int, str] = {}
+_CONTAINMENT: list[str] = []
 
 
 def pytest_collection_modifyitems(items):
@@ -21,6 +23,9 @@ def pytest_collection_modifyitems(items):
 def pytest_runtest_makereport(item, call):
     outcome = yield
     rep = outcome.get_result()
+    if rep.when == "call":
+        _CONTAINMENT.extend(line for name, lines in rep.user_properties
+                            if name == "containment" for line in lines)
     marker = item.get_closest_marker("acceptance")
     if marker is None:
         return
@@ -32,9 +37,12 @@ def pytest_runtest_makereport(item, call):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _EXPECTED:
-        return
-    terminalreporter.write_sep("=", "acceptance criteria")
-    for num in sorted(_EXPECTED):
-        label, status = _RESULTS.get(num, (_EXPECTED[num], "NOT RUN"))
-        terminalreporter.write_line(f"criterion {num}: {status} - {label}")
+    if _EXPECTED:
+        terminalreporter.write_sep("=", "acceptance criteria")
+        for num in sorted(_EXPECTED):
+            label, status = _RESULTS.get(num, (_EXPECTED[num], "NOT RUN"))
+            terminalreporter.write_line(f"criterion {num}: {status} - {label}")
+    if _CONTAINMENT:
+        terminalreporter.write_sep("=", "containment sweep")
+        for line in _CONTAINMENT:
+            terminalreporter.write_line(line)

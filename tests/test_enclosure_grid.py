@@ -30,7 +30,8 @@ from ostrocube import (
 from ostrocube.cli import run_main
 from ostrocube.core import BivariateFunction
 from ostrocube.expr import XorShift64Star, random_polynomial
-from ostrocube.quadrature import BLOCK_SAMPLES, estimate_bounds
+from ostrocube import expr
+from ostrocube.quadrature import BLOCK_SAMPLES, REGISTER_BLOCK_SAMPLES, estimate_bounds
 
 Q = QuadConfig()
 UNIT = make_rectangle(0, 1, 0, 1)
@@ -102,7 +103,7 @@ def test_single_cell_matches_reference_loop(name, where, given):
         assert getattr(report, field) == getattr(expected, field), field
 
 
-def test_every_call_of_f_gets_at_most_one_block():
+def test_every_call_of_f_gets_at_most_one_block(monkeypatch):
     sizes = []
 
     # f gets coordinates that broadcast; count the values it returns
@@ -123,6 +124,19 @@ def test_every_call_of_f_gets_at_most_one_block():
         composite_enclosure(f, UNIT, derivative_bounds(-1, 1), m, n, Q)
         assert max(sizes) <= BLOCK_SAMPLES
         sizes.clear()
+
+    # the lines and sampled bounds of a compiled expression run blocks of
+    # up to REGISTER_BLOCK_SAMPLES values into registers
+    runs = []
+    run_into = expr._run_into
+    monkeypatch.setattr(expr, "_run_into", lambda program, t, s, *rest: (
+        runs.append(np.broadcast(t, s).size), run_into(program, t, s, *rest))[1])
+    g = _expr("sin(t)*cos(s)")
+    for m, n in ((40, 24), (8, 70), (64, 64)):
+        for bounds in (None, derivative_bounds(-1, 1)):
+            composite_enclosure(g, UNIT, bounds, m, n, Q)
+            assert BLOCK_SAMPLES < max(runs) <= REGISTER_BLOCK_SAMPLES
+            runs.clear()
 
 
 @pytest.mark.parametrize("bounds", [derivative_bounds(-1, 1), None], ids=["given", "auto"])

@@ -149,9 +149,12 @@ def test_first_failing_line_decides_the_error(fixed):
 #
 # With several blocks per call, line_integrals and cell_bounds evaluate the
 # subtrees of one variable of a compiled expression once per call (per
-# block of node rows, for line_integrals), not once per block. These
-# calls take several blocks: 40 lines of 10 segments (6 lines per call of
-# f), 40 lines of 100 segments (rows split) and 7 x 8 cells (28 per call).
+# block of node rows, for line_integrals), not once per block. A compiled
+# f runs blocks of REGISTER_BLOCK_SAMPLES values, so each of these calls,
+# 40 lines of 10 segments, 40 lines of 100 segments and 7 x 8 cells, is
+# one register block. Their blocks of BLOCK_SAMPLES values (6 lines, split
+# rows, 28 cells per call of f) run when a register run fails, as in the
+# error tests below; test_register_sampling.py cuts register blocks.
 
 MANY = np.linspace(0.3, 1.4, 40).tolist()
 TEN = gl_nodes(np.linspace(0.25, 1.2, 11)[:-1], np.linspace(0.25, 1.2, 11)[1:], Q)
@@ -178,12 +181,18 @@ def _counting_cos(monkeypatch) -> list:
 
 
 def test_subtrees_of_the_node_variable_are_evaluated_once_per_row_block(monkeypatch):
-    # 100 segments of 128 nodes: rows 0-63 and 64-99 are the row blocks
+    # a compiled f runs blocks of REGISTER_BLOCK_SAMPLES values: 100
+    # segments of 128 nodes take one row block, and 600 segments (76800
+    # values a line) the rows 0-511 and 512-599
     f = to_bivariate(parse_expression("sin(t)*cos(s)"))
     nodes, weights = HUNDRED
     sizes = _counting_cos(monkeypatch)
     line_integrals(f, "t", MANY, nodes, weights)
-    assert sizes == [64 * 128, 36 * 128]
+    assert sizes == [100 * 128]
+    sizes.clear()
+    edges = np.linspace(0.25, 1.2, 601)
+    line_integrals(f, "t", MANY[:3], *gl_nodes(edges[:-1], edges[1:], Q))
+    assert sizes == [512 * 128, 88 * 128]
     sizes.clear()
     # a wrapper hides the capability: every block evaluates cos again
     wrapped = dataclasses.replace(f, fn=lambda t, s: f.fn(t, s))
@@ -197,11 +206,16 @@ def test_subtrees_of_the_node_variable_are_evaluated_once_per_row_block(monkeypa
 
 def test_subtrees_of_each_variable_are_evaluated_once_per_cell_bounds_call(monkeypatch):
     # the mixed partial of sin(t)*cos(s) is -(cos(t)*sin(s)): cos(t) over
-    # the sample rows of the 7 t-cells, once
+    # the sample rows of the 15 t-cells, once; 15 x 17 cells take two
+    # register blocks of 226 cells at most
     f = to_bivariate(parse_expression("sin(t)*cos(s)"))
     sizes = _counting_cos(monkeypatch)
+    cell_bounds(f, np.linspace(0.3, 1.4, 16), np.linspace(0.25, 1.2, 18), 17, 0.1)
+    assert sizes == [15 * 17]
+    sizes.clear()
+    # 7 x 8 cells fit one register block: nothing to share, nothing hoisted
     cell_bounds(f, np.linspace(0.3, 1.4, 8), np.linspace(0.25, 1.2, 9), 17, 0.1)
-    assert sizes == [7 * 17]
+    assert sizes == [7 * 8 * 17]
 
 
 def _outcome(sampler, *args):

@@ -8,8 +8,8 @@ samplers in helpers.py, whatever the block boundaries cut, and nothing
 returned may be a view of a kept buffer.
 """
 
+import dataclasses
 import io
-import math
 import os
 import random
 import subprocess
@@ -24,7 +24,6 @@ import pytest
 from helpers import random_ast, reference_cell_bounds, reference_line_integrals
 from ostrocube import QuadConfig, cli, parse_expression, to_bivariate
 from ostrocube import quadrature
-from ostrocube.core import BivariateFunction
 from ostrocube.expr import XorShift64Star, draw_polynomial_1d, polynomial_1d
 from ostrocube.quadrature import cell_bounds, gl_nodes, line_integrals
 
@@ -41,7 +40,10 @@ def _functions():
     for var in ("t", "s"):
         poly = polynomial_1d(draw_polynomial_1d(XorShift64Star(300), 6), var)
         yield f"{var}-poly", to_bivariate(poly)
-    yield "plain", BivariateFunction(fn=lambda t, s: math.exp(0.5 * t) * math.cos(t * s))
+    # a wrapper hides the compiled run: sampled in blocks of BLOCK_SAMPLES
+    f = to_bivariate(parse_expression("exp(t*s)"))
+    yield "wrapped", dataclasses.replace(f, fn=lambda t, s: f.fn(t, s),
+                                         mixed_fn=lambda t, s: f.mixed_fn(t, s))
 
 
 FUNCTIONS = dict(_functions())
@@ -84,3 +86,123 @@ def test_cell_bounds_equal_per_cell_sampling(name):
     t_edges, s_edges = np.linspace(0.3, 1.4, 16), np.linspace(0.25, 1.2, 18)
     got = cell_bounds(f, t_edges, s_edges, 17, 0.1)
     assert _hex(got) == _hex(reference_cell_bounds(f, t_edges, s_edges, 17, 0.1))
+
+
+@pytest.mark.parametrize("cap", [10000, 300])
+def test_smaller_register_blocks_keep_every_bit(cap, monkeypatch):
+    # 10000 values: 7 lines of 1280 values per block, row blocks of 78 rows
+    # for the long lines and 34 cells per block; 300 values: one row of a
+    # line per block, and every cell on its own
+    monkeypatch.setattr(quadrature, "REGISTER_BLOCK_SAMPLES", cap)
+    for name in ("log(2+t+s)*t", "exp(t)^s", "ast1", "s-poly", "2.5"):
+        test_line_integrals_equal_per_line_sampling(name, "many")
+        test_cell_bounds_equal_per_cell_sampling(name)
+    fixed, _ = LINES["long"]
+    f = FUNCTIONS["sin(t)*cos(s)"]
+    nw = _nodes(40)
+    assert _hex(line_integrals(f, "s", fixed, *nw)) == \
+        _hex(reference_line_integrals(f, "s", fixed, *nw))
+
+
+def _kept_buffers() -> list:
+    return list(quadrature._KEPT.flat)
+
+
+def test_results_are_not_registers():
+    f, g = FUNCTIONS["exp(t*s)"], FUNCTIONS["log(2+t+s)*t"]
+    fixed, segments = LINES["many"]
+    nw = _nodes(segments)
+    edges = np.linspace(0.3, 1.4, 16), np.linspace(0.25, 1.2, 18)
+    lines = line_integrals(f, "t", fixed, *nw)
+    bounds = cell_bounds(f, *edges, 17, 0.1)
+    kept = [lines.copy(), *(b.copy() for b in bounds)]
+    assert _kept_buffers(), "no register run took place"
+    for got in (lines, *bounds):
+        assert not any(np.shares_memory(got, buf) for buf in _kept_buffers())
+    # the next calls write other values into the same registers
+    line_integrals(g, "t", fixed, *nw)
+    cell_bounds(g, *edges, 17, 0.1)
+    for got, copy in zip((lines, *bounds), kept):
+        assert got.tobytes() == copy.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_register_run_that_would_warn_is_sampled_again_in_small_blocks():
+    # exp(800*t) overflows for t > 0.89, yet exp(-inf) = 0: every sample is
+    # finite, and only the small blocks' warnings may be seen
+    f = to_bivariate(parse_expression("exp(-exp(800*t))*s+t*s"))
+    fixed = np.linspace(0.0, 1.0, 40).tolist()
+    nw = _nodes(10)
+
+    def run(sampler, *args):
+        with pytest.warns(RuntimeWarning) as caught:
+            values = sampler(f, "t", fixed, *nw, *args)
+        return _hex(values), [(w.category, str(w.message)) for w in caught]
+
+    got = run(line_integrals)
+    assert got == run(quadrature._line_integrals, False)
+    assert got[0] == _hex(reference_line_integrals(f, "t", fixed, *nw))
+
+
+_ENCLOSE = {
+    "log-auto": ["enclose", "--f", "log(2+t+s)*t", "--rect", "0", "1", "0", "1",
+                 "--bounds", "auto", "--subdivide", "48", "48", "--json", "--no-timestamp"],
+    "exp-given": ["enclose", "--f", "exp(t*s)", "--rect", "0", "1", "0", "1",
+                  "--bounds", "1", "6", "--subdivide", "48", "48", "--json", "--no-timestamp"],
+}
+
+
+def _enclose(argv) -> str:
+    out = io.StringIO()
+    assert cli.run(cli.parse_args(argv), out) == 0
+    return out.getvalue()
+
+
+def test_two_threads_print_what_serial_runs_print():
+    serial = {key: _enclose(argv) for key, argv in _ENCLOSE.items()}
+    start = threading.Barrier(len(_ENCLOSE))
+    printed: dict = {key: [] for key in _ENCLOSE}
+
+    def work(key):
+        start.wait()
+        for _ in range(4):
+            printed[key].append(_enclose(_ENCLOSE[key]))
+
+    threads = [threading.Thread(target=work, args=(key,)) for key in _ENCLOSE]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for key, docs in printed.items():
+        assert docs == [serial[key]] * 4, key
+
+
+_FAULTS = """
+import io, resource
+from contextlib import redirect_stdout
+from ostrocube import cli
+
+def enclose():
+    with redirect_stdout(io.StringIO()):
+        assert cli.run_main(["enclose", "--f", "log(2+t+s)*t", "--rect", "0", "1", "0", "1",
+                             "--bounds", "auto", "--subdivide", "48", "48", "--json"]) == 0
+
+enclose()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+enclose()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_an_enclosure_reuses_the_memory_of_the_one_before():
+    # the full-grid steps of the large blocks go into kept registers, so
+    # once one enclosure has run, the next faults in no new memory; the
+    # same blocks without registers fault in thousands of pages each time
+    package = Path(cli.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert int(proc.stdout) < 20
