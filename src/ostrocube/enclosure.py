@@ -35,8 +35,10 @@ Neighbouring cells share their edge lines, so an m x n grid integrates
 (2m+1) n + (2n+1) m line segments per resolution instead of 6 m n, and the
 point terms are one (2m+1) x (2n+1) grid of values. Every evaluation of f,
 and of its mixed partial for sampled bounds, returns at most
-quadrature.BLOCK_SAMPLES values, so memory stays flat as the grid grows
-(the anchor check of given bounds takes one value per cell). Per-cell
+quadrature.BLOCK_SAMPLES values, or, for the lines and sampled bounds of
+an expression, quadrature.REGISTER_BLOCK_SAMPLES values into arrays kept
+per thread, so memory stays flat as the grid grows (the anchor check of
+given bounds takes one value per cell). Per-cell
 sums are elementwise array arithmetic in the order a cell-by-cell loop
 would use, and the totals are added cell by cell in row-major order, so
 the result is the same to the last bit as evaluating each cell on its

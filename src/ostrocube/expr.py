@@ -19,7 +19,9 @@ runs that program: the functions of `to_bivariate` and `to_univariate`
 and `eval_expr` (`stacked_program` compiles a polynomial template for many
 coefficient sets, which the tests hold the audit's recurrences to). The
 functions of `to_bivariate` also let the grid samplers evaluate their
-subtrees of one variable once per axis (`_Compiled.hoist`).
+subtrees of one variable once per axis (`_Compiled.hoist`), and run a
+block with each full-grid step written into an array the sampler keeps
+(`_Compiled.into`).
 Differentiation is symbolic (product/quotient/chain rules), with
 constant-folding simplification applied to each node as it is built;
 `to_bivariate` packages an expression together with its exact mixed
@@ -545,8 +547,8 @@ def _run(program: Program, t, s, inputs) -> list:
 
 def _run_into(program: Program, t, s, inputs, registers: Sequence[np.ndarray]):
     """The value of a one-output program at t and s, as run_program gives
-    it, with every full-grid step written into registers[n] (kept): the
-    result may be one of them."""
+    it, with every full-grid step written into its register (see
+    Program.kept): the result may be one of them."""
     vals = [t, s, *program.consts, *inputs[:program.n_inputs]]
     push = vals.append
     for fn, a, b, frees, reg in program.kept:

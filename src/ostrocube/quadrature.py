@@ -24,7 +24,7 @@ the last bit as sampling full grids, under these rules:
   while several lines are sampled together is raised again by the first
   line that fails on its own.
 - a grid that a reduction reads whole (split_grid, integrate_2d) is
-  filled in row blocks too, so every call of f stays within BLOCK_SAMPLES
+  filled in row blocks too, so each call of f takes at most BLOCK_SAMPLES
   values; only the grid itself grows with the node count. Its error is
   the one the whole grid raises: after a block fails, the whole grid is
   sampled in one call again.
@@ -39,6 +39,17 @@ the last bit as sampling full grids, under these rules:
   subtree raises, nothing is hoisted and the blocks evaluate f as it is,
   so the error is the one they always raised. A plain callable, or a
   wrapper around a compiled one, is sampled as it is.
+- the two samplers that reduce each block at once, line_integrals and
+  cell_bounds on an exact mixed partial, hand a compiled f blocks of up
+  to REGISTER_BLOCK_SAMPLES values when a call takes more than
+  BLOCK_SAMPLES, and each full-grid step of its program writes into a
+  register, an array kept per thread (_kept, which also holds stacked's
+  chunk grids), so these blocks fault in no new memory; nothing returned
+  is a register. Such a run raises numpy's floating-point errors instead
+  of warning, and after any failure the call is sampled again in blocks of
+  BLOCK_SAMPLES: warnings, errors and non-finite counts are theirs. Plain
+  callables, wrappers, the stencil and the other samplers keep blocks of
+  BLOCK_SAMPLES values.
 
 Elementwise arithmetic gives each sample the same bits in any layout; the
 one numpy exception, power's shortcuts for a scalar exponent, is applied
@@ -472,8 +483,8 @@ def line_integrals(
 def _line_integrals(f: BivariateFunction, fixed_axis: str, fixed: Sequence[float],
                     nodes: np.ndarray, weights: np.ndarray, kept: bool) -> np.ndarray:
     """line_integrals in blocks of BLOCK_SAMPLES values, or, if kept, of
-    REGISTER_BLOCK_SAMPLES values run into registers, raising on any
-    failure without naming a line."""
+    REGISTER_BLOCK_SAMPLES values run into registers; these raise on a
+    failure too, but not what line_integrals reports."""
     cap = REGISTER_BLOCK_SAMPLES if kept else BLOCK_SAMPLES
     rows, width = nodes.shape
     lines_per_block = max(1, cap // (rows * width))
@@ -509,8 +520,6 @@ def _line_integrals(f: BivariateFunction, fixed_axis: str, fixed: Sequence[float
             # the weights are finite, so a non-finite sample leaves its
             # line's sum non-finite: only then are the samples scanned
             if not np.isfinite(sums).all():
-                if kept:
-                    raise NonFiniteSample("a non-finite sample in a register run")
                 finite = np.isfinite(vals).reshape(len(x), -1).all(axis=1)
                 if not finite.all():
                     j = int(np.argmin(finite))

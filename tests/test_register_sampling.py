@@ -31,8 +31,10 @@ Q = QuadConfig()
 
 
 def _functions():
+    # (1+t*s)^(t*s/(t*s)*2) raises a full-grid base to a full-grid exponent
+    # of exactly 2, which numpy squares only by the evaluator's shortcut
     for text in ("exp(t*s)", "sin(t)*cos(s)", "log(2+t+s)*t", "2.5", "exp(t)^s",
-                 "(2+t)^(s-1)", "sqrt(t+s)/(1+t*s)-t*s^2"):
+                 "(2+t)^(s-1)", "sqrt(t+s)/(1+t*s)-t*s^2", "(1+t*s)^(t*s/(t*s)*2)"):
         yield text, to_bivariate(parse_expression(text))
     rnd = random.Random(17)
     for k in range(6):
@@ -206,3 +208,24 @@ def test_an_enclosure_reuses_the_memory_of_the_one_before():
     proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert int(proc.stdout) < 20
+
+
+@pytest.mark.parametrize("text", ["exp(900*s)*t", "t*exp(900*s)+log(t+1)"])
+def test_with_numpy_errors_ignored_a_non_finite_sample_is_counted_in_small_blocks(text):
+    # nothing raises in the register run, and its infinities must still send
+    # the call to the small blocks, whose count the error reports: lines of
+    # 12800 values are one register block but two small ones
+    f = to_bivariate(parse_expression(text))
+    fixed = np.linspace(0.3, 1.4, 10).tolist()
+    nw = _nodes(100)
+    edges = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 17)
+    with np.errstate(all="ignore"):
+        for sampler, args in ((line_integrals, (f, "t", fixed, *nw)),
+                              (cell_bounds, (f, *edges, 17, 0.1))):
+            reference = {line_integrals: reference_line_integrals,
+                         cell_bounds: reference_cell_bounds}[sampler]
+            with pytest.raises(quadrature.NonFiniteSample) as expected:
+                reference(*args)
+            with pytest.raises(quadrature.NonFiniteSample) as got:
+                sampler(*args)
+            assert str(got.value) == str(expected.value)
