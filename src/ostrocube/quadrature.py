@@ -313,11 +313,10 @@ def _kept(i: int, shape: tuple) -> np.ndarray:
     return flat[i][:size].reshape(shape)
 
 
-def _compiled(f: BivariateFunction, field: str):
-    """f's field ("fn" or "mixed_fn") if it can run into registers (expr's
-    compiled functions can; a plain callable or a wrapper cannot)."""
-    fn = getattr(f, field)
-    return fn if f.vectorized and hasattr(fn, "into") else None
+def _runs_into(f: BivariateFunction, field: str) -> bool:
+    """Whether f's field ("fn" or "mixed_fn") can run into registers
+    (expr's compiled functions can; a plain callable or a wrapper cannot)."""
+    return f.vectorized and hasattr(getattr(f, field), "into")
 
 
 def _raising():
@@ -328,7 +327,7 @@ def _raising():
 
 
 def _run_kept(fn, views: dict, *coords: np.ndarray) -> np.ndarray:
-    """fn (see _compiled) over coordinates that broadcast, as _sample gives
+    """fn (see _runs_into) over coordinates that broadcast, as _sample gives
     it, with its full-grid steps in the registers of the block's shape
     (views, built once per shape and sampler call). The result may be a
     register."""
@@ -366,10 +365,11 @@ def integrate_1d(
     return float(weights @ vals)
 
 
-def _row_blocks(rows: int, width: int, min_rows: int = 1, cap: int = 0) -> list[slice]:
+def _row_blocks(rows: int, width: int, min_rows: int = 1,
+                cap: int = BLOCK_SAMPLES) -> list[slice]:
     """Slices of whole rows of a grid `width` wide, each of at most cap
-    values (BLOCK_SAMPLES if 0), or min_rows rows if that is more."""
-    per_block = max(min_rows, (cap or BLOCK_SAMPLES) // width)
+    values, or min_rows rows if that is more."""
+    per_block = max(min_rows, cap // width)
     return [slice(k, k + per_block) for k in range(0, rows, per_block)]
 
 
@@ -471,11 +471,11 @@ def line_integrals(
     """
     f = as_bivariate(f)
     if (len(fixed) * nodes.size > BLOCK_SAMPLES and nodes.shape[1] <= REGISTER_BLOCK_SAMPLES
-            and _compiled(f, "fn")):
+            and _runs_into(f, "fn")):
         try:
             with _raising():
                 return _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=True)
-        except Exception:
+        except (EngineError, ArithmeticError):
             pass  # the small blocks report it
     return _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=False)
 
@@ -600,14 +600,14 @@ def cell_bounds(
     steps = _FD_STEP * (ends - starts)
     extremes = None
     if (f.has_exact_mixed and m * n * grid_n * grid_n > BLOCK_SAMPLES
-            and grid_n * grid_n <= REGISTER_BLOCK_SAMPLES and _compiled(f, "mixed_fn")):
+            and grid_n * grid_n <= REGISTER_BLOCK_SAMPLES and _runs_into(f, "mixed_fn")):
         try:
             with _raising():
-                extremes = _cell_extremes(f, ts, ss, None)
-        except Exception:
+                extremes = _cell_extremes(f, ts, ss, fd_steps=None)
+        except (EngineError, ArithmeticError):
             pass  # the small blocks report it
     if extremes is None:
-        extremes = _cell_extremes(f, ts, ss, (steps[:m], steps[m:]))
+        extremes = _cell_extremes(f, ts, ss, fd_steps=(steps[:m], steps[m:]))
     lo, hi = extremes
     pad = pad_rel * (hi - lo) + 1e-12
     lower = lo - pad

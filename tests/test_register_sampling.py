@@ -160,23 +160,32 @@ def _enclose(argv) -> str:
     return out.getvalue()
 
 
-def test_two_threads_print_what_serial_runs_print():
+def test_threads_print_what_serial_runs_print():
+    # more threads than cores, switching often: each keeps its own
+    # registers, so no enclosure sees another's values
     serial = {key: _enclose(argv) for key, argv in _ENCLOSE.items()}
-    start = threading.Barrier(len(_ENCLOSE))
-    printed: dict = {key: [] for key in _ENCLOSE}
+    keys = sorted(_ENCLOSE) * 2
+    start = threading.Barrier(len(keys))
+    printed: list = [[] for _ in keys]
 
-    def work(key):
+    def work(n):
         start.wait()
-        for _ in range(4):
-            printed[key].append(_enclose(_ENCLOSE[key]))
+        for _ in range(3):
+            printed[n].append(_enclose(_ENCLOSE[keys[n]]))
 
-    threads = [threading.Thread(target=work, args=(key,)) for key in _ENCLOSE]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for key, docs in printed.items():
-        assert docs == [serial[key]] * 4, key
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(len(keys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for key, docs in zip(keys, printed):
+        assert docs == [serial[key]] * 3, key
 
 
 _FAULTS = """
