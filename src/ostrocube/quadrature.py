@@ -114,7 +114,7 @@ BLOCK_SAMPLES = 8192
 # reduced at once (line_integrals; cell_bounds on an exact mixed partial)
 # and the call takes more than BLOCK_SAMPLES values: its full-grid steps
 # write into registers, buffers kept per thread (_kept), so these blocks,
-# 8x fewer runs, fault in no new memory.
+# up to 8x fewer runs, fault in no new memory.
 REGISTER_BLOCK_SAMPLES = 1 << 16
 
 
