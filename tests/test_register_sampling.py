@@ -15,7 +15,6 @@ import random
 import subprocess
 import sys
 import threading
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
