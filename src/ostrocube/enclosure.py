@@ -71,6 +71,7 @@ from .identity import corrected_from_terms, expansion_weights
 from .kernels import abs_moment, signed_moment
 from .quadrature import (
     _check_finite,
+    _kept,
     cell_bounds,
     gl_nodes,
     grid_values,
@@ -138,6 +139,15 @@ class ComparisonReport:
     violated: dict
 
 
+def _kept_nodes(edges: np.ndarray, q: QuadConfig, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """gl_nodes of the segments between consecutive edges, written into
+    buffers kept per thread (quadrature._kept, keys (key, 0) and (key, 1)),
+    so that an enclosure faults in no new memory for them after the first;
+    the next enclosure writes them again."""
+    shape = (len(edges) - 1, q.panels * q.gl_order)
+    return gl_nodes(edges[:-1], edges[1:], q, out=(_kept((key, 0), shape), _kept((key, 1), shape)))
+
+
 def _assemble(
     f: BivariateFunction,
     t_edges: np.ndarray,
@@ -177,8 +187,8 @@ def _assemble(
     # line integrals at the base and the refined resolution, indexed
     # [t position, s position]: t-lines run over the s-cells and s-lines
     # over the t-cells
-    s_nodes = [gl_nodes(s_edges[:-1], s_edges[1:], c) for c in (q, q.refined())]
-    t_nodes = [gl_nodes(t_edges[:-1], t_edges[1:], c) for c in (q, q.refined())]
+    s_nodes = [_kept_nodes(s_edges, c, ("s", k)) for k, c in enumerate((q, q.refined()))]
+    t_nodes = [_kept_nodes(t_edges, c, ("t", k)) for k, c in enumerate((q, q.refined()))]
     t_base, t_fine = (line_integrals(f, "t", t_at.tolist(), *nw) for nw in s_nodes)
     s_base, s_fine = (line_integrals(f, "s", s_at.tolist(), *nw).T for nw in t_nodes)
     # the point values are checked after the lines, whose report names the

@@ -57,14 +57,15 @@ from .core import (
 from .kernels import Kernel1D, abs_moment, s_kernel, signed_moment, t_kernel
 from .quadrature import (
     _axis_quadrature,
+    _block_sums,
     _check_finite,
+    _register_sums,
     _row_blocks,
-    gl_nodes,
+    _split_integrals,
     grid_values,
     integrate_2d,
     line_integrals,
     sample_mixed,
-    split_grid,
 )
 from .rules import AnchorTerms, RuleOutcome, anchor_terms
 
@@ -137,42 +138,50 @@ def quadrant_oracle(
     return float(tw @ integrand @ sw)
 
 
-def _halves(iv: Interval1D, anchor: float, n: int) -> tuple[Optional[slice], Optional[slice]]:
-    """The rows of [iv.lo, anchor] and of [anchor, iv.hi] among the n nodes
-    of iv split at the anchor (quadrature splits an axis only inside it);
-    None for a half of zero width, as _quadrant_rect gives it."""
+def _halves(
+    iv: Interval1D, anchor: float, q: QuadConfig
+) -> tuple[Optional[slice], Optional[slice]]:
+    """The rows of [iv.lo, anchor] and of [anchor, iv.hi] among the nodes of
+    iv split at the anchor, q.panels * q.gl_order per segment (quadrature
+    splits an axis only inside it); None for a half of zero width, as
+    _quadrant_rect gives it."""
     if anchor - iv.lo <= 0.0:
         return None, slice(None)
     if iv.hi - anchor <= 0.0:
         return slice(None), None
-    return slice(None, n // 2), slice(n // 2, None)
+    width = q.panels * q.gl_order
+    return slice(None, width), slice(width, None)
 
 
-def _quadrant_integrals(
-    tw: np.ndarray, sw: np.ndarray, grid: np.ndarray, r: Rectangle, pt: EvalPoint
-) -> dict:
-    """tw @ grid @ sw over the rows and columns of each quadrant of a grid
-    on the split nodes, the value a grid of that quadrant alone gives;
-    exactly 0.0 for a quadrant of zero width."""
-    t_halves = _halves(r.t_axis, pt.x, len(tw))
-    s_halves = _halves(r.s_axis, pt.y, len(sw))
+def _quadrant_blocks(r: Rectangle, pt: EvalPoint, q: QuadConfig) -> dict:
+    """The (rows, cols) of each quadrant in a grid on the split nodes of r,
+    whose reduction is the value a grid of that quadrant alone gives; None
+    for a quadrant of zero width, whose integral is exactly 0.0."""
+    t_halves = _halves(r.t_axis, pt.x, q)
+    s_halves = _halves(r.s_axis, pt.y, q)
     out = {}
     for quad in Quadrant:
         bt, bs = _branches(quad)
         rows, cols = t_halves[bt], s_halves[bs]
-        out[quad] = (0.0 if rows is None or cols is None
-                     else float(tw[rows] @ grid[rows, cols] @ sw[cols]))
+        out[quad] = None if rows is None or cols is None else (rows, cols)
     return out
 
 
+def _per_quadrant(blocks: dict, sums) -> dict:
+    """The sums over the quadrants of blocks that have one, in order, keyed
+    by quadrant; exactly 0.0 for the others."""
+    sums = iter(sums)
+    return {quad: 0.0 if block is None else next(sums) for quad, block in blocks.items()}
+
+
 def _kernel_factor(
-    nodes: np.ndarray, iv: Interval1D, anchor: float, kernel: Kernel1D
+    nodes: np.ndarray, iv: Interval1D, anchor: float, kernel: Kernel1D, q: QuadConfig
 ) -> np.ndarray:
     """The kernel at each of the split nodes of iv: node - offset, with the
     offset of the node's half (T - t_off of quadrant_oracle)."""
     out = np.empty(len(nodes))
     offsets = (kernel.left_offset, kernel.right_offset)
-    for half, off in zip(_halves(iv, anchor, len(nodes)), offsets):
+    for half, off in zip(_halves(iv, anchor, q), offsets):
         if half is not None:
             out[half] = nodes[half] - off
     return out
@@ -182,27 +191,37 @@ def _quadrant_oracles(
     f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig, fd_fallback: bool = True
 ) -> dict:
     """quadrant_oracle of every quadrant, bit for bit, from one sampling of
-    the mixed partial over the split nodes, one row block at a time: each
-    block of (T - t_off) * (S - s_off) * mixed takes the kernel offsets of
-    its rows' and columns' halves. An error is the one the quadrants raise
-    one by one: after a block fails, they are sampled again in turn."""
+    the mixed partial over the split nodes: (T - t_off) * (S - s_off) *
+    mixed takes the kernel offsets of each row's and column's half, and
+    each quadrant's block of it is reduced as quadrant_oracle reduces it.
+    A compiled exact partial on a grid of more than BLOCK_SAMPLES and at
+    most REGISTER_BLOCK_SAMPLES values runs once into registers, its
+    product with the kernels into a buffer kept per thread
+    (quadrature._register_sums); any other is sampled one row block at a
+    time. An error is the one the quadrants raise one by one: after a
+    block fails, they are sampled again in turn."""
     make_point(r, pt.x, pt.y)  # the split nodes cover r only
     tn, tw = _axis_quadrature(r.t_axis, q, (pt.x,))
     sn, sw = _axis_quadrature(r.s_axis, q, (pt.y,))
-    t_fac = _kernel_factor(tn, r.t_axis, pt.x, t_kernel(r, pt))
-    s_fac = _kernel_factor(sn, r.s_axis, pt.y, s_kernel(r, pt))
-    integrand = np.empty((len(tn), len(sn)))
-    try:
-        for rows in _row_blocks(len(tn), len(sn)):
-            mixed = sample_mixed(f, tn[rows, None], sn[None, :], r, fd_fallback=fd_fallback)
-            _check_finite(mixed, f"mixed partial of {f.label}")
-            block = np.multiply(t_fac[rows, None], s_fac, out=integrand[rows])
-            block *= mixed
-    except Exception:
-        for quad in Quadrant:
-            quadrant_oracle(f, r, pt, quad, q, fd_fallback=fd_fallback)
-        raise
-    return _quadrant_integrals(tw, sw, integrand, r, pt)
+    t_fac = _kernel_factor(tn, r.t_axis, pt.x, t_kernel(r, pt), q)
+    s_fac = _kernel_factor(sn, r.s_axis, pt.y, s_kernel(r, pt), q)
+    quadrants = _quadrant_blocks(r, pt, q)
+    blocks = [block for block in quadrants.values() if block is not None]
+    sums = _register_sums(f, "mixed_fn", tn, tw, sn, sw, blocks, (t_fac, s_fac))
+    if sums is None:
+        integrand = np.empty((len(tn), len(sn)))
+        try:
+            for rows in _row_blocks(len(tn), len(sn)):
+                mixed = sample_mixed(f, tn[rows, None], sn[None, :], r, fd_fallback=fd_fallback)
+                _check_finite(mixed, f"mixed partial of {f.label}")
+                block = np.multiply(t_fac[rows, None], s_fac, out=integrand[rows])
+                block *= mixed
+        except Exception:
+            for quad in Quadrant:
+                quadrant_oracle(f, r, pt, quad, q, fd_fallback=fd_fallback)
+            raise
+        sums = _block_sums(tw, integrand, sw, blocks)
+    return _per_quadrant(quadrants, sums)
 
 
 def kernel_weighted_integral(
@@ -224,13 +243,13 @@ def _half_lines(
     f: BivariateFunction, axis: str, fixed: list, iv: Interval1D, anchor: float, q: QuadConfig
 ) -> list:
     """Integrals of the cross-sections of f at each fixed coordinate over
-    [iv.lo, anchor] and [anchor, iv.hi]; a half of zero width gives exactly
-    0.0 and is not sampled."""
-    lo = np.array([iv.lo, anchor])
-    hi = np.array([anchor, iv.hi])
-    keep = lo < hi
+    [iv.lo, anchor] and [anchor, iv.hi], over the segments of iv's split
+    axis; a half of zero width gives exactly 0.0 and is not sampled."""
+    nodes, weights = (a.reshape(-1, q.panels * q.gl_order)
+                      for a in _axis_quadrature(iv, q, (anchor,)))
+    keep = [half is not None for half in _halves(iv, anchor, q)]
     out = np.zeros((len(fixed), 2))
-    out[:, keep] = line_integrals(f, axis, fixed, *gl_nodes(lo[keep], hi[keep], q))
+    out[:, keep] = line_integrals(f, axis, fixed, nodes, weights)
     return out.tolist()
 
 
@@ -241,25 +260,27 @@ def _quadrant_samples(
     the anchor's terms, whose values hold every quadrant node; along_t[j][k],
     the integral of f(t, (y, c, d)[j]) over the t-half k ([a, x], then
     [x, b]); along_s[i][k], that of f((x, a, b)[i], s) over the s-half k
-    ([c, y], then [y, d]); and the integral over each quadrant. f is
-    sampled once on the split grid, which gives the terms' double integral
-    and the quadrants'. An error is the one the quadrants raise one by one,
-    as they are the first samples an audit takes."""
+    ([c, y], then [y, d]); and the integral over each quadrant. The terms'
+    double integral and the quadrants' are reductions of f on the split
+    grid, sampled once (quadrature._split_integrals). An error is the one
+    the quadrants raise one by one, as they are the first samples an audit
+    takes."""
     make_point(r, pt.x, pt.y)  # the split grid covers r only
+    quadrants = _quadrant_blocks(r, pt, q)
     try:
-        _, tw, _, sw, grid = split_grid(f, r, q, pt)
+        double, *sums = _split_integrals(
+            f, r, q, pt, [block for block in quadrants.values() if block is not None])
     except Exception:
         for quad in Quadrant:
             sub = _quadrant_rect(r, pt, quad)
             if sub is not None:
                 integrate_2d(f, sub, q)
         raise
-    double = _quadrant_integrals(tw, sw, grid, r, pt)
     return (
-        anchor_terms(f, r, pt, q, double=float(tw @ grid @ sw)),
+        anchor_terms(f, r, pt, q, double=double),
         _half_lines(f, "s", [pt.y, r.s_axis.lo, r.s_axis.hi], r.t_axis, pt.x, q),
         _half_lines(f, "t", [pt.x, r.t_axis.lo, r.t_axis.hi], r.s_axis, pt.y, q),
-        double,
+        _per_quadrant(quadrants, sums),
     )
 
 

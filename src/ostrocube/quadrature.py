@@ -27,7 +27,10 @@ the last bit as sampling full grids, under these rules:
   filled in row blocks too, so each call of f takes at most BLOCK_SAMPLES
   values; only the grid itself grows with the node count. Its error is
   the one the whole grid raises: after a block fails, the whole grid is
-  sampled in one call again.
+  sampled in one call again. integrate_2d and the identity audit reduce
+  such a grid, when it can run into registers (below), without building
+  it: the integral and the sums over given row and column ranges
+  (_split_integrals).
 - a subtree of one variable is evaluated once per sampler call, not once
   per block, when a call takes several blocks and f (its mixed partial,
   for cell_bounds) is a compiled expression. line_integrals evaluates
@@ -39,17 +42,22 @@ the last bit as sampling full grids, under these rules:
   subtree raises, nothing is hoisted and the blocks evaluate f as it is,
   so the error is the one they always raised. A plain callable, or a
   wrapper around a compiled one, is sampled as it is.
-- the two samplers that reduce each block at once, line_integrals and
-  cell_bounds on an exact mixed partial, hand a compiled f blocks of up
-  to REGISTER_BLOCK_SAMPLES values when a call takes more than
-  BLOCK_SAMPLES, and each full-grid step of its program writes into a
-  register, an array kept per thread (_kept, which also holds stacked's
-  chunk grids), so these blocks fault in no new memory; nothing returned
-  is a register. Such a run raises numpy's floating-point errors instead
-  of warning, and after any failure the call is sampled again in blocks of
-  BLOCK_SAMPLES: warnings, errors and non-finite counts are theirs. Plain
-  callables, wrappers, the stencil and the other samplers keep blocks of
-  BLOCK_SAMPLES values.
+- four samplers run a compiled f (or its exact mixed partial) into
+  registers once a call takes more than BLOCK_SAMPLES values: each
+  full-grid step of its program writes into a register, an array kept
+  per thread (_kept, which also holds stacked's chunk grids and other
+  kept buffers), so these runs fault in no new memory. line_integrals
+  and cell_bounds reduce blocks of up to REGISTER_BLOCK_SAMPLES values
+  as they come; an anchor's split grid of f (integrate_2d, the identity
+  audit's quadrant integrals) and the identity oracle's kernel-weighted
+  grid of the mixed partial, of at most REGISTER_BLOCK_SAMPLES values, are
+  each one run, reduced at once into the integral and its quadrants
+  (_register_sums). Nothing returned is a register. A register run raises
+  numpy's floating-point errors instead of warning, and after any failure
+  or a non-finite result the call is sampled again in blocks of
+  BLOCK_SAMPLES (_in_registers): warnings, errors and non-finite counts
+  are theirs. Plain callables, wrappers, the stencil, grid_values,
+  split_grid and smaller calls keep blocks of BLOCK_SAMPLES values.
 
 Elementwise arithmetic gives each sample the same bits in any layout; the
 one numpy exception, power's shortcuts for a scalar exponent, is applied
@@ -105,16 +113,19 @@ _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS ** (1.0 / 3.0)
 
 # Most values one call of an integrand returns to the grid routines
-# (grid_values, split_grid and integrate_2d, the identity oracle's sampling
-# of the mixed partial, the stencil, and line_integrals and cell_bounds for
-# a plain callable or small call); it keeps the evaluator's temporaries flat
-# in the grid size and small enough for the heap to keep.
+# (grid_values and split_grid; integrate_2d and the identity oracle's
+# sampling of the mixed partial for a plain callable, a grid of at most
+# this many values or a failed register run; the stencil; line_integrals
+# and cell_bounds for a plain callable or small call); it keeps the
+# evaluator's temporaries flat in the grid size and small enough for the
+# heap to keep.
 BLOCK_SAMPLES = 8192
-# Most values one run of a compiled integrand takes where each block is
-# reduced at once (line_integrals; cell_bounds on an exact mixed partial)
-# and the call takes more than BLOCK_SAMPLES values: its full-grid steps
-# write into registers, buffers kept per thread (_kept), so these blocks,
-# up to 8x fewer runs, fault in no new memory.
+# Most values one run of a compiled integrand takes into registers, buffers
+# kept per thread (_kept), once a call takes more than BLOCK_SAMPLES values:
+# blocks of line_integrals and of cell_bounds on an exact mixed partial (up
+# to 8x fewer runs), and the whole grid of integrate_2d or of the identity
+# oracle (an anchor's 256 x 256 split grid is exactly this many), which
+# then fault in no new memory.
 REGISTER_BLOCK_SAMPLES = 1 << 16
 
 
@@ -181,22 +192,26 @@ def _segment_edges(lo: float, hi: float, breakpoints: Iterable[float]) -> list[f
 
 
 def gl_nodes(
-    lo: np.ndarray, hi: np.ndarray, q: QuadConfig
+    lo: np.ndarray, hi: np.ndarray, q: QuadConfig, out: Optional[tuple] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite-rule nodes and weights of every segment [lo[k], hi[k]].
 
     Returns two arrays of shape lo.shape + (panels * gl_order,): row k holds
     the panels of segment k left to right, each panel's nodes mid + half *
-    reference node and weights half * reference weight.
+    reference node and weights half * reference weight. With out, a pair
+    of C-ordered arrays of that shape, they are written into those.
     """
     rule = gl_rule(q.gl_order)
     lo = np.asarray(lo, dtype=float)[..., None]
     step = (np.asarray(hi, dtype=float)[..., None] - lo) / q.panels
     half = 0.5 * step
     mid = lo + np.arange(q.panels) * step + half
-    nodes = mid[..., None] + half[..., None] * rule.nodes
-    weights = np.broadcast_to(half[..., None] * rule.weights, nodes.shape)
     shape = mid.shape[:-1] + (-1,)
+    if out is None:
+        out = np.empty(mid.shape + rule.nodes.shape), np.empty(mid.shape + rule.nodes.shape)
+    nodes, weights = (a.reshape(mid.shape + rule.nodes.shape) for a in out)
+    np.add(mid[..., None], half[..., None] * rule.nodes, out=nodes)
+    np.multiply(half[..., None], rule.weights, out=weights)
     return nodes.reshape(shape), weights.reshape(shape)
 
 
@@ -287,30 +302,34 @@ def _hoist(f: BivariateFunction, field: str, t=None, s=None):
 
 
 class _Kept(threading.local):
-    """The flat buffers kept per thread, each grown when a larger view of it
-    is asked for."""
+    """The flat buffers kept per thread, by key, each grown when a larger
+    view of it is asked for."""
 
     def __init__(self) -> None:
-        self.flat: list = []
+        self.flat: dict = {}
 
 
 _KEPT = _Kept()
 # kept buffers 0 and 1 are stacked's chunk grids; the registers of a
-# compiled run are buffers _FIRST_REGISTER, _FIRST_REGISTER + 1, ...
+# compiled run are buffers _FIRST_REGISTER, _FIRST_REGISTER + 1, ...; the
+# other users key theirs by name
 _FIRST_REGISTER = 2
+# values a kept buffer holds at least: 256 KiB, which glibc's malloc maps
+# apart from the heap (from 128 KiB by default), so that a buffer kept for
+# the life of the thread never splits the heap space that the arrays of
+# one call free for the next; pages never written take no memory
+_KEPT_MIN = 1 << 15
 
 
-def _kept(i: int, shape: tuple) -> np.ndarray:
-    """Kept buffer i of this thread, viewed as shape. What it holds is
+def _kept(key, shape: tuple) -> np.ndarray:
+    """Kept buffer key of this thread, viewed as shape. What it holds is
     written again by the next use: a value returned from it is copied or
     reduced first."""
     size = math.prod(shape)
-    flat = _KEPT.flat
-    if len(flat) <= i:
-        flat += [np.empty(0)] * (i + 1 - len(flat))
-    if flat[i].size < size:
-        flat[i] = np.empty(size)
-    return flat[i][:size].reshape(shape)
+    flat = _KEPT.flat.get(key)
+    if flat is None or flat.size < size:
+        flat = _KEPT.flat[key] = np.empty(max(size, _KEPT_MIN))
+    return flat[:size].reshape(shape)
 
 
 def _runs_into(f: BivariateFunction, field: str) -> bool:
@@ -324,6 +343,19 @@ def _raising():
     report raised instead: a register run reports nothing itself, and the
     small blocks that sample again after it fails report what they did."""
     return np.errstate(**{k: v if v == "ignore" else "raise" for k, v in np.geterr().items()})
+
+
+def _in_registers(ok: bool, run, *args):
+    """run(*args), a sampler's register run, under _raising() if ok; None
+    if not ok, or if the run fails or meets a floating-point error: the
+    caller then samples in blocks of BLOCK_SAMPLES, which report it."""
+    if not ok:
+        return None
+    try:
+        with _raising():
+            return run(*args)
+    except (EngineError, ArithmeticError):
+        return None
 
 
 def _run_kept(fn, views: dict, *coords: np.ndarray) -> np.ndarray:
@@ -380,21 +412,35 @@ def _reduction_grid(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray) -> np.
     zero-stride view. Each call of f receives a block of whole rows, at
     most BLOCK_SAMPLES values (two rows if a row is longer than half of
     that, so that a zero-stride block shows f varies along neither axis).
-    Raises the first block's error, NonFiniteSample for a non-finite one."""
+    An error is the one that sampling the whole grid in one call raises:
+    after a block fails, the whole grid is sampled again (NonFiniteSample
+    for a non-finite sample)."""
     shape = (len(ts), len(ss))
     out, value = None, None
-    for rows in _row_blocks(*shape, min_rows=2):
-        block = sample_bivariate(f, ts[rows, None], ss[None, :])
-        _check_finite(block, f.label)
-        if out is None:
-            if not any(block.strides) and (value is None or value == block[0, 0]):
-                value = block[0, 0]  # a constant so far: nothing to lay out
-                continue
-            out = np.empty(shape)
-            if rows.start:
-                out[:rows.start] = value
-        out[rows] = block
+    try:
+        for rows in _row_blocks(*shape, min_rows=2):
+            block = sample_bivariate(f, ts[rows, None], ss[None, :])
+            _check_finite(block, f.label)
+            if out is None:
+                if not any(block.strides) and (value is None or value == block[0, 0]):
+                    value = block[0, 0]  # a constant so far: nothing to lay out
+                    continue
+                out = np.empty(shape)
+                if rows.start:
+                    out[:rows.start] = value
+            out[rows] = block
+    except Exception:
+        _check_finite(sample_bivariate(f, ts[:, None], ss[None, :]), f.label)
+        raise
     return np.broadcast_to(value, shape) if out is None else out
+
+
+def _split_axes(r: Rectangle, q: QuadConfig, split: Optional[EvalPoint]) -> tuple:
+    """(tn, tw, sn, sw): the composite rule on each axis of r, split at the
+    lines through split."""
+    tn, tw = _axis_quadrature(r.t_axis, q, () if split is None else (split.x,))
+    sn, sw = _axis_quadrature(r.s_axis, q, () if split is None else (split.y,))
+    return tn, tw, sn, sw
 
 
 def split_grid(
@@ -405,20 +451,76 @@ def split_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(tn, tw, sn, sw, values): the composite rule's nodes and weights on
     each axis of r, split at the lines through split, and f on their
-    tensor grid, sampled in row blocks. `tw @ values @ sw` is the integral
-    of f over r, and over a sub-rectangle whose sides are segments of the
-    split, the same product over those rows and columns. An error is the
-    one that sampling the whole grid in one call raises: after a block
-    fails, the whole grid is sampled again."""
+    tensor grid, a fresh array sampled in row blocks. `tw @ values @ sw`
+    is the integral of f over r, and over a sub-rectangle whose sides are
+    segments of the split, the same product over those rows and columns
+    (integrate_2d and the identity audit take these products from one
+    register run where they can, and build no grid). An error is the one
+    that sampling the whole grid in one call raises: after a block fails,
+    the whole grid is sampled again."""
     f = as_bivariate(f)
-    tn, tw = _axis_quadrature(r.t_axis, q, () if split is None else (split.x,))
-    sn, sw = _axis_quadrature(r.s_axis, q, () if split is None else (split.y,))
-    try:
-        values = _reduction_grid(f, tn, sn)
-    except Exception:
-        _check_finite(sample_bivariate(f, tn[:, None], sn[None, :]), f.label)
-        raise
-    return tn, tw, sn, sw, values
+    tn, tw, sn, sw = _split_axes(r, q, split)
+    return tn, tw, sn, sw, _reduction_grid(f, tn, sn)
+
+
+def _block_sums(tw: np.ndarray, values: np.ndarray, sw: np.ndarray, blocks) -> list[float]:
+    """tw[rows] @ values[rows, cols] @ sw[cols] over each (rows, cols) of
+    blocks."""
+    return [float(tw[rows] @ values[rows, cols] @ sw[cols]) for rows, cols in blocks]
+
+
+def _register_sums(f: BivariateFunction, field: str, tn: np.ndarray, tw: np.ndarray,
+                   sn: np.ndarray, sw: np.ndarray, blocks, factors: Optional[tuple] = None
+                   ) -> Optional[list[float]]:
+    """_block_sums of f's field ("fn" or "mixed_fn") on the outer grid
+    tn x sn, times factors[0][:, None] * factors[1] if factors are given,
+    from one register run; the grid is never built outside the kept
+    buffers. None unless the grid holds more than BLOCK_SAMPLES and at most
+    REGISTER_BLOCK_SAMPLES values and the field runs into registers, and
+    None if the run fails, meets a floating-point error or gives a
+    non-finite sum: the caller then samples the grid in blocks, which
+    report it. The blocks must cover the grid: the weights are positive and
+    the factors finite, so finite sums prove every sample finite."""
+    return _in_registers(BLOCK_SAMPLES < len(tn) * len(sn) <= REGISTER_BLOCK_SAMPLES
+                         and _runs_into(f, field), _grid_sums, getattr(f, field),
+                         tn, tw, sn, sw, blocks, factors)
+
+
+def _grid_sums(fn, tn: np.ndarray, tw: np.ndarray, sn: np.ndarray, sw: np.ndarray, blocks,
+               factors: Optional[tuple]) -> Optional[list[float]]:
+    """_register_sums' run, in the layout _reduction_grid gives (the
+    product with the factors is laid out in full anyway)."""
+    shape = (len(tn), len(sn))
+    values = _run_kept(fn, {}, tn[:, None], sn[None, :])
+    if factors is not None:
+        grid = np.multiply(factors[0][:, None], factors[1], out=_kept("grid", shape))
+        grid *= values
+        values = grid
+    elif any(values.strides) and not values.flags.c_contiguous:
+        # f of one variable: laid out in full, in C order as the blocks
+        # lay it out (a copy by np.array would keep the view's F order)
+        grid = _kept("grid", shape)
+        grid[...] = values
+        values = grid
+    sums = _block_sums(tw, values, sw, blocks)
+    return sums if np.isfinite(sums).all() else None
+
+
+def _split_integrals(f, r: Rectangle, q: QuadConfig, split: Optional[EvalPoint] = None,
+                     blocks=()) -> list[float]:
+    """The integral of f over r split at split (integrate_2d), then the
+    integral over each sub-rectangle of blocks, a (rows, cols) of
+    split_grid's values whose sides are segments of the split. A grid of
+    more than BLOCK_SAMPLES and at most REGISTER_BLOCK_SAMPLES values of a
+    compiled f is reduced from one register run (_register_sums); any
+    other, or one whose run fails, is split_grid's, and raises its error."""
+    f = as_bivariate(f)
+    tn, tw, sn, sw = _split_axes(r, q, split)
+    blocks = ((slice(None), slice(None)), *blocks)
+    sums = _register_sums(f, "fn", tn, tw, sn, sw, blocks)
+    if sums is None:
+        sums = _block_sums(tw, _reduction_grid(f, tn, sn), sw, blocks)
+    return sums
 
 
 def integrate_2d(
@@ -428,9 +530,8 @@ def integrate_2d(
     split: Optional[EvalPoint] = None,
 ) -> float:
     """Tensor-product composite Gauss-Legendre integral of f over r
-    (split_grid reduced)."""
-    _, tw, _, sw, values = split_grid(f, r, q, split)
-    return float(tw @ values @ sw)
+    (split_grid reduced, see _split_integrals)."""
+    return _split_integrals(f, r, q, split)[0]
 
 
 def grid_values(f, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -470,14 +571,12 @@ def line_integrals(
     call.
     """
     f = as_bivariate(f)
-    if (len(fixed) * nodes.size > BLOCK_SAMPLES and nodes.shape[1] <= REGISTER_BLOCK_SAMPLES
-            and _runs_into(f, "fn")):
-        try:
-            with _raising():
-                return _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=True)
-        except (EngineError, ArithmeticError):
-            pass  # the small blocks report it
-    return _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=False)
+    out = _in_registers(len(fixed) * nodes.size > BLOCK_SAMPLES
+                        and nodes.shape[1] <= REGISTER_BLOCK_SAMPLES and _runs_into(f, "fn"),
+                        _line_integrals, f, fixed_axis, fixed, nodes, weights, True)
+    if out is None:
+        out = _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=False)
+    return out
 
 
 def _line_integrals(f: BivariateFunction, fixed_axis: str, fixed: Sequence[float],
@@ -598,14 +697,9 @@ def cell_bounds(
     samples = np.linspace(starts, ends, grid_n).T
     ts, ss = samples[:m], samples[m:]
     steps = _FD_STEP * (ends - starts)
-    extremes = None
-    if (f.has_exact_mixed and m * n * grid_n * grid_n > BLOCK_SAMPLES
-            and grid_n * grid_n <= REGISTER_BLOCK_SAMPLES and _runs_into(f, "mixed_fn")):
-        try:
-            with _raising():
-                extremes = _cell_extremes(f, ts, ss, fd_steps=None)
-        except (EngineError, ArithmeticError):
-            pass  # the small blocks report it
+    extremes = _in_registers(m * n * grid_n * grid_n > BLOCK_SAMPLES
+                             and grid_n * grid_n <= REGISTER_BLOCK_SAMPLES
+                             and _runs_into(f, "mixed_fn"), _cell_extremes, f, ts, ss, None)
     if extremes is None:
         extremes = _cell_extremes(f, ts, ss, fd_steps=(steps[:m], steps[m:]))
     lo, hi = extremes

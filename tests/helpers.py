@@ -2,7 +2,7 @@
 a reference copy of the cell-by-cell enclosure loop, reference copies
 of the per-rule and per-quadrant bodies, of the meshgrid and per-line grid
 samplers, of the raw symbolic derivative and of the per-trial verify
-loop.
+loop, and a probe of the minor page faults of a repeated CLI call.
 
 The oracles deliberately avoid the package's Gauss-Legendre machinery so
 oracle agreement tests compare two genuinely different computations:
@@ -25,12 +25,17 @@ must repeat bit for bit.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from ostrocube import cli
 from ostrocube.core import (
     DerivativeBound1D,
     DerivativeBounds,
@@ -689,6 +694,28 @@ def reference_integrate_2d(f, r, q, split=None) -> float:
     return float(tw @ vals @ sw)
 
 
+def reference_quadrant_samples(f, r, pt, q) -> tuple:
+    """identity._quadrant_samples from the reference samplers: the anchor's
+    terms with the meshgrid split double integral, every half-line
+    integrated on its own (0.0 over a half of zero width) and each
+    quadrant's double integral from its own meshgrid (0.0 for a quadrant
+    of zero width)."""
+    a, b, c, d = r.t_axis.lo, r.t_axis.hi, r.s_axis.lo, r.s_axis.hi
+    x, y = pt.x, pt.y
+    (terms,) = reference_anchor_terms(f, r, [pt], q,
+                                      doubles=[reference_integrate_2d(f, r, q, split=pt)])
+    along_t = [[_ref_line(f.fix_s(v), lo, hi, q) for lo, hi in ((a, x), (x, b))]
+               for v in (y, c, d)]
+    along_s = [[_ref_line(f.fix_t(u), lo, hi, q) for lo, hi in ((c, y), (y, d))]
+               for u in (x, a, b)]
+    double = {}
+    for quad in Quadrant:
+        (t_lo, t_hi, *_), (s_lo, s_hi, *_) = _ref_halves(r, pt, quad)
+        double[quad] = (0.0 if t_hi <= t_lo or s_hi <= s_lo else reference_integrate_2d(
+            f, Rectangle(Interval1D(t_lo, t_hi), Interval1D(s_lo, s_hi)), q))
+    return terms, along_t, along_s, double
+
+
 def reference_grid_values(f, ts, ss) -> np.ndarray:
     f = as_bivariate(f)
     per_block = max(1, BLOCK_SAMPLES // len(ss))
@@ -1043,3 +1070,44 @@ def templates(degree: int) -> tuple:
     g = polynomial_1d(slots[:n])
     trees = (f, differentiate(differentiate(f, "t"), "s"), g, differentiate(g, "t"))
     return tuple(stacked_program(e, slots) for e in trees)
+
+
+# ---------------------------------------------------------------------------
+# minor page faults of a repeated CLI call, in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+_FAULTS = """
+import io, resource, sys
+from contextlib import redirect_stdout
+from ostrocube import cli
+
+def run():
+    with redirect_stdout(io.StringIO()):
+        assert cli.run_main(sys.argv[1:]) == 0
+
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def minor_faults(argv: list, bytecode: bool, prefix: Path) -> int:
+    """Minor page faults of the second of two in-process runs of the CLI
+    with argv, in a fresh interpreter that reads bytecode only from the
+    empty directory prefix (PYTHONPYCACHEPREFIX): with bytecode False every
+    module is compiled from source (-B); with True, a first interpreter
+    running the same script writes the bytecode of every module it imports
+    there, and the measured one reads it, as an installed package or a CI
+    checkout is imported. The two leave the C heap in different states."""
+    package = Path(cli.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    script = [sys.executable, "-B", "-c", _FAULTS, *argv]
+    if bytecode:
+        subprocess.run([sys.executable, "-c", _FAULTS, *argv], capture_output=True, env=env,
+                       timeout=120, check=True)
+    proc = subprocess.run(script, capture_output=True, text=True, env=env, timeout=120,
+                          check=True)
+    return int(proc.stdout)

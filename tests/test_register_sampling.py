@@ -10,17 +10,14 @@ returned may be a view of a kept buffer.
 
 import dataclasses
 import io
-import os
 import random
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_ast, reference_cell_bounds, reference_line_integrals
+from helpers import minor_faults, random_ast, reference_cell_bounds, reference_line_integrals
 from ostrocube import QuadConfig, cli, parse_expression, to_bivariate
 from ostrocube import quadrature
 from ostrocube.expr import XorShift64Star, draw_polynomial_1d, polynomial_1d
@@ -106,7 +103,7 @@ def test_smaller_register_blocks_keep_every_bit(cap, monkeypatch):
 
 
 def _kept_buffers() -> list:
-    return list(quadrature._KEPT.flat)
+    return list(quadrature._KEPT.flat.values())
 
 
 def test_results_are_not_registers():
@@ -187,35 +184,19 @@ def test_threads_print_what_serial_runs_print():
         assert docs == [serial[key]] * 3, key
 
 
-_FAULTS = """
-import io, resource
-from contextlib import redirect_stdout
-from ostrocube import cli
-
-def enclose():
-    with redirect_stdout(io.StringIO()):
-        assert cli.run_main(["enclose", "--f", "log(2+t+s)*t", "--rect", "0", "1", "0", "1",
-                             "--bounds", "auto", "--subdivide", "48", "48", "--json"]) == 0
-
-enclose()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-enclose()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts minor page faults as Linux reports them")
-def test_an_enclosure_reuses_the_memory_of_the_one_before():
-    # the full-grid steps of the large blocks go into kept registers, so
-    # once one enclosure has run, the next faults in no new memory; the
-    # same blocks without registers fault in thousands of pages each time
-    package = Path(cli.__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _FAULTS], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    assert int(proc.stdout) < 20
+def test_an_enclosure_reuses_the_memory_of_the_one_before(tmp_path):
+    # the full-grid steps of the large blocks go into kept registers and the
+    # cell edges' nodes into kept buffers, so once one enclosure has run,
+    # the next faults in no new memory, whether the package is compiled
+    # from source or read from bytecode; the same blocks without registers
+    # fault in thousands of pages each time
+    argv = ["enclose", "--f", "log(2+t+s)*t", "--rect", "0", "1", "0", "1",
+            "--bounds", "auto", "--subdivide", "48", "48", "--json"]
+    for bytecode in (False, True):
+        faults = minor_faults(argv, bytecode, tmp_path / str(bytecode))
+        assert faults < 20, (bytecode, faults)
 
 
 @pytest.mark.parametrize("text", ["exp(900*s)*t", "t*exp(900*s)+log(t+1)"])
