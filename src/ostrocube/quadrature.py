@@ -206,12 +206,13 @@ def gl_nodes(
     step = (np.asarray(hi, dtype=float)[..., None] - lo) / q.panels
     half = 0.5 * step
     mid = lo + np.arange(q.panels) * step + half
-    shape = mid.shape[:-1] + (-1,)
+    panels = mid.shape + rule.nodes.shape
     if out is None:
-        out = np.empty(mid.shape + rule.nodes.shape), np.empty(mid.shape + rule.nodes.shape)
-    nodes, weights = (a.reshape(mid.shape + rule.nodes.shape) for a in out)
+        out = np.empty(panels), np.empty(panels)
+    nodes, weights = (a.reshape(panels) for a in out)
     np.add(mid[..., None], half[..., None] * rule.nodes, out=nodes)
     np.multiply(half[..., None], rule.weights, out=weights)
+    shape = mid.shape[:-1] + (-1,)
     return nodes.reshape(shape), weights.reshape(shape)
 
 
