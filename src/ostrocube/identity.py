@@ -196,7 +196,7 @@ def _quadrant_oracles(
     each quadrant's block of it is reduced as quadrant_oracle reduces it.
     A compiled exact partial on a grid of more than BLOCK_SAMPLES and at
     most REGISTER_BLOCK_SAMPLES values runs once into registers, its
-    product with the kernels into a buffer kept per thread
+    product with the kernels into a register that the run leaves free
     (quadrature._register_sums); any other is sampled one row block at a
     time. An error is the one the quadrants raise one by one: after a
     block fails, they are sampled again in turn."""

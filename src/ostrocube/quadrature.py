@@ -475,8 +475,7 @@ def _register_sums(f: BivariateFunction, field: str, tn: np.ndarray, tw: np.ndar
                    ) -> Optional[list[float]]:
     """_block_sums of f's field ("fn" or "mixed_fn") on the outer grid
     tn x sn, times factors[0][:, None] * factors[1] if factors are given,
-    from one register run; the grid is never built outside the kept
-    buffers. None unless the grid holds more than BLOCK_SAMPLES and at most
+    from one register run; the grid is never built outside the registers. None unless the grid holds more than BLOCK_SAMPLES and at most
     REGISTER_BLOCK_SAMPLES values and the field runs into registers, and
     None if the run fails, meets a floating-point error or gives a
     non-finite sum: the caller then samples the grid in blocks, which
@@ -489,19 +488,23 @@ def _register_sums(f: BivariateFunction, field: str, tn: np.ndarray, tw: np.ndar
 
 def _grid_sums(fn, tn: np.ndarray, tw: np.ndarray, sn: np.ndarray, sw: np.ndarray, blocks,
                factors: Optional[tuple]) -> Optional[list[float]]:
-    """_register_sums' run, in the layout _reduction_grid gives (the
-    product with the factors is laid out in full anyway)."""
+    """_register_sums' run, in the layout _reduction_grid gives."""
     shape = (len(tn), len(sn))
-    values = _run_kept(fn, {}, tn[:, None], sn[None, :])
-    if factors is not None:
-        grid = np.multiply(factors[0][:, None], factors[1], out=_kept("grid", shape))
-        grid *= values
-        values = grid
-    elif any(values.strides) and not values.flags.c_contiguous:
-        # f of one variable: laid out in full, in C order as the blocks
-        # lay it out (a copy by np.array would keep the view's F order)
-        grid = _kept("grid", shape)
-        grid[...] = values
+    views: dict = {}
+    values = _run_kept(fn, views, tn[:, None], sn[None, :])
+    if factors is not None or (any(values.strides) and not values.flags.c_contiguous):
+        # the product with the factors, or f of one variable laid out in
+        # full in C order as the blocks lay it out (np.array of the view
+        # would keep its F order), in the first register the result leaves
+        registers = views[shape]
+        free = next((k for k, register in enumerate(registers)
+                     if not np.may_share_memory(register, values)), len(registers))
+        grid = _kept(_FIRST_REGISTER + free, shape)
+        if factors is None:
+            grid[...] = values
+        else:
+            np.multiply(factors[0][:, None], factors[1], out=grid)
+            grid *= values
         values = grid
     sums = _block_sums(tw, values, sw, blocks)
     return sums if np.isfinite(sums).all() else None

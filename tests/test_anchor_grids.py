@@ -222,8 +222,8 @@ def _document(argv: list) -> dict:
 
 
 def test_threads_print_what_serial_runs_print():
-    # more threads than cores, switching often: each keeps its own registers
-    # and its own buffer for the oracle's kernel-weighted grid
+    # more threads than cores, switching often: each keeps its own registers,
+    # which also take the oracle's kernel-weighted grid
     serial = {key: _document(argv) for key, argv in _ANCHOR_OPS.items()}
     keys = sorted(_ANCHOR_OPS) * 2
     start = threading.Barrier(len(keys))
@@ -254,7 +254,7 @@ def test_threads_print_what_serial_runs_print():
 @pytest.mark.parametrize("kind", ["identity", "compare"])
 def test_an_anchor_audit_reuses_the_memory_of_the_one_before(kind, tmp_path):
     # both grids run into kept registers, the oracle's product with the
-    # kernels into a kept buffer, and no grid is built outside them
+    # kernels too, and no grid is built outside them
     argv = [kind, "--f", "log(2+t+s)*t", "--rect", "0", "1", "0", "1", "--point", "0.3", "0.6",
             *(["--bounds", "-1", "2"] if kind == "compare" else []), "--json"]
     for bytecode in (False, True):
