@@ -475,7 +475,8 @@ def _register_sums(f: BivariateFunction, field: str, tn: np.ndarray, tw: np.ndar
                    ) -> Optional[list[float]]:
     """_block_sums of f's field ("fn" or "mixed_fn") on the outer grid
     tn x sn, times factors[0][:, None] * factors[1] if factors are given,
-    from one register run; the grid is never built outside the registers. None unless the grid holds more than BLOCK_SAMPLES and at most
+    from one register run; the grid is never built outside the registers.
+    None unless the grid holds more than BLOCK_SAMPLES and at most
     REGISTER_BLOCK_SAMPLES values and the field runs into registers, and
     None if the run fails, meets a floating-point error or gives a
     non-finite sum: the caller then samples the grid in blocks, which
