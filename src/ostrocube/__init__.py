@@ -40,7 +40,6 @@ from .expr import (
     DomainError,
     LexError,
     ParseError,
-    UnsupportedDerivative,
     XorShift64Star,
     differentiate,
     eval_expr,

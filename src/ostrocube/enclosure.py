@@ -232,8 +232,7 @@ def _bounds_hold_at(
     if not f.has_exact_mixed:
         return True
     try:
-        vals = sample_mixed(f, np.asarray(ts)[:, None], np.asarray(ss)[None, :], None,
-                            fd_fallback=False)
+        vals = sample_mixed(f, np.asarray(ts)[:, None], np.asarray(ss)[None, :])
     except (EngineError, ArithmeticError, ValueError):
         # a partial undefined at an anchor (DomainError from an expression,
         # ZeroDivisionError or ValueError from a plain callable) is not

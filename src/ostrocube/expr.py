@@ -48,7 +48,6 @@ __all__ = [
     "LexError",
     "ParseError",
     "DomainError",
-    "UnsupportedDerivative",
     "Token",
     "ExprNode",
     "Const",
@@ -93,11 +92,6 @@ class ParseError(EngineError):
 
 class DomainError(EngineError):
     """Evaluation left the real domain (log <= 0, sqrt < 0, 0^negative, ...)."""
-
-
-class UnsupportedDerivative(EngineError):
-    """Derivative of '^' with a non-constant exponent over a base that is
-    not provably positive."""
 
 
 # ---------------------------------------------------------------------------
@@ -735,15 +729,6 @@ def _is_const(e: ExprNode, value: Optional[float] = None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
-def _provably_positive(e: ExprNode) -> bool:
-    # deliberately conservative: enough for exp-rebased power derivatives
-    if isinstance(e, Const):
-        return e.value > 0.0
-    if isinstance(e, Unary) and e.op == "exp":
-        return True
-    return False
-
-
 def _fold_unary(op: str, value: float) -> Optional[float]:
     try:
         if op == "neg":
@@ -941,22 +926,20 @@ def differentiate(e: ExprNode, var: str) -> ExprNode:
                 )
                 return _binary_rule("/", num, _binary_rule("^", simp(right), _TWO))
             if op == "^":
-                if isinstance(right, Const):
-                    n = right.value
-                    power = _binary_rule("^", simp(left), Const(n - 1.0))
-                    return _binary_rule("*", _binary_rule("*", right, power), d(left))
-                if _provably_positive(left):
-                    # b^e = exp(e log b):  d = b^e (e' log b + e b'/b)
-                    inner = _binary_rule(
-                        "+",
-                        _binary_rule("*", d(right), _unary_rule("log", simp(left))),
-                        _binary_rule("*", simp(right), _binary_rule("/", d(left), simp(left))),
-                    )
-                    return _binary_rule("*", simp(node), inner)
-                raise UnsupportedDerivative(
-                    "cannot differentiate '^' with a non-constant exponent over a "
-                    "base that may be negative"
+                # an exponent that folds to a constant, as in t^-1, takes the
+                # power rule, which is finite where the base is 0
+                expo = simp(right)
+                if isinstance(expo, Const):
+                    power = _binary_rule("^", simp(left), Const(expo.value - 1.0))
+                    return _binary_rule("*", _binary_rule("*", expo, power), d(left))
+                # b^e = exp(e log b):  d = b^e (e' log b + e b'/b); where b
+                # is not positive, the log guard raises as f's own guards do
+                inner = _binary_rule(
+                    "+",
+                    _binary_rule("*", d(right), _unary_rule("log", simp(left))),
+                    _binary_rule("*", expo, _binary_rule("/", d(left), simp(left))),
                 )
+                return _binary_rule("*", simp(node), inner)
             raise AssertionError(f"unknown binary op {op!r}")
         raise AssertionError(f"unknown node {node!r}")
 
@@ -1023,18 +1006,10 @@ def to_string(e: ExprNode) -> str:
 
 
 def to_bivariate(e: ExprNode) -> BivariateFunction:
-    """Package an expression as f(t, s) with its exact mixed partial.
-
-    has_exact_mixed is True whenever symbolic differentiation succeeded.
-    """
-    mixed: Optional[ExprNode]
-    try:
-        mixed = differentiate(differentiate(e, "t"), "s")
-    except UnsupportedDerivative:
-        mixed = None
+    """Package an expression as f(t, s) with its exact mixed partial."""
     return BivariateFunction(
         fn=_Compiled(e),
-        mixed_fn=None if mixed is None else _Compiled(mixed),
+        mixed_fn=_Compiled(differentiate(differentiate(e, "t"), "s")),
         vectorized=True,
         label=to_string(e),
     )
@@ -1042,7 +1017,7 @@ def to_bivariate(e: ExprNode) -> BivariateFunction:
 
 def to_univariate(e: ExprNode, var: str = "t") -> UnivariateFunction:
     """Package an expression as g(var), binding the other variable to 0,
-    with its exact derivative where symbolic differentiation succeeds."""
+    with its exact derivative."""
     if var not in ("t", "s"):
         raise ValueError(f"var must be 't' or 's', got {var!r}")
 
@@ -1052,13 +1027,9 @@ def to_univariate(e: ExprNode, var: str = "t") -> UnivariateFunction:
             return lambda v: run_program(program, v, 0.0)
         return lambda v: run_program(program, 0.0, v)
 
-    try:
-        deriv_fn = _bind(differentiate(e, var))
-    except UnsupportedDerivative:
-        deriv_fn = None
     return UnivariateFunction(
         fn=_bind(e),
-        deriv_fn=deriv_fn,
+        deriv_fn=_bind(differentiate(e, var)),
         vectorized=True,
         label=to_string(e),
     )

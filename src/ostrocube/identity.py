@@ -117,8 +117,7 @@ def _quadrant_rect(r: Rectangle, pt: EvalPoint, quad: Quadrant) -> Optional[Rect
 
 
 def quadrant_oracle(
-    f: BivariateFunction, r: Rectangle, pt: EvalPoint, quad: Quadrant, q: QuadConfig,
-    fd_fallback: bool = True,
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, quad: Quadrant, q: QuadConfig
 ) -> float:
     """Quadrature value of k_t k_s d2f/dtds over one quadrant."""
     sub = _quadrant_rect(r, pt, quad)
@@ -132,7 +131,7 @@ def quadrant_oracle(
     tn, tw = _axis_quadrature(sub.t_axis, q)
     sn, sw = _axis_quadrature(sub.s_axis, q)
     T, S = tn[:, None], sn[None, :]
-    mixed = sample_mixed(f, T, S, r, fd_fallback=fd_fallback)
+    mixed = sample_mixed(f, T, S)
     _check_finite(mixed, f"mixed partial of {f.label}")
     integrand = (T - t_off) * (S - s_off) * mixed
     return float(tw @ integrand @ sw)
@@ -187,9 +186,7 @@ def _kernel_factor(
     return out
 
 
-def _quadrant_oracles(
-    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig, fd_fallback: bool = True
-) -> dict:
+def _quadrant_oracles(f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig) -> dict:
     """quadrant_oracle of every quadrant, bit for bit, from one sampling of
     the mixed partial over the split nodes: (T - t_off) * (S - s_off) *
     mixed takes the kernel offsets of each row's and column's half, and
@@ -212,31 +209,25 @@ def _quadrant_oracles(
         integrand = np.empty((len(tn), len(sn)))
         try:
             for rows in _row_blocks(len(tn), len(sn)):
-                mixed = sample_mixed(f, tn[rows, None], sn[None, :], r, fd_fallback=fd_fallback)
+                mixed = sample_mixed(f, tn[rows, None], sn[None, :])
                 _check_finite(mixed, f"mixed partial of {f.label}")
                 block = np.multiply(t_fac[rows, None], s_fac, out=integrand[rows])
                 block *= mixed
         except Exception:
             for quad in Quadrant:
-                quadrant_oracle(f, r, pt, quad, q, fd_fallback=fd_fallback)
+                quadrant_oracle(f, r, pt, quad, q)
             raise
         sums = _block_sums(tw, integrand, sw, blocks)
     return _per_quadrant(quadrants, sums)
 
 
 def kernel_weighted_integral(
-    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig, fd_fallback: bool = True
+    f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig
 ) -> float:
-    """The target double integral, split at the anchor lines so every
-    quadrature panel sees a smooth integrand. Uses the exact mixed partial
-    when the function carries one, else the finite-difference stencil
-    (non-rigorous) unless the fallback is disabled."""
-    if not f.has_exact_mixed and not fd_fallback:
-        raise MissingMixedPartial(
-            f"function {f.label!r} has no exact mixed partial and the "
-            "finite-difference fallback is disabled"
-        )
-    return sum(_quadrant_oracles(f, r, pt, q, fd_fallback=fd_fallback).values())
+    """The target double integral of the exact mixed partial, split at the
+    anchor lines so every quadrature panel sees a smooth integrand;
+    MissingMixedPartial if f carries no exact mixed partial."""
+    return sum(_quadrant_oracles(f, r, pt, q).values())
 
 
 def _half_lines(
@@ -465,7 +456,7 @@ def identity_report(
             f"identity_report needs an exact mixed partial for {f.label!r}"
         )
     samples = _quadrant_samples(f, r, pt, q)
-    oracles = _quadrant_oracles(f, r, pt, q, fd_fallback=False)
+    oracles = _quadrant_oracles(f, r, pt, q)
     per_quadrant = {
         quad: QuadrantComparison(*_quadrant_expansions(samples, quad), oracles[quad])
         for quad in Quadrant

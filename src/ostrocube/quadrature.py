@@ -1,4 +1,5 @@
-"""Reference numerical integration and differentiation.
+"""Reference numerical integration, and sampling of integrands and their
+exact mixed partials.
 
 Composite Gauss-Legendre rules over panels, with optional breakpoint
 refinement so integrands that are only piecewise smooth can be split at
@@ -56,8 +57,8 @@ the last bit as sampling full grids, under these rules:
   numpy's floating-point errors instead of warning, and after any failure
   or a non-finite result the call is sampled again in blocks of
   BLOCK_SAMPLES (_in_registers): warnings, errors and non-finite counts
-  are theirs. Plain callables, wrappers, the stencil, grid_values,
-  split_grid and smaller calls keep blocks of BLOCK_SAMPLES values.
+  are theirs. Plain callables, wrappers, grid_values, split_grid and
+  smaller calls keep blocks of BLOCK_SAMPLES values.
 
 Elementwise arithmetic gives each sample the same bits in any layout; the
 one numpy exception, power's shortcuts for a scalar exponent, is applied
@@ -103,20 +104,16 @@ __all__ = [
     "line_integrals",
     "estimate_bounds",
     "cell_bounds",
-    "default_fd_steps",
     "sample_univariate",
     "sample_bivariate",
     "sample_mixed",
 ]
 
-_EPS = float(np.finfo(float).eps)
-_FD_STEP = _EPS ** (1.0 / 3.0)
-
 # Most values one call of an integrand returns to the grid routines
 # (grid_values and split_grid; integrate_2d and the identity oracle's
 # sampling of the mixed partial for a plain callable, a grid of at most
-# this many values or a failed register run; the stencil; line_integrals
-# and cell_bounds for a plain callable or small call); it keeps the
+# this many values or a failed register run; line_integrals and
+# cell_bounds for a plain callable or small call); it keeps the
 # evaluator's temporaries flat in the grid size and small enough for the
 # heap to keep.
 BLOCK_SAMPLES = 8192
@@ -634,38 +631,12 @@ def _line_integrals(f: BivariateFunction, fixed_axis: str, fixed: Sequence[float
     return out
 
 
-def default_fd_steps(r: Rectangle) -> tuple[float, float]:
-    """cbrt(machine eps) scaled by axis length, balancing truncation
-    against cancellation for the cross stencil."""
-    return _FD_STEP * r.t_axis.length, _FD_STEP * r.s_axis.length
-
-
-def sample_mixed(
-    f: BivariateFunction,
-    T: np.ndarray,
-    S: np.ndarray,
-    r: Optional[Rectangle],
-    fd_fallback: bool = True,
-    fd_steps: Optional[tuple] = None,
-) -> np.ndarray:
-    """Mixed-partial values at t and s coordinates that broadcast against
-    each other: exact capability if present, else the finite-difference
-    stencil when the fallback is allowed. The stencil steps are
-    default_fd_steps(r) unless fd_steps gives them (arrays that broadcast
-    against T and S give each cell its own)."""
-    if f.has_exact_mixed:
-        return _sample(f.mixed_fn, f.vectorized, T, S)
-    if not fd_fallback:
-        raise MissingMixedPartial(
-            f"function {f.label!r} has no exact mixed partial and the "
-            "finite-difference fallback is disabled"
-        )
-    h_t, h_s = default_fd_steps(r) if fd_steps is None else fd_steps
-    fpp = sample_bivariate(f, T + h_t, S + h_s)
-    fpm = sample_bivariate(f, T + h_t, S - h_s)
-    fmp = sample_bivariate(f, T - h_t, S + h_s)
-    fmm = sample_bivariate(f, T - h_t, S - h_s)
-    return (fpp - fpm - fmp + fmm) / (4.0 * h_t * h_s)
+def sample_mixed(f: BivariateFunction, T: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """f's exact mixed partial at t and s coordinates that broadcast against
+    each other; MissingMixedPartial if f carries none."""
+    if not f.has_exact_mixed:
+        raise MissingMixedPartial(f"function {f.label!r} carries no exact mixed partial")
+    return _sample(f.mixed_fn, f.vectorized, T, S)
 
 
 def cell_bounds(
@@ -680,16 +651,15 @@ def cell_bounds(
     Cell (i, j) is [t_edges[i], t_edges[i+1]] x [s_edges[j], s_edges[j+1]].
     Its bounds are the min/max over a grid_n x grid_n grid of the cell
     (boundary lines included), widened by pad_rel * (max - min) plus an
-    absolute floor of 1e-12 on each side. Without an exact mixed partial
-    each cell uses the stencil with its own default_fd_steps. Cells are
-    sampled in row-major blocks of at most BLOCK_SAMPLES values (one cell
-    if a cell grid is larger); with several blocks, the exact partial's
-    subtrees of one variable are evaluated once over all cell rows of
-    that axis. A compiled exact partial over more than BLOCK_SAMPLES
-    values runs blocks of up to REGISTER_BLOCK_SAMPLES values into
-    registers instead, and is sampled again in the small blocks if one of
-    them fails or meets a floating-point error. Returns (lower, upper),
-    each of shape (m, n).
+    absolute floor of 1e-12 on each side; MissingMixedPartial if f carries
+    no exact mixed partial. Cells are sampled in row-major blocks of at
+    most BLOCK_SAMPLES values (one cell if a cell grid is larger); with
+    several blocks, the partial's subtrees of one variable are evaluated
+    once over all cell rows of that axis. A compiled partial over more
+    than BLOCK_SAMPLES values runs blocks of up to REGISTER_BLOCK_SAMPLES
+    values into registers instead, and is sampled again in the small
+    blocks if one of them fails or meets a floating-point error. Returns
+    (lower, upper), each of shape (m, n).
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -701,12 +671,11 @@ def cell_bounds(
     ends = np.concatenate((t_edges[1:], s_edges[1:]))
     samples = np.linspace(starts, ends, grid_n).T
     ts, ss = samples[:m], samples[m:]
-    steps = _FD_STEP * (ends - starts)
     extremes = _in_registers(m * n * grid_n * grid_n > BLOCK_SAMPLES
                              and grid_n * grid_n <= REGISTER_BLOCK_SAMPLES
-                             and _runs_into(f, "mixed_fn"), _cell_extremes, f, ts, ss, None)
+                             and _runs_into(f, "mixed_fn"), _cell_extremes, f, ts, ss, True)
     if extremes is None:
-        extremes = _cell_extremes(f, ts, ss, fd_steps=(steps[:m], steps[m:]))
+        extremes = _cell_extremes(f, ts, ss, kept=False)
     lo, hi = extremes
     pad = pad_rel * (hi - lo) + 1e-12
     lower = lo - pad
@@ -717,15 +686,14 @@ def cell_bounds(
 
 
 def _cell_extremes(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray,
-                   fd_steps: Optional[tuple]) -> tuple[np.ndarray, np.ndarray]:
+                   kept: bool) -> tuple[np.ndarray, np.ndarray]:
     """The min and max of the mixed partial over the sample rows ts[i] x
-    ss[j] of every cell (i, j), row-major: with fd_steps (h_t, h_s) per
-    cell row and column, by sample_mixed in blocks of BLOCK_SAMPLES
-    values; without, by the compiled exact partial in blocks of
-    REGISTER_BLOCK_SAMPLES values run into registers, raising on any
-    failure without counting it."""
+    ss[j] of every cell (i, j), row-major, by sample_mixed in blocks of
+    BLOCK_SAMPLES values, or, if kept, by the compiled exact partial in
+    blocks of REGISTER_BLOCK_SAMPLES values run into registers, raising on
+    any failure without counting it."""
     (m, grid_n), n = ts.shape, len(ss)
-    cap = REGISTER_BLOCK_SAMPLES if fd_steps is None else BLOCK_SAMPLES
+    cap = REGISTER_BLOCK_SAMPLES if kept else BLOCK_SAMPLES
     lo = np.empty(m * n)
     hi = np.empty(m * n)
     per_block = max(1, cap // (grid_n * grid_n))
@@ -737,17 +705,15 @@ def _cell_extremes(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray,
         cells = np.arange(start, min(start + per_block, m * n))
         i, j = np.divmod(cells, n)
         g = f if hoisted is None else hoisted(i, j)
-        if fd_steps is None:
+        if kept:
             vals = _run_kept(g.mixed_fn, views, ts[i, :, None], ss[j, None, :])
         else:
-            h_t, h_s = fd_steps
-            vals = sample_mixed(g, ts[i, :, None], ss[j, None, :], None, fd_fallback=True,
-                                fd_steps=(h_t[i, None, None], h_s[j, None, None]))
+            vals = sample_mixed(g, ts[i, :, None], ss[j, None, :])
             _check_finite(vals, f"mixed partial of {f.label}")
         lo[cells] = vals.min(axis=(1, 2))
         hi[cells] = vals.max(axis=(1, 2))
     # min and max take a NaN, and an infinity makes one of them infinite
-    if fd_steps is None and not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+    if kept and not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise NonFiniteSample("a non-finite sample in a register run")
     return lo, hi
 

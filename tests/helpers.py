@@ -51,7 +51,6 @@ from ostrocube.expr import (
     Binary,
     Const,
     ExprNode,
-    UnsupportedDerivative,
     Unary,
     Var,
     XorShift64Star,
@@ -62,6 +61,7 @@ from ostrocube.expr import (
     polynomial,
     polynomial_1d,
     random_polynomial,
+    simplify,
     stacked_program,
     to_bivariate,
     to_univariate,
@@ -83,7 +83,6 @@ from ostrocube.rules import (
     qiaoling_from_terms,
 )
 from ostrocube.quadrature import (
-    _FD_STEP,
     BLOCK_SAMPLES,
     _axis_quadrature,
     _check_finite,
@@ -299,7 +298,7 @@ def reference_estimate_bounds(f, r, grid_n: int, pad_rel: float) -> DerivativeBo
     ts = np.linspace(r.t_axis.lo, r.t_axis.hi, grid_n)
     ss = np.linspace(r.s_axis.lo, r.s_axis.hi, grid_n)
     T, S = np.meshgrid(ts, ss, indexing="ij")
-    vals = sample_mixed(f, T, S, r, fd_fallback=True)
+    vals = sample_mixed(f, T, S)
     _check_finite(vals, f"mixed partial of {f.label}")
     lo = float(np.min(vals))
     hi = float(np.max(vals))
@@ -647,7 +646,7 @@ def reference_identity_report(f, r, pt, q, tol=1e-9):
         quad: QuadrantComparison(
             verbatim=reference_quadrant_verbatim(f, r, pt, quad, q),
             derived=reference_quadrant_derived(f, r, pt, quad, q),
-            oracle=quadrant_oracle(f, r, pt, quad, q, fd_fallback=False),
+            oracle=quadrant_oracle(f, r, pt, quad, q),
         )
         for quad in Quadrant
     }
@@ -749,8 +748,6 @@ def reference_cell_bounds(f, t_edges, s_edges, grid_n: int, pad_rel: float):
     ends = np.concatenate((t_edges[1:], s_edges[1:]))
     samples = np.linspace(starts, ends, grid_n).T
     ts, ss = samples[:m], samples[m:]
-    steps = _FD_STEP * (ends - starts)
-    h_t, h_s = steps[:m], steps[m:]
     lo = np.empty(m * n)
     hi = np.empty(m * n)
     per_block = max(1, BLOCK_SAMPLES // (grid_n * grid_n))
@@ -760,8 +757,7 @@ def reference_cell_bounds(f, t_edges, s_edges, grid_n: int, pad_rel: float):
         shape = (cells.size, grid_n, grid_n)
         T = np.ascontiguousarray(np.broadcast_to(ts[i, :, None], shape))
         S = np.ascontiguousarray(np.broadcast_to(ss[j, None, :], shape))
-        fd_steps = (h_t[i, None, None], h_s[j, None, None])
-        vals = sample_mixed(f, T, S, None, fd_fallback=True, fd_steps=fd_steps)
+        vals = sample_mixed(f, T, S)
         _check_finite(vals, f"mixed partial of {f.label}")
         lo[cells] = vals.min(axis=(1, 2))
         hi[cells] = vals.max(axis=(1, 2))
@@ -772,12 +768,6 @@ def reference_cell_bounds(f, t_edges, s_edges, grid_n: int, pad_rel: float):
 # ---------------------------------------------------------------------------
 # reference derivative: the raw, unsimplified symbolic derivative
 # ---------------------------------------------------------------------------
-
-
-def _ref_provably_positive(e: ExprNode) -> bool:
-    if isinstance(e, Const):
-        return e.value > 0.0
-    return isinstance(e, Unary) and e.op == "exp"
 
 
 def reference_diff(e: ExprNode, var: str) -> ExprNode:
@@ -821,18 +811,16 @@ def reference_diff(e: ExprNode, var: str) -> ExprNode:
         return Binary("/", num, Binary("^", e.right, Const(2.0)))
     if e.op == "^":
         base, expo = e.left, e.right
-        if isinstance(expo, Const):
-            n = expo.value
+        if isinstance(simplify(expo), Const):
+            n = simplify(expo).value
             power = Binary("^", base, Const(n - 1.0))
             return Binary("*", Binary("*", Const(n), power), reference_diff(base, var))
-        if _ref_provably_positive(base):
-            inner = Binary(
-                "+",
-                Binary("*", reference_diff(expo, var), Unary("log", base)),
-                Binary("*", expo, Binary("/", reference_diff(base, var), base)),
-            )
-            return Binary("*", e, inner)
-        raise UnsupportedDerivative("non-constant exponent over a base that may be negative")
+        inner = Binary(
+            "+",
+            Binary("*", reference_diff(expo, var), Unary("log", base)),
+            Binary("*", expo, Binary("/", reference_diff(base, var), base)),
+        )
+        return Binary("*", e, inner)
     raise AssertionError(f"unknown binary op {e.op!r}")
 
 

@@ -73,7 +73,7 @@ def _samples_hex(samples: tuple) -> list:
 
 
 def _oracles(f, r, pt) -> dict:
-    return {quad: quadrant_oracle(f, r, pt, quad, Q, fd_fallback=False) for quad in Quadrant}
+    return {quad: quadrant_oracle(f, r, pt, quad, Q) for quad in Quadrant}
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -85,7 +85,7 @@ def test_anchor_grids_equal_the_reference(text, u, v, rect):
         reference_integrate_2d(f, rect, Q, split=pt).hex()
     assert _samples_hex(_quadrant_samples(f, rect, pt, Q)) == \
         _samples_hex(reference_quadrant_samples(f, rect, pt, Q))
-    assert _hex(_quadrant_oracles(f, rect, pt, Q, fd_fallback=False)) == \
+    assert _hex(_quadrant_oracles(f, rect, pt, Q)) == \
         _hex(_oracles(f, rect, pt))
 
 

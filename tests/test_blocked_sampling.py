@@ -119,13 +119,16 @@ def test_shared_grid_values_equal_their_own_grids(text, x, y):
         assert double[quad].hex() == expected.hex(), quad
     per_quadrant = identity_report(f, UNIT, pt, Q).per_quadrant
     for quad in Quadrant:
-        expected = quadrant_oracle(f, UNIT, pt, quad, Q, fd_fallback=False)
+        expected = quadrant_oracle(f, UNIT, pt, quad, Q)
         assert per_quadrant[quad].oracle.hex() == expected.hex(), quad
 
 
 @pytest.mark.parametrize("x, y", [(0.3, 0.6), (0.0, 0.6), (1.0, 0.0)])
-def test_kernel_weighted_integral_with_the_stencil_sums_the_quadrant_oracles(x, y):
-    f = BivariateFunction(fn=lambda t, s: np.exp(t * s) + t * t * s, vectorized=True)
+def test_kernel_weighted_integral_of_a_plain_callable_sums_the_quadrant_oracles(x, y):
+    # a plain callable's mixed partial is sampled in row blocks
+    f = BivariateFunction(fn=lambda t, s: np.exp(t * s) + t * t * s,
+                          mixed_fn=lambda t, s: np.exp(t * s) * (1.0 + t * s) + 2.0 * t,
+                          vectorized=True)
     pt = make_point(UNIT, x, y)
     expected = sum(quadrant_oracle(f, UNIT, pt, quad, Q) for quad in Quadrant)
     assert kernel_weighted_integral(f, UNIT, pt, Q).hex() == expected.hex()

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ostrocube
+from helpers import simpson_kernel_weighted
 from ostrocube.cli import UsageError, _render_json, parse_args, run, run_main
 
 DATA = Path(__file__).parent / "data"
@@ -268,6 +269,56 @@ def test_compare_checks_given_bounds_at_the_anchor():
          "--bounds", "1", "1", "--json", "--no-timestamp"]
     )
     assert doc["flags"]["rigorous"] is True
+
+
+# the integral of t^s over [0.1, 1]^2, by mpmath
+T_TO_THE_S = 0.5758058259742863
+T_TO_THE_S_RECT = ["--rect", "0.1", "1", "0.1", "1"]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_enclose_checks_given_bounds_on_a_variable_exponent(m):
+    # t^s had no exact mixed partial, so the bounds 0 0 went unchecked and
+    # these enclosures, which miss the integral, were certified; its
+    # partial t^(s-1) (1 + s log t) is 6.11 at (0.1, 0.1)
+    code, doc = _capture_json(
+        ["enclose", "--f", "t^s", *T_TO_THE_S_RECT, "--bounds", "0", "0",
+         "--subdivide", str(m), str(m), "--json", "--no-timestamp"]
+    )
+    assert code == 0
+    enclosure = doc["results"]["enclosure"]
+    assert not enclosure["lo"] <= T_TO_THE_S <= enclosure["hi"]
+    assert doc["results"]["rigorous"] is False
+    assert doc["flags"]["rigorous"] is False
+
+
+def test_compare_checks_given_bounds_on_a_variable_exponent():
+    # the partial of t^s is 0.45 at the anchor, outside 0 0
+    code, doc = _capture_json(
+        ["compare", "--f", "t^s", *T_TO_THE_S_RECT, "--point", "0.3", "0.6",
+         "--bounds", "0", "0", "--json", "--no-timestamp"]
+    )
+    assert code == 0
+    assert doc["flags"]["rigorous"] is False
+
+
+def test_identity_of_a_variable_exponent():
+    # identity refused t^s, which had no exact mixed partial
+    code, doc = _capture_json(
+        ["identity", "--f", "t^s", *T_TO_THE_S_RECT, "--point", "0.3", "0.6",
+         "--json", "--no-timestamp"]
+    )
+    assert code == 0
+    res = doc["results"]
+    assert res["status_ok"] is True
+    assert abs(res["derived"] - res["oracle"]) <= res["tol"] * (1 + abs(res["oracle"]))
+
+    def partial(t, s):
+        return t ** (s - 1.0) * (1.0 + s * np.log(t))
+
+    simpson = simpson_kernel_weighted(partial, 0.1, 1, 0.1, 1, 0.3, 0.6)
+    assert res["oracle"] == pytest.approx(simpson, abs=1e-9)
+    assert res["oracle"] == pytest.approx(-0.00327022, abs=1e-8)
 
 
 @pytest.mark.parametrize("text", ["sqrt(t)+sqrt(s)", "log(t+1)+sqrt(s)"])

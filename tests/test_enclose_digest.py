@@ -11,6 +11,7 @@ order they first appear (their file and line are not pinned).
 
 import hashlib
 import io
+import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -140,15 +141,16 @@ def test_failing_enclose_message_and_warnings(text, bounds, message, warned, cap
 
 # Whole invocations, pinned as the md5 of the exit code, stdout, stderr and
 # the numpy warnings in the order they first appear: line integrals and
-# sampled bounds on grids of 24-96 cells, the stencil (`t^s` has no exact
-# mixed partial), a non-finite count on each path, and a domain error.
+# sampled bounds on grids of 24-96 cells, sampled bounds on the exp-log
+# partial of a variable exponent (`t^s`), a non-finite count on each path,
+# and a domain error.
 _INVOCATIONS = {
     "log-48-auto": (["--f", "log(2+t+s)*t", *_UNIT, "--bounds", "auto",
                      "--subdivide", "48", "48"], "95231b4769a8495a08d3269932319ec8"),
     "exp-32-given": (["--f", "exp(t*s)", *_UNIT, "--bounds", "1", "6",
                       "--subdivide", "32", "32"], "e2fe04641bfa74c7e9a23446575f5c87"),
     "pow-24-auto": (["--f", "t^s", "--rect", "0.1", "1", "0.1", "1", "--bounds", "auto",
-                     "--subdivide", "24", "24"], "3c67139593e184dd2d8204b84b5a728b"),
+                     "--subdivide", "24", "24"], "35b732baa00a741012b897d322c626f9"),
     "overflow-96-given": (["--f", "exp(800*t)*(s+1)", *_UNIT, "--bounds", "-5", "5",
                            "--subdivide", "96", "96"], "07d607baffd71a5d57c6afedaf067761"),
     "overflow-48-auto": (["--f", "exp(800*t)*(s+1)", *_UNIT, "--bounds", "auto",
@@ -175,3 +177,12 @@ def invocation_digest(argv: list) -> str:
 def test_enclose_invocation_digest(key):
     args, md5 = _INVOCATIONS[key]
     assert invocation_digest(["enclose", *args, "--json", "--no-timestamp"]) == md5
+
+
+def test_the_variable_exponent_grid_holds_the_integral():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run_main(["enclose", *_INVOCATIONS["pow-24-auto"][0], "--json"]) == 0
+    enclosure = json.loads(out.getvalue())["results"]["enclosure"]
+    # the integral of t^s over [0.1, 1]^2, by mpmath
+    assert enclosure["lo"] <= 0.5758058259742863 <= enclosure["hi"]

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from ostrocube import (
+    BivariateFunction,
     Lambda,
+    MissingMixedPartial,
     QuadConfig,
     compare_bounds,
     composite_enclosure,
@@ -112,6 +114,17 @@ def test_composite_estimated_bounds_flagged_nonrigorous():
     assert rep.enclosure.contains(SERIES)
     assert rep.bounds_used.lower <= 1.0 + 1e-6
     assert rep.bounds_used.upper >= 2 * math.e - 1e-3
+
+
+def test_sampled_bounds_need_an_exact_mixed_partial():
+    # a library callable without mixed_fn has given bounds only
+    raw = BivariateFunction(fn=EXP_TS.fn, vectorized=True)
+    with pytest.raises(MissingMixedPartial):
+        estimate_bounds(raw, UNIT)
+    with pytest.raises(MissingMixedPartial):
+        composite_enclosure(raw, UNIT, None, 2, 2, Q)
+    rep = composite_enclosure(raw, UNIT, EXP_BOUNDS, 2, 2, Q)
+    assert rep.enclosure.contains(SERIES)
 
 
 def test_single_cell_estimated_flag_passthrough():

@@ -49,9 +49,14 @@ def _polynomial_case():
 
 
 def _plain_case():
-    # scalar-only Python callable: no vectorization, no exact mixed partial
-    f = BivariateFunction(fn=lambda t, s: math.exp(0.5 * t) * math.cos(t * s))
-    return f, UNIT, derivative_bounds(-2.0, 2.0)
+    # scalar-only Python callables: no vectorization; the mixed partial
+    # -e^(t/2) ((t/2 + 1) sin(ts) + ts cos(ts)) lies in [-2.972, 0]
+    f = BivariateFunction(
+        fn=lambda t, s: math.exp(0.5 * t) * math.cos(t * s),
+        mixed_fn=lambda t, s: -math.exp(0.5 * t) * ((0.5 * t + 1.0) * math.sin(t * s)
+                                                    + t * s * math.cos(t * s)),
+    )
+    return f, UNIT, derivative_bounds(-3.0, 0.0)
 
 
 # integrand -> (f, rectangle, valid bounds on its mixed partial)
@@ -181,6 +186,6 @@ def test_single_cell_contradicted_bounds_are_not_rigorous():
 
 
 def test_bounds_check_needs_an_exact_partial():
-    f = CASES["plain"][0]
+    f = BivariateFunction(fn=CASES["plain"][0].fn)  # no mixed_fn
     report = composite_enclosure(f, UNIT, derivative_bounds(0.0, 0.0), 2, 2, Q)
     assert report.rigorous

@@ -55,11 +55,10 @@ def test_kernel_weighted_quartic_against_simpson_grid():
 
 
 def test_kernel_weighted_fd_fallback_and_refusal():
+    # there is no finite-difference fallback: without mixed_fn, no oracle
     raw = BivariateFunction(fn=lambda t, s: t * s, vectorized=False)
-    got = kernel_weighted_integral(raw, UNIT, CORNER, Q, fd_fallback=True)
-    assert got == pytest.approx(1 / 16, abs=1e-9)
     with pytest.raises(MissingMixedPartial):
-        kernel_weighted_integral(raw, UNIT, CORNER, Q, fd_fallback=False)
+        kernel_weighted_integral(raw, UNIT, CORNER, Q)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,11 @@ def _functions():
         for k in range(3):
             poly = polynomial_1d(draw_polynomial_1d(XorShift64Star(100 + k), 6), var)
             yield f"{var}-poly{k}", to_bivariate(poly)
-    yield "plain", BivariateFunction(fn=lambda t, s: math.exp(0.5 * t) * math.cos(t * s))
-    yield "plain-s", BivariateFunction(fn=lambda t, s: s ** 3 - s)
+    yield "plain", BivariateFunction(
+        fn=lambda t, s: math.exp(0.5 * t) * math.cos(t * s),
+        mixed_fn=lambda t, s: -math.exp(0.5 * t) * ((0.5 * t + 1.0) * math.sin(t * s)
+                                                    + t * s * math.cos(t * s)))
+    yield "plain-s", BivariateFunction(fn=lambda t, s: s ** 3 - s, mixed_fn=lambda t, s: 0.0)
 
 
 FUNCTIONS = dict(_functions())

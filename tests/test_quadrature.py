@@ -138,21 +138,6 @@ def test_fubini_consistency_on_polynomials():
         assert abs(direct - iterated) <= 1e-12 * (1 + abs(direct))
 
 
-def test_mixed_partial_fd():
-    # sample_mixed's cross stencil, taken for a function without mixed_fn
-    def fd(f, t, s, h_t, h_s):
-        return float(sample_mixed(f, np.array(t), np.array(s), None, fd_steps=(h_t, h_s)))
-
-    bilinear = BivariateFunction(fn=lambda t, s: t * s)
-    assert fd(bilinear, 0.3, 0.8, 0.05, 0.07) == pytest.approx(1.0, abs=1e-12)
-    quartic = BivariateFunction(fn=lambda t, s: t * t * s * s)
-    h = 1e-4
-    # the stencil is exact for t^2 s^2, so only cancellation noise remains
-    assert fd(quartic, 0.5, 0.5, h, h) == pytest.approx(1.0, abs=1e-7)
-    const = BivariateFunction(fn=lambda t, s: 7.0)
-    assert fd(const, 0.5, 0.5, 0.01, 0.01) == 0.0
-
-
 def test_estimate_bounds_bilinear():
     f = to_bivariate(parse_expression("t*s"))
     db = estimate_bounds(f, make_rectangle(0, 1, 0, 1), grid_n=9, pad_rel=0.0)
@@ -177,16 +162,6 @@ def test_estimate_bounds_sine_slab():
     assert db.upper == pytest.approx(1.0, abs=0.05)
 
 
-def test_estimate_bounds_fd_fallback_agrees():
-    exact = to_bivariate(parse_expression("exp(t*s)"))
-    raw = BivariateFunction(fn=exact.fn, vectorized=True)  # no mixed capability
-    db_exact = estimate_bounds(exact, make_rectangle(0, 1, 0, 1), grid_n=17, pad_rel=0.0)
-    db_fd = estimate_bounds(raw, make_rectangle(0, 1, 0, 1), grid_n=17, pad_rel=0.0)
-    # cbrt(eps)-step stencil carries ~1e-5 cancellation noise
-    assert db_fd.lower == pytest.approx(db_exact.lower, abs=1e-4)
-    assert db_fd.upper == pytest.approx(db_exact.upper, abs=1e-4)
-
-
 def test_estimate_bounds_brackets_fine_sampling():
     # padded bounds must contain the extrema located by 10x finer sampling
     rng = XorShift64Star(77)
@@ -198,7 +173,7 @@ def test_estimate_bounds_brackets_fine_sampling():
         ts = np.linspace(r.t_axis.lo, r.t_axis.hi, 210)
         ss = np.linspace(r.s_axis.lo, r.s_axis.hi, 210)
         T, S = np.meshgrid(ts, ss, indexing="ij")
-        fine = sample_mixed(f, T, S, r)
+        fine = sample_mixed(f, T, S)
         assert db.lower <= float(np.min(fine)), to_string(poly)
         assert db.upper >= float(np.max(fine)), to_string(poly)
 
