@@ -872,14 +872,15 @@ def run(inv: CliInvocation, stdout=None) -> int:
         "flags": flags,
         "runtime_ms": elapsed_ms,
     }
-    rendered = _render_json(doc) + "\n"
-    if inv.options.get("out"):
-        with open(inv.options["out"], "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    if inv.output_mode == "json":
-        stream.write(rendered)
-    else:
-        _emit_text(doc, stream)
+    if inv.output_mode == "json" or inv.options.get("out"):
+        rendered = _render_json(doc) + "\n"
+        if inv.options.get("out"):
+            with open(inv.options["out"], "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        if inv.output_mode == "json":
+            stream.write(rendered)
+            return code
+    _emit_text(doc, stream)
     return code
 
 

@@ -18,9 +18,9 @@ once into a Program, one step per distinct subtree, and every evaluation
 runs that program: the functions of `to_bivariate` and `to_univariate`
 and `eval_expr` (`stacked_program` compiles a polynomial template for many
 coefficient sets, which the tests hold the audit's recurrences to). The
-functions of `to_bivariate` also let the grid samplers evaluate their
-subtrees of one variable once per axis (`_Compiled.hoist`), and run a
-block with each full-grid step written into an array the sampler keeps
+functions of `to_bivariate` also let the grid samplers run a block with
+each full-grid step written into an array the sampler keeps, and each
+step of one variable kept for the next block over the same coordinates
 (`_Compiled.into`).
 Differentiation is symbolic (product/quotient/chain rules), with
 constant-folding simplification applied to each node as it is built;
@@ -381,30 +381,33 @@ class Program(NamedTuple):
     DomainError guard of log, sqrt, "/" and "^", so a shared subtree is
     evaluated once, and the first step that fails is the first node that
     fails. reads[n] holds the variables step n depends on, as bits (_T for
-    t, _S for s); outputs are the steps whose values are returned (the
-    root, or the several values of a hoisted head, see _hoisted).
+    t, _S for s); the last step is the root.
 
     The rest is the form a run takes. A run starts from the values of the
     leaves, [t, s, *consts, *inputs[:n_inputs]], and appends the value of
     each operation: code holds (function, a, b, frees) per operation, with
     a and b indices into those values (b None for a unary one) and frees
     the values it uses for the last time, which are dropped so that few
-    intermediates are alive at a time. out holds the index of each output.
+    intermediates are alive at a time. out is the index of the root's
+    value.
 
-    kept is code as _run_into runs it: (function, a, b, frees, register)
-    per operation. A full-grid step, one that reads both t and s and so
-    has the block's whole shape, writes with out= into one of n_registers
-    arrays of that shape (see _registers); any other step has register
-    None and allocates as in code.
+    kept is code as _run_into runs it: (function, a, b, frees, register,
+    var, keep) per operation. A full-grid step, one that reads both t and
+    s and so has the block's whole shape, writes with out= into one of
+    n_registers arrays of that shape (see _registers); any other step has
+    register None and allocates as in code. var is the variable, _T or
+    _S, of a step that reads one variable and no other, and 0 for any
+    other step; keep is whether such a step's value is the result or is
+    read by a full-grid step, the values _run_into keeps for the next
+    block over the same coordinates.
     """
 
     steps: tuple
     reads: tuple
-    outputs: tuple
     consts: tuple
     n_inputs: int
     code: tuple
-    out: tuple
+    out: int
     kept: tuple
     n_registers: int
 
@@ -412,18 +415,11 @@ class Program(NamedTuple):
 _T, _S = 1, 2
 
 
-def _operands(step: tuple) -> tuple:
-    op, a, b = step
-    if op in _BINARY:
-        return (a, b)
-    return (a,) if op in _UNARY else ()
-
-
-def _link(steps: list, reads: list, outputs: tuple) -> Program:
+def _link(steps: list, reads: list) -> Program:
     consts = [a for op, a, _ in steps if op == "const"]
     n_inputs = 1 + max([a for op, a, _ in steps if op == "input"], default=-1)
     # where each step's value sits in a run, and the operation that last
-    # reads each value
+    # reads each value (never the root's, which no operation reads)
     at: list[int] = []
     code: list[tuple] = []
     last_use: dict = {}
@@ -450,25 +446,27 @@ def _link(steps: list, reads: list, outputs: tuple) -> Program:
             continue
         at.append(op_at)
         op_at += 1
-    out = tuple([at[n] for n in outputs])
     frees: list[list] = [[] for _ in code]
     for value, user in last_use.items():
-        if value not in out:
-            frees[user - first].append(value)
+        frees[user - first].append(value)
     frees = [tuple(free) for free in frees]
-    return Program(tuple(steps), tuple(reads), outputs, tuple(consts), n_inputs,
-                   tuple([step + (free,) for step, free in zip(code, frees)]), out,
+    return Program(tuple(steps), tuple(reads), tuple(consts), n_inputs,
+                   tuple([step + (free,) for step, free in zip(code, frees)]), at[-1],
                    *_registers(steps, reads, code, frees, first))
 
 
 def _registers(steps: list, reads: list, code: list, frees: list, first: int) -> tuple:
     """(kept, n_registers) of a program, see Program: code with each
-    full-grid operation's out= form and register. A register is taken from
-    those free, the ones its operands free included (so the operation runs
-    in place), and freed at the last use of its value. "^" is given none of
-    its operands' registers, as its array-exponent form reads them after
-    writing."""
+    full-grid operation's out= form and register, and the variable of
+    each operation that reads one, with whether its value is kept. A
+    register is taken from those free, the ones its operands free
+    included (so the operation runs in place), and freed at the last use
+    of its value. "^" is given none of its operands' registers, as its
+    array-exponent form reads them after writing."""
     ops = [(op, r) for (op, _, _), r in zip(steps, reads) if op in _BINARY or op in _UNARY]
+    # the values full-grid steps read, and the root's, the last operation's
+    read = {v for (_, a, b), (_, r) in zip(code, ops) if r == _T | _S for v in (a, b)}
+    read.add(first + len(code) - 1)
     kept: list[tuple] = []
     register: dict[int, int] = {}  # value -> its register
     spare: list[int] = []
@@ -487,7 +485,8 @@ def _registers(steps: list, reads: list, code: list, frees: list, first: int) ->
             register[first + k] = reg
             fn = (_UNARY_INTO if b is None else _BINARY_INTO)[op]
         spare += released
-        kept.append((fn, a, b, free, reg))
+        var = r if r in (_T, _S) else 0
+        kept.append((fn, a, b, free, reg, var, bool(var) and first + k in read))
     return tuple(kept), n_registers
 
 
@@ -524,10 +523,15 @@ def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
         index[id(node)] = len(steps) - 1
         return len(steps) - 1
 
-    return _link(steps, reads, (visit(e),))
+    visit(e)
+    return _link(steps, reads)
 
 
-def _run(program: Program, t, s, inputs) -> list:
+def run_program(program: Program, t, s, inputs: Sequence = ()):
+    """The value of a program at t and s (scalars, or arrays that
+    broadcast against each other), with inputs[j] for ("input", j). A
+    value that varies along fewer axes than t and s keeps the smaller
+    shape, and one that reads no array stays a scalar."""
     vals = [t, s, *program.consts, *inputs[:program.n_inputs]]
     if len(vals) != 2 + len(program.consts) + program.n_inputs:
         raise ValueError(f"the program reads {program.n_inputs} inputs, got {len(inputs)}")
@@ -536,122 +540,58 @@ def _run(program: Program, t, s, inputs) -> list:
         push(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
         for i in frees:
             vals[i] = None
-    return vals
+    return vals[program.out]
 
 
-def _run_into(program: Program, t, s, inputs, registers: Sequence[np.ndarray]):
-    """The value of a one-output program at t and s, as run_program gives
-    it, with every full-grid step written into its register (see
-    Program.kept): the result may be one of them."""
-    vals = [t, s, *program.consts, *inputs[:program.n_inputs]]
+def _run_into(program: Program, t, s, registers: Sequence[np.ndarray], memo: dict):
+    """The value of a program without inputs at t and s, as run_program
+    gives it, with every full-grid step written into its register, and
+    the steps of one variable taken from memo where an earlier run over
+    the same array of that variable kept them (see Program.kept). memo
+    lives for one sampler call of one program: it maps (variable, id of
+    the array) to the array and the values kept over it, the array held
+    so that its id cannot be reused. The result may be a register or a
+    kept value."""
+    vals = [t, s, *program.consts]
     push = vals.append
-    for fn, a, b, frees, reg in program.kept:
-        if reg is None:
+    found = [None, memo.get((_T, id(t))), memo.get((_S, id(s)))]
+    kept: list = [None, {}, {}]
+    for k, (fn, a, b, frees, reg, var, keep) in enumerate(program.kept):
+        if var and found[var] is not None:
+            # None for a value that no step reads any more
+            push(found[var][1].get(k))
+        elif reg is None:
             push(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
+            if keep:
+                kept[var][k] = vals[-1]
         elif b is None:
             push(fn(vals[a], out=registers[reg]))
         else:
             push(fn(vals[a], vals[b], out=registers[reg]))
         for i in frees:
             vals[i] = None
-    return vals[program.out[0]]
-
-
-def run_program(program: Program, t, s, inputs: Sequence = ()):
-    """The value of a one-output program at t and s (scalars, or arrays
-    that broadcast against each other), with inputs[j] for ("input", j).
-    A value that varies along fewer axes than t and s keeps the smaller
-    shape, and one that reads no array stays a scalar."""
-    return _run(program, t, s, inputs)[program.out[0]]
-
-
-def _select(program: Program, roots: tuple, cut: dict, first_input: int) -> Program:
-    """The steps of program that roots need, in their order, with each
-    step n in cut read from inputs[first_input + cut[n]] instead."""
-    need: set[int] = set()
-    stack = list(roots)
-    while stack:
-        n = stack.pop()
-        if n not in need:
-            need.add(n)
-            if n not in cut:
-                stack.extend(_operands(program.steps[n]))
-    new: dict[int, int] = {}
-    steps, reads = [], []
-    for n in sorted(need):
-        op, a, b = program.steps[n]
-        if n in cut:
-            step = ("input", first_input + cut[n], None)
-        elif op in _BINARY:
-            step = (op, new[a], new[b])
-        elif op in _UNARY:
-            step = (op, new[a], None)
-        else:
-            step = (op, a, b)
-        new[n] = len(steps)
-        steps.append(step)
-        reads.append(program.reads[n])
-    return _link(steps, reads, tuple(new[n] for n in roots))
-
-
-def _hoisted(program: Program, var: str) -> Optional[tuple[Program, Program]]:
-    """(head, tail) of program for sampling along var, or None if no step
-    but var itself reads var alone.
-
-    head's outputs are the steps that read var and no other variable (a
-    constant they use aside) whose values a step reading the other
-    variable, or the result, uses: the largest subtrees of var alone.
-    tail is program with those steps read from the inputs behind its own,
-    in head's order. Evaluating head, then tail on head's values, gives
-    program's result value for value, unless head raises."""
-    bit = _T if var == "t" else _S
-    alone = [reads == bit and op != var for (op, _, _), reads in zip(program.steps, program.reads)]
-    used = {operand for n, step in enumerate(program.steps) if not alone[n]
-            for operand in _operands(step) if alone[operand]}
-    used.update(n for n in program.outputs if alone[n])
-    if not used:
-        return None
-    order = tuple(sorted(used))
-    return (_select(program, order, {}, 0),
-            _select(program, program.outputs, {n: k for k, n in enumerate(order)},
-                    program.n_inputs))
-
-
-def _outputs(program: Program, t, s) -> list:
-    vals = _run(program, t, s, ())
-    return [vals[i] for i in program.out]
-
-
-class _Tail:
-    """f(t, s) of one block from hoisted values: a program and its inputs."""
-
-    __slots__ = ("program", "inputs")
-
-    def __init__(self, program: Program, inputs: list):
-        self.program = program
-        self.inputs = inputs
-
-    def __call__(self, t, s):
-        return _run(self.program, t, s, self.inputs)[self.program.out[0]]
-
-    def into(self, t, s, registers: Sequence[np.ndarray]):
-        return _run_into(self.program, t, s, self.inputs, registers)
+    # t and s from the arguments: their places in vals are freed
+    for var, coords in ((_T, t), (_S, s)):
+        if found[var] is None:
+            memo[var, id(coords)] = (coords, kept[var])
+    return vals[program.out]
 
 
 class _Compiled:
     """f(t, s) of an expression, compiled into a Program on its first use.
 
-    hoist and into are what the grid samplers look for on a function's fn
-    (a wrapper around it has neither, and is sampled as it is); into(t, s,
-    registers) runs the program with its full-grid steps in registers, at
-    least program.n_registers arrays of the block's shape."""
+    into is what the grid samplers look for on a function's fn (a wrapper
+    around it has none, and is sampled as it is): into(t, s, registers,
+    memo) runs the program with its full-grid steps in registers, at
+    least program.n_registers arrays of the block's shape, and its steps
+    of one variable kept in memo, a dict for one sampler call (see
+    _run_into)."""
 
-    __slots__ = ("expr", "_program", "_splits")
+    __slots__ = ("expr", "_program")
 
     def __init__(self, e: ExprNode):
         self.expr = e
         self._program: Optional[Program] = None
-        self._splits: dict = {}
 
     @property
     def program(self) -> Program:
@@ -662,42 +602,8 @@ class _Compiled:
     def __call__(self, t, s):
         return run_program(self.program, t, s)
 
-    def into(self, t, s, registers: Sequence[np.ndarray]):
-        return _run_into(self.program, t, s, (), registers)
-
-    def _split(self, names: tuple) -> tuple:
-        """The head of each variable in names (None if it has none) and
-        the tail behind them all, which reads their values in that order."""
-        split = self._splits.get(names)
-        if split is None:
-            heads, tail = [], self.program
-            for var in names:
-                pair = _hoisted(tail, var)
-                heads.append(None if pair is None else pair[0])
-                tail = tail if pair is None else pair[1]
-            split = self._splits[names] = (tuple(heads), tail)
-        return split
-
-    def hoist(self, t=None, s=None):
-        """This function with the largest subtrees of t alone evaluated once
-        over the coordinates t, and those of s alone once over s (either
-        may be None). None if there is no such subtree; otherwise
-        at(t_rows, s_rows), the function of one block: at coordinates
-        t[t_rows] and s[s_rows] it equals this function, taking the
-        hoisted values at those rows, and has into as well. Raises what
-        evaluating a hoisted subtree raises."""
-        names = ("t",) * (t is not None) + ("s",) * (s is not None)
-        heads, tail = self._split(names)
-        if not any(heads):
-            return None
-        values = {var: _outputs(head, t, s) if head else []
-                  for var, head in zip(names, heads)}
-
-        def at(t_rows, s_rows):
-            return _Tail(tail, [v[t_rows] for v in values.get("t", ())]
-                         + [v[s_rows] for v in values.get("s", ())])
-
-        return at
+    def into(self, t, s, registers: Sequence[np.ndarray], memo: dict):
+        return _run_into(self.program, t, s, registers, memo)
 
 
 def eval_expr(e: ExprNode, t: float, s: float) -> float:
@@ -803,6 +709,9 @@ def _binary_rule(op: str, left: ExprNode, right: ExprNode) -> ExprNode:
             return left
         if _is_const(left, 0.0):
             return Unary("neg", right)
+        # u - u is 0 wherever u is defined, as x * 0 is
+        if left == right:
+            return _ZERO
     elif op == "*":
         if _is_const(left, 0.0) or _is_const(right, 0.0):
             return _ZERO
@@ -848,7 +757,8 @@ def _simplify(e: ExprNode, memo: dict) -> ExprNode:
 
 def simplify(e: ExprNode) -> ExprNode:
     """Constant folding plus the unit laws x*1, x+0, x-0, x^1, x^0, x*0, 0/x,
-    and u * (c / (k * sqrt(u))) -> (c / k) * sqrt(u) for constants c, k."""
+    u-u -> 0, and u * (c / (k * sqrt(u))) -> (c / k) * sqrt(u) for
+    constants c, k."""
     return _simplify(e, {})
 
 

@@ -32,17 +32,21 @@ the last bit as sampling full grids, under these rules:
   such a grid, when it can run into registers (below), without building
   it: the integral and the sums over given row and column ranges
   (_split_integrals).
-- a subtree of one variable is evaluated once per sampler call, not once
-  per block, when a call takes several blocks and f (its mixed partial,
-  for cell_bounds) is a compiled expression. line_integrals evaluates
-  the largest subtrees of the node variable over each block of node rows
-  before its loop over the lines, and every block of lines reuses them;
-  cell_bounds evaluates those of each variable over the sample rows of
-  all cells of that axis, and every block takes its cells' rows. Hoisted
-  arrays are no larger than the node or sample array. If a hoisted
-  subtree raises, nothing is hoisted and the blocks evaluate f as it is,
-  so the error is the one they always raised. A plain callable, or a
-  wrapper around a compiled one, is sampled as it is.
+- a step of one variable is evaluated once per coordinate array in a
+  sampler call, not once per block, when a register run (below) takes
+  several blocks: the run keeps the values of those steps that a
+  full-grid step reads for the rest of the call, keyed by the array of t
+  or s they were computed from, and skips the steps inside them on later
+  blocks (expr._run_into). line_integrals hands every block of lines the
+  same view of each row block of the nodes, so the steps of the node
+  variable are evaluated once per row block and those of the fixed
+  variable once per block of lines. cell_bounds runs blocks of whole
+  rows of cells against one shared array of s samples (per column chunk,
+  if a row of cells is longer than a block), so the steps of s are
+  evaluated once per chunk and those of t once per block. The first
+  block runs the whole program in order, so a failure is met where it
+  always was; the small blocks, plain callables and wrappers evaluate f
+  as it is.
 - four samplers run a compiled f (or its exact mixed partial) into
   registers once a call takes more than BLOCK_SAMPLES values: each
   full-grid step of its program writes into a register, an array kept
@@ -67,7 +71,6 @@ to array exponents too by the expression evaluator.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 from dataclasses import dataclass
@@ -280,25 +283,6 @@ def sample_bivariate(f, T: np.ndarray, S: np.ndarray) -> np.ndarray:
     return _sample(f.fn, f.vectorized, T, S)
 
 
-def _hoist(f: BivariateFunction, field: str, t=None, s=None):
-    """For sampling f's field ("fn" or "mixed_fn") in blocks: None if the
-    field cannot hoist (expr's compiled functions can), has nothing to
-    hoist, or a hoisted subtree raises; else at(t_rows, s_rows), f with
-    field evaluated at t[t_rows] and s[s_rows] from the hoisted values at
-    those rows (see the module docstring)."""
-    hoist = getattr(getattr(f, field), "hoist", None)
-    if hoist is None or not f.vectorized:
-        return None
-    try:
-        at = hoist(t, s)
-    except (EngineError, ArithmeticError):
-        # sampling f as it is raises this where it always did
-        return None
-    if at is None:
-        return None
-    return lambda t_rows, s_rows: dataclasses.replace(f, **{field: at(t_rows, s_rows)})
-
-
 class _Kept(threading.local):
     """The flat buffers kept per thread, by key, each grown when a larger
     view of it is asked for."""
@@ -356,17 +340,18 @@ def _in_registers(ok: bool, run, *args):
         return None
 
 
-def _run_kept(fn, views: dict, *coords: np.ndarray) -> np.ndarray:
+def _run_kept(fn, views: dict, memo: dict, *coords: np.ndarray) -> np.ndarray:
     """fn (see _runs_into) over coordinates that broadcast, as _sample gives
     it, with its full-grid steps in the registers of the block's shape
-    (views, built once per shape and sampler call). The result may be a
-    register."""
+    (views, built once per shape and sampler call) and its steps of one
+    variable kept in memo for the call (expr._run_into). The result may be
+    a register or a value in memo."""
     shape = np.broadcast(*coords).shape
     count = fn.program.n_registers
     registers = views.get(shape)
     if registers is None or len(registers) < count:
         registers = views[shape] = [_kept(_FIRST_REGISTER + k, shape) for k in range(count)]
-    out = np.asarray(fn.into(*coords, registers), dtype=float)
+    out = np.asarray(fn.into(*coords, registers, memo), dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
@@ -489,7 +474,7 @@ def _grid_sums(fn, tn: np.ndarray, tw: np.ndarray, sn: np.ndarray, sw: np.ndarra
     """_register_sums' run, in the layout _reduction_grid gives."""
     shape = (len(tn), len(sn))
     views: dict = {}
-    values = _run_kept(fn, views, tn[:, None], sn[None, :])
+    values = _run_kept(fn, views, {}, tn[:, None], sn[None, :])
     if factors is not None or (any(values.strides) and not values.flags.c_contiguous):
         # the product with the factors, or f of one variable laid out in
         # full in C order as the blocks lay it out (np.array of the view
@@ -563,12 +548,12 @@ def line_integrals(
     zero-stride row, as a scalar fixed coordinate would give it, and each
     row's dot product is the one `weights @ values` computes. Each call of
     f returns whole lines, at most BLOCK_SAMPLES values (blocks of one
-    line's rows if a line is longer); with several blocks, f's subtrees of
-    the node variable are evaluated once for all of them. A call of more
-    than BLOCK_SAMPLES values of a compiled f runs blocks of up to
-    REGISTER_BLOCK_SAMPLES values into registers instead; if one of them
-    fails or meets a floating-point error, the whole call is sampled again
-    in the small blocks, which report it. A non-finite sample is reported
+    line's rows if a line is longer). A call of more than BLOCK_SAMPLES
+    values of a compiled f runs blocks of up to REGISTER_BLOCK_SAMPLES
+    values into registers instead, which evaluate f's steps of the node
+    variable once per row block of nodes; if one of them fails or meets a
+    floating-point error, the whole call is sampled again in the small
+    blocks, which report it. A non-finite sample is reported
     with the first bad line's cross-section label and its count in that
     call.
     """
@@ -589,27 +574,22 @@ def _line_integrals(f: BivariateFunction, fixed_axis: str, fixed: Sequence[float
     cap = REGISTER_BLOCK_SAMPLES if kept else BLOCK_SAMPLES
     rows, width = nodes.shape
     lines_per_block = max(1, cap // (rows * width))
-    row_blocks = _row_blocks(rows, width, cap=cap)
-    fns = [f] * len(row_blocks)
-    if len(fixed) > lines_per_block or len(row_blocks) > 1:
-        # over the very node rows each block samples, before any line
-        var = "s" if fixed_axis == "t" else "t"
-        hoisted = [_hoist(f, "fn", **{var: nodes[rb]}) for rb in row_blocks]
-        if None not in hoisted:
-            every = slice(None)
-            fns = [at(every, every) for at in hoisted]
+    # one view per row block, the same array for every block of lines, so
+    # that a register run finds the steps of the node variable it kept
+    row_blocks = [(rb, nodes[rb]) for rb in _row_blocks(rows, width, cap=cap)]
     views: dict = {}
+    memo: dict = {}
     at = np.asarray(fixed, dtype=float)[:, None, None]
     out = np.empty((len(fixed), rows))
     for i in range(0, len(fixed), lines_per_block):
         x = at[i:i + lines_per_block]
-        for rb, fn in zip(row_blocks, fns):
-            coords = (x, nodes[rb]) if fixed_axis == "t" else (nodes[rb], x)
+        for rb, node_rows in row_blocks:
+            coords = (x, node_rows) if fixed_axis == "t" else (node_rows, x)
             if kept:
-                vals = _run_kept(fn.fn, views, *coords)
+                vals = _run_kept(f.fn, views, memo, *coords)
             else:
                 try:
-                    vals = sample_bivariate(fn, *coords)
+                    vals = sample_bivariate(f, *coords)
                 except Exception:
                     if len(x) > 1:
                         # one line at a time, so that the first failing line
@@ -653,13 +633,13 @@ def cell_bounds(
     (boundary lines included), widened by pad_rel * (max - min) plus an
     absolute floor of 1e-12 on each side; MissingMixedPartial if f carries
     no exact mixed partial. Cells are sampled in row-major blocks of at
-    most BLOCK_SAMPLES values (one cell if a cell grid is larger); with
-    several blocks, the partial's subtrees of one variable are evaluated
-    once over all cell rows of that axis. A compiled partial over more
-    than BLOCK_SAMPLES values runs blocks of up to REGISTER_BLOCK_SAMPLES
-    values into registers instead, and is sampled again in the small
-    blocks if one of them fails or meets a floating-point error. Returns
-    (lower, upper), each of shape (m, n).
+    most BLOCK_SAMPLES values (one cell if a cell grid is larger). A
+    compiled partial over more than BLOCK_SAMPLES values runs blocks of
+    up to REGISTER_BLOCK_SAMPLES values into registers instead: whole rows
+    of cells, or column chunks of one row if a row is longer, each laid
+    out as (cell rows, cell columns, grid_n, grid_n) (see _cell_extremes).
+    It is sampled again in the small blocks if one of them fails or meets
+    a floating-point error. Returns (lower, upper), each of shape (m, n).
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -682,38 +662,50 @@ def cell_bounds(
     upper = hi + pad
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvalidBounds("derivative bounds must be finite")
-    return lower.reshape(m, n), upper.reshape(m, n)
+    return lower, upper
 
 
 def _cell_extremes(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray,
                    kept: bool) -> tuple[np.ndarray, np.ndarray]:
     """The min and max of the mixed partial over the sample rows ts[i] x
-    ss[j] of every cell (i, j), row-major, by sample_mixed in blocks of
-    BLOCK_SAMPLES values, or, if kept, by the compiled exact partial in
-    blocks of REGISTER_BLOCK_SAMPLES values run into registers, raising on
-    any failure without counting it."""
+    ss[j] of every cell (i, j), each of shape (m, n): by sample_mixed in
+    row-major blocks of BLOCK_SAMPLES values, or, if kept, by the compiled
+    exact partial run into registers, raising on any failure without
+    counting it. A register block of at most REGISTER_BLOCK_SAMPLES values
+    is whole rows of cells against one shared array of s samples, or a
+    column chunk of one row if a row is longer, laid out as (cell rows,
+    cell columns, grid_n, grid_n) so that each cell's samples are
+    contiguous."""
     (m, grid_n), n = ts.shape, len(ss)
-    cap = REGISTER_BLOCK_SAMPLES if kept else BLOCK_SAMPLES
-    lo = np.empty(m * n)
-    hi = np.empty(m * n)
-    per_block = max(1, cap // (grid_n * grid_n))
-    hoisted = None
-    if m * n > per_block:
-        hoisted = _hoist(f, "mixed_fn", t=ts[:, :, None], s=ss[:, None, :])
-    views: dict = {}
-    for start in range(0, m * n, per_block):
-        cells = np.arange(start, min(start + per_block, m * n))
-        i, j = np.divmod(cells, n)
-        g = f if hoisted is None else hoisted(i, j)
-        if kept:
-            vals = _run_kept(g.mixed_fn, views, ts[i, :, None], ss[j, None, :])
-        else:
-            vals = sample_mixed(g, ts[i, :, None], ss[j, None, :])
+    lo = np.empty((m, n))
+    hi = np.empty((m, n))
+    if not kept:
+        per_block = max(1, BLOCK_SAMPLES // (grid_n * grid_n))
+        for start in range(0, m * n, per_block):
+            cells = np.arange(start, min(start + per_block, m * n))
+            i, j = np.divmod(cells, n)
+            vals = sample_mixed(f, ts[i, :, None], ss[j, None, :])
             _check_finite(vals, f"mixed partial of {f.label}")
-        lo[cells] = vals.min(axis=(1, 2))
-        hi[cells] = vals.max(axis=(1, 2))
+            lo.flat[cells] = vals.min(axis=(1, 2))
+            hi.flat[cells] = vals.max(axis=(1, 2))
+        return lo, hi
+    rows_per_block = max(1, REGISTER_BLOCK_SAMPLES // (n * grid_n * grid_n))
+    chunk = min(n, REGISTER_BLOCK_SAMPLES // (grid_n * grid_n))
+    # one view per column chunk, the same array for every block, so that
+    # the run finds the steps of s it kept
+    chunks = [(cols, ss[None, cols, None, :])
+              for cols in (slice(k, k + chunk) for k in range(0, n, chunk))]
+    views: dict = {}
+    memo: dict = {}
+    for start in range(0, m, rows_per_block):
+        rows = slice(start, start + rows_per_block)
+        t = ts[rows, None, :, None]
+        for cols, s in chunks:
+            vals = _run_kept(f.mixed_fn, views, memo, t, s)
+            lo[rows, cols] = vals.min(axis=(2, 3))
+            hi[rows, cols] = vals.max(axis=(2, 3))
     # min and max take a NaN, and an infinity makes one of them infinite
-    if kept and not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise NonFiniteSample("a non-finite sample in a register run")
     return lo, hi
 

@@ -347,6 +347,16 @@ def test_enclose_auto_bounds_where_the_partial_divides_by_sqrt():
     assert doc["flags"]["rigorous"] is False
 
 
+def test_enclose_folds_a_difference_of_equal_terms():
+    # s - s folds to 0, so the exponent s-s+2 is the constant 2 and takes
+    # the power rule; the exp-log rule's partial divides by t, which failed
+    # with "division by zero" at t = 0
+    argv = [*_UNIT, "--bounds", "auto", "--subdivide", "2", "2", "--json", "--no-timestamp"]
+    code, doc = _capture_json(["enclose", "--f", "t^(s-s+2)*s", *argv])
+    assert code == 0
+    assert doc["results"] == _capture_json(["enclose", "--f", "t^2*s", *argv])[1]["results"]
+
+
 def test_numerical_failure_exit_code():
     # log goes negative inside the rectangle -> DomainError -> exit 1
     code, _ = _capture(
@@ -481,6 +491,30 @@ def test_out_flag_writes_json_file(tmp_path):
     assert "results" in doc
     # stdout stayed in text mode
     assert text.startswith("ostrocube enclose")
+
+
+def test_text_mode_renders_no_json_document(monkeypatch):
+    argv = ["enclose", "--f", "sin(t)*cos(s)", *_UNIT, "--bounds", "-1", "1",
+            "--subdivide", "8", "8", "--no-timestamp"]
+    expected = _capture(argv)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("text mode rendered the JSON document")
+
+    monkeypatch.setattr(ostrocube.cli, "_render_json", forbidden)
+    assert _capture(argv) == expected
+
+
+def test_out_file_holds_the_bytes_json_mode_prints(tmp_path):
+    argv = ["enclose", "--f", "sin(t)*cos(s)", *_UNIT, "--bounds", "-1", "1",
+            "--subdivide", "8", "8", "--no-timestamp"]
+    _, printed = _capture([*argv, "--json"])
+    for mode in ([], ["--json"]):
+        target = tmp_path / f"report{len(mode)}.json"
+        code, text = _capture([*argv, *mode, "--out", str(target)])
+        assert code == 0
+        assert target.read_bytes() == printed.encode()
+        assert (text == printed) == bool(mode)
 
 
 def test_run_accepts_stream_override():

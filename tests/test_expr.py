@@ -278,6 +278,8 @@ def test_simplify_unit_laws():
     assert simplify(Binary("^", t, Const(1.0))) == t
     assert simplify(Binary("*", t, Const(0.0))) == Const(0.0)
     assert simplify(Binary("+", Const(2.0), Const(3.0))) == Const(5.0)
+    # two equal trees, not one shared subtree
+    assert simplify(parse_expression("sin(t*s) - sin(t*s)")) == Const(0.0)
 
 
 def test_simplify_folds_zero_over_anything_but_literal_zero():

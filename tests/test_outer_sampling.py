@@ -147,17 +147,21 @@ def test_first_failing_line_decides_the_error(fixed):
 
 
 # ---------------------------------------------------------------------------
-# hoisted subtrees of one variable
+# steps of one variable kept across register blocks
 # ---------------------------------------------------------------------------
 #
-# With several blocks per call, line_integrals and cell_bounds evaluate the
-# subtrees of one variable of a compiled expression once per call (per
-# block of node rows, for line_integrals), not once per block. A compiled
-# f runs blocks of REGISTER_BLOCK_SAMPLES values, so each of these calls,
-# 40 lines of 10 segments, 40 lines of 100 segments and 7 x 8 cells, is
-# one register block. Their blocks of BLOCK_SAMPLES values (6 lines, split
-# rows, 28 cells per call of f) run when a register run fails, as in the
-# error tests below; test_register_sampling.py cuts register blocks.
+# A register run of a compiled expression keeps the values of its steps of
+# one variable that a full-grid step reads for the rest of the sampler
+# call, keyed by the coordinate array they were computed from:
+# line_integrals evaluates those of the node variable once per row block
+# of nodes, and cell_bounds, whose blocks are whole rows of cells against
+# one shared array of s samples, those of s once per column chunk and
+# those of t once per block of cell rows. A compiled f runs blocks of
+# REGISTER_BLOCK_SAMPLES values, so 40 lines of 10 segments, 40 lines of
+# 100 segments and 7 x 8 cells each take one register block. Their blocks
+# of BLOCK_SAMPLES values (6 lines, split rows, 28 cells per call of f)
+# run when a register run fails, as in the error tests below, and
+# evaluate f as it is; test_register_sampling.py cuts register blocks.
 
 MANY = np.linspace(0.3, 1.4, 40).tolist()
 TEN = gl_nodes(np.linspace(0.25, 1.2, 11)[:-1], np.linspace(0.25, 1.2, 11)[1:], Q)
@@ -202,23 +206,24 @@ def test_subtrees_of_the_node_variable_are_evaluated_once_per_row_block(monkeypa
     line_integrals(wrapped, "t", MANY, nodes, weights)
     assert sum(sizes) == len(MANY) * nodes.size
     sizes.clear()
-    # one block: nothing to share, nothing hoisted
+    # one block: nothing to share, nothing kept
     line_integrals(f, "t", MANY[:1], *gl_nodes(np.array([0.0]), np.array([1.0]), Q))
     assert sizes == [Q.panels * Q.gl_order]
 
 
 def test_subtrees_of_each_variable_are_evaluated_once_per_cell_bounds_call(monkeypatch):
     # the mixed partial of sin(t)*cos(s) is -(cos(t)*sin(s)): cos(t) over
-    # the sample rows of the 15 t-cells, once; 15 x 17 cells take two
-    # register blocks of 226 cells at most
+    # the sample rows of each block of cell rows, once; 15 x 17 cells take
+    # two register blocks, of 13 rows of cells and of 2
     f = to_bivariate(parse_expression("sin(t)*cos(s)"))
     sizes = _counting_cos(monkeypatch)
     cell_bounds(f, np.linspace(0.3, 1.4, 16), np.linspace(0.25, 1.2, 18), 17, 0.1)
-    assert sizes == [15 * 17]
+    assert sum(sizes) == 15 * 17
+    assert sizes == [13 * 17, 2 * 17]
     sizes.clear()
-    # 7 x 8 cells fit one register block: nothing to share, nothing hoisted
+    # 7 x 8 cells fit one register block: cos(t) over the 7 rows of cells
     cell_bounds(f, np.linspace(0.3, 1.4, 8), np.linspace(0.25, 1.2, 9), 17, 0.1)
-    assert sizes == [7 * 8 * 17]
+    assert sizes == [7 * 17]
 
 
 def _outcome(sampler, *args):
@@ -235,8 +240,9 @@ def _outcome(sampler, *args):
 @pytest.mark.parametrize("fixed", [MANY, MANY[::-1]], ids=["up", "down"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_hoisted_line_errors_match_per_line_sampler(text, fixed):
-    # a failing subtree of the node variable is not hoisted: the error,
-    # its count and the first bad line are what the plain loop reports
+    # a failing step of the node variable fails the first register block,
+    # and the small blocks sample again: the error, its count and the
+    # first bad line are what the plain loop reports
     f = to_bivariate(parse_expression(text))
     failures = 0
     for axis in ("t", "s"):
@@ -261,9 +267,9 @@ def test_hoisted_cell_bounds_errors_match_per_cell_sampler(text):
 
 
 def test_hoisted_line_memory_stays_within_the_node_array():
-    # 4096 segments, the most an enclose axis takes: cos(s) is hoisted
-    # once over every row block of the nodes (4 MiB in all), everything
-    # else is a block at a time
+    # 4096 segments, the most an enclose axis takes: cos(s) is kept once
+    # for every row block of the nodes (4 MiB in all), everything else is
+    # a block at a time
     f = to_bivariate(parse_expression("sin(t)*cos(s)"))
     edges = np.linspace(0.0, 1.0, 4097)
     nodes, weights = gl_nodes(edges[:-1], edges[1:], Q)
@@ -274,3 +280,22 @@ def test_hoisted_line_memory_stays_within_the_node_array():
     finally:
         tracemalloc.stop()
     assert peak < nodes.nbytes + 2**20
+
+
+@pytest.mark.parametrize("text", ["(1+s*(2+s*(3+s*4)))*t", "exp(2*s+1)*sin(3*s)*t"])
+def test_kept_steps_of_the_node_variable_stay_within_the_node_array(text):
+    # a register run keeps only the steps of s that a full-grid step reads
+    # (here the whole factor of s, 4 MiB over 4096 segments), not the six
+    # steps of s inside it, which would hold 24 MiB; the steps of one
+    # block (512 KiB each) come and go
+    f = to_bivariate(parse_expression(text))
+    edges = np.linspace(0.0, 1.0, 4097)
+    nodes, weights = gl_nodes(edges[:-1], edges[1:], Q)
+    tracemalloc.start()
+    try:
+        got = line_integrals(f, "t", [0.25, 0.5, 0.75], nodes, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * nodes.nbytes
+    assert _hex(got) == _hex(reference_line_integrals(f, "t", [0.25, 0.5, 0.75], nodes, weights))

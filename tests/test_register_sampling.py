@@ -19,7 +19,7 @@ import pytest
 
 from helpers import minor_faults, random_ast, reference_cell_bounds, reference_line_integrals
 from ostrocube import QuadConfig, cli, parse_expression, to_bivariate
-from ostrocube import quadrature
+from ostrocube import expr, quadrature
 from ostrocube.expr import XorShift64Star, draw_polynomial_1d, polynomial_1d
 from ostrocube.quadrature import cell_bounds, gl_nodes, line_integrals
 
@@ -83,6 +83,21 @@ def test_cell_bounds_equal_per_cell_sampling(name):
     f = FUNCTIONS[name]
     t_edges, s_edges = np.linspace(0.3, 1.4, 16), np.linspace(0.25, 1.2, 18)
     got = cell_bounds(f, t_edges, s_edges, 17, 0.1)
+    assert _hex(got) == _hex(reference_cell_bounds(f, t_edges, s_edges, 17, 0.1))
+
+
+@pytest.mark.parametrize("name", ["sin(t)*cos(s)", "log(2+t+s)*t"])
+def test_cell_bounds_cut_a_row_longer_than_a_register_block(name, monkeypatch):
+    # 3 x 300 cells of 17 x 17 samples: a row of cells holds 86700 values,
+    # so each row runs in two column chunks, of 226 cells and of 74
+    f = FUNCTIONS[name]
+    t_edges, s_edges = np.linspace(0.3, 1.4, 4), np.linspace(0.25, 1.2, 301)
+    runs = []
+    run_into = expr._run_into
+    monkeypatch.setattr(expr, "_run_into", lambda program, t, s, *rest: (
+        runs.append(np.broadcast(t, s).shape), run_into(program, t, s, *rest))[1])
+    got = cell_bounds(f, t_edges, s_edges, 17, 0.1)
+    assert runs == [(1, 226, 17, 17), (1, 74, 17, 17)] * 3
     assert _hex(got) == _hex(reference_cell_bounds(f, t_edges, s_edges, 17, 0.1))
 
 
