@@ -220,6 +220,9 @@ def _validated_expr(text: str) -> str:
         _bivariate_from_text(text)
     except EngineError as exc:
         raise UsageError(f"--f: {exc}")
+    except RecursionError:
+        # the parser, differentiate and printing recurse along the nesting
+        raise UsageError("--f: the expression is nested too deeply")
     return text
 
 
@@ -855,7 +858,7 @@ def run(inv: CliInvocation, stdout=None) -> int:
     except PointOutsideLambdaBox as exc:
         # bad --point / --lambda combination, not a numerical failure
         raise UsageError(str(exc))
-    except (NonFiniteSample, DomainError) as exc:
+    except (NonFiniteSample, DomainError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except EngineError as exc:

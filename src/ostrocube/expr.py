@@ -18,10 +18,9 @@ once into a Program, one step per distinct subtree, and every evaluation
 runs that program: the functions of `to_bivariate` and `to_univariate`
 and `eval_expr` (`stacked_program` compiles a polynomial template for many
 coefficient sets, which the tests hold the audit's recurrences to). The
-functions of `to_bivariate` also let the grid samplers run a block with
-each full-grid step written into an array the sampler keeps, and each
-step of one variable kept for the next block over the same coordinates
-(`_Compiled.into`).
+grid samplers also give `run_program` arrays the sampler keeps, for each
+full-grid step to write into, and a memo that keeps each step of one
+variable for the next block over the same coordinates.
 Differentiation is symbolic (product/quotient/chain rules), with
 constant-folding simplification applied to each node as it is built;
 `to_bivariate` packages an expression together with its exact mixed
@@ -35,7 +34,6 @@ reproducible from a single integer seed.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -358,15 +356,10 @@ def _power_per_element(base, expo, out=None):
     return out
 
 
-_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+_UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp,
           "log": _log, "sqrt": _sqrt}
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide,
            "^": _power}
-# the same operations writing into out=
-_UNARY_INTO = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-               "log": _log, "sqrt": _sqrt}
-_BINARY_INTO = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide,
-                "^": _power}
 
 
 class Program(NamedTuple):
@@ -385,21 +378,18 @@ class Program(NamedTuple):
 
     The rest is the form a run takes. A run starts from the values of the
     leaves, [t, s, *consts, *inputs[:n_inputs]], and appends the value of
-    each operation: code holds (function, a, b, frees) per operation, with
-    a and b indices into those values (b None for a unary one) and frees
-    the values it uses for the last time, which are dropped so that few
-    intermediates are alive at a time. out is the index of the root's
-    value.
-
-    kept is code as _run_into runs it: (function, a, b, frees, register,
-    var, keep) per operation. A full-grid step, one that reads both t and
-    s and so has the block's whole shape, writes with out= into one of
-    n_registers arrays of that shape (see _registers); any other step has
-    register None and allocates as in code. var is the variable, _T or
+    each operation: code holds (function, a, b, frees, register, var,
+    keep) per operation, with a and b indices into those values (b None
+    for a unary one) and frees the values it uses for the last time, which
+    are dropped so that few intermediates are alive at a time. out is the
+    index of the root's value. A full-grid step, one that reads both t and
+    s and so has the whole shape of the run, has a register, one of
+    n_registers arrays of that shape it may write into with out= (see
+    _link); any other step has register None. var is the variable, _T or
     _S, of a step that reads one variable and no other, and 0 for any
     other step; keep is whether such a step's value is the result or is
-    read by a full-grid step, the values _run_into keeps for the next
-    block over the same coordinates.
+    read by a full-grid step, the values a run given a memo keeps for the
+    next run over the same coordinates.
     """
 
     steps: tuple
@@ -408,7 +398,6 @@ class Program(NamedTuple):
     n_inputs: int
     code: tuple
     out: int
-    kept: tuple
     n_registers: int
 
 
@@ -416,62 +405,47 @@ _T, _S = 1, 2
 
 
 def _link(steps: list, reads: list) -> Program:
+    """The Program of steps, see Program. A full-grid operation's register
+    is taken from those free, the ones its operands free included (so the
+    operation runs in place), and freed at the last use of its value. "^"
+    is given none of its operands' registers, as its array-exponent form
+    reads them after writing."""
     consts = [a for op, a, _ in steps if op == "const"]
     n_inputs = 1 + max([a for op, a, _ in steps if op == "input"], default=-1)
-    # where each step's value sits in a run, and the operation that last
-    # reads each value (never the root's, which no operation reads)
+    # where each step's value sits in a run, each operation as (op, a, b,
+    # reads) over those places, and the operation that last reads each
+    # value (never the root's, which no operation reads)
     at: list[int] = []
-    code: list[tuple] = []
+    ops: list[tuple] = []
     last_use: dict = {}
     const_at = 2
-    first = op_at = 2 + len(consts) + n_inputs
-    for op, a, b in steps:
-        if b is not None:
-            a, b = at[a], at[b]
-            code.append((_BINARY[op], a, b))
-            last_use[a] = last_use[b] = op_at
-        elif op in _UNARY:
-            a = at[a]
-            code.append((_UNARY[op], a, None))
-            last_use[a] = op_at
-        elif op == "const":
+    first = 2 + len(consts) + n_inputs
+    for (op, a, b), r in zip(steps, reads):
+        if op == "const":
             at.append(const_at)
             const_at += 1
-            continue
         elif op == "input":
             at.append(2 + len(consts) + a)
-            continue
-        else:
+        elif op in ("t", "s"):
             at.append(0 if op == "t" else 1)
-            continue
-        at.append(op_at)
-        op_at += 1
-    frees: list[list] = [[] for _ in code]
+        else:
+            a, b = at[a], None if b is None else at[b]
+            last_use[a] = first + len(ops)
+            if b is not None:
+                last_use[b] = first + len(ops)
+            at.append(first + len(ops))
+            ops.append((op, a, b, r))
+    frees: list[list] = [[] for _ in ops]
     for value, user in last_use.items():
         frees[user - first].append(value)
-    frees = [tuple(free) for free in frees]
-    return Program(tuple(steps), tuple(reads), tuple(consts), n_inputs,
-                   tuple([step + (free,) for step, free in zip(code, frees)]), at[-1],
-                   *_registers(steps, reads, code, frees, first))
-
-
-def _registers(steps: list, reads: list, code: list, frees: list, first: int) -> tuple:
-    """(kept, n_registers) of a program, see Program: code with each
-    full-grid operation's out= form and register, and the variable of
-    each operation that reads one, with whether its value is kept. A
-    register is taken from those free, the ones its operands free
-    included (so the operation runs in place), and freed at the last use
-    of its value. "^" is given none of its operands' registers, as its
-    array-exponent form reads them after writing."""
-    ops = [(op, r) for (op, _, _), r in zip(steps, reads) if op in _BINARY or op in _UNARY]
-    # the values full-grid steps read, and the root's, the last operation's
-    read = {v for (_, a, b), (_, r) in zip(code, ops) if r == _T | _S for v in (a, b)}
-    read.add(first + len(code) - 1)
-    kept: list[tuple] = []
+    # the values full-grid steps read, and the root's
+    read = {v for _, a, b, r in ops if r == _T | _S for v in (a, b)}
+    read.add(at[-1])
+    code: list[tuple] = []
     register: dict[int, int] = {}  # value -> its register
     spare: list[int] = []
     n_registers = 0
-    for k, ((fn, a, b), free, (op, r)) in enumerate(zip(code, frees, ops)):
+    for k, ((op, a, b, r), free) in enumerate(zip(ops, frees)):
         released = [register.pop(v) for v in free if v in register]
         reg = None
         if r == _T | _S:
@@ -483,11 +457,12 @@ def _registers(steps: list, reads: list, code: list, frees: list, first: int) ->
             else:
                 reg, n_registers = n_registers, n_registers + 1
             register[first + k] = reg
-            fn = (_UNARY_INTO if b is None else _BINARY_INTO)[op]
         spare += released
         var = r if r in (_T, _S) else 0
-        kept.append((fn, a, b, free, reg, var, bool(var) and first + k in read))
-    return tuple(kept), n_registers
+        code.append(((_UNARY if b is None else _BINARY)[op], a, b, tuple(free), reg, var,
+                     bool(var) and first + k in read))
+    return Program(tuple(steps), tuple(reads), tuple(consts), n_inputs, tuple(code), at[-1],
+                   n_registers)
 
 
 def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
@@ -527,42 +502,36 @@ def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
     return _link(steps, reads)
 
 
-def run_program(program: Program, t, s, inputs: Sequence = ()):
+def run_program(program: Program, t, s, inputs: Sequence = (),
+                registers: Optional[Sequence[np.ndarray]] = None, memo: Optional[dict] = None):
     """The value of a program at t and s (scalars, or arrays that
     broadcast against each other), with inputs[j] for ("input", j). A
     value that varies along fewer axes than t and s keeps the smaller
-    shape, and one that reads no array stays a scalar."""
+    shape, and one that reads no array stays a scalar.
+
+    With registers, at least program.n_registers arrays of the broadcast
+    shape of t and s, each full-grid step writes into its register;
+    without, every step allocates. With memo, a dict that lives for one
+    sampler call of one program, the steps of one variable are taken from
+    memo where an earlier run over the same array of that variable kept
+    them, and are kept there otherwise (see Program.code): memo maps
+    (variable, id of the array) to the array and the values kept over it,
+    the array held so that its id cannot be reused. The result may be a
+    register or a kept value."""
     vals = [t, s, *program.consts, *inputs[:program.n_inputs]]
     if len(vals) != 2 + len(program.consts) + program.n_inputs:
         raise ValueError(f"the program reads {program.n_inputs} inputs, got {len(inputs)}")
     push = vals.append
-    for fn, a, b, frees in program.code:
-        push(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
-        for i in frees:
-            vals[i] = None
-    return vals[program.out]
-
-
-def _run_into(program: Program, t, s, registers: Sequence[np.ndarray], memo: dict):
-    """The value of a program without inputs at t and s, as run_program
-    gives it, with every full-grid step written into its register, and
-    the steps of one variable taken from memo where an earlier run over
-    the same array of that variable kept them (see Program.kept). memo
-    lives for one sampler call of one program: it maps (variable, id of
-    the array) to the array and the values kept over it, the array held
-    so that its id cannot be reused. The result may be a register or a
-    kept value."""
-    vals = [t, s, *program.consts]
-    push = vals.append
-    found = [None, memo.get((_T, id(t))), memo.get((_S, id(s)))]
+    found = (None, None, None) if memo is None else (
+        None, memo.get((_T, id(t))), memo.get((_S, id(s))))
     kept: list = [None, {}, {}]
-    for k, (fn, a, b, frees, reg, var, keep) in enumerate(program.kept):
+    for k, (fn, a, b, frees, reg, var, keep) in enumerate(program.code):
         if var and found[var] is not None:
             # None for a value that no step reads any more
             push(found[var][1].get(k))
-        elif reg is None:
+        elif reg is None or registers is None:
             push(fn(vals[a]) if b is None else fn(vals[a], vals[b]))
-            if keep:
+            if keep and memo is not None:
                 kept[var][k] = vals[-1]
         elif b is None:
             push(fn(vals[a], out=registers[reg]))
@@ -570,22 +539,22 @@ def _run_into(program: Program, t, s, registers: Sequence[np.ndarray], memo: dic
             push(fn(vals[a], vals[b], out=registers[reg]))
         for i in frees:
             vals[i] = None
-    # t and s from the arguments: their places in vals are freed
-    for var, coords in ((_T, t), (_S, s)):
-        if found[var] is None:
-            memo[var, id(coords)] = (coords, kept[var])
+    if memo is not None:
+        # t and s from the arguments: their places in vals are freed
+        for var, coords in ((_T, t), (_S, s)):
+            if found[var] is None:
+                memo[var, id(coords)] = (coords, kept[var])
     return vals[program.out]
 
 
 class _Compiled:
     """f(t, s) of an expression, compiled into a Program on its first use.
 
-    into is what the grid samplers look for on a function's fn (a wrapper
-    around it has none, and is sampled as it is): into(t, s, registers,
-    memo) runs the program with its full-grid steps in registers, at
-    least program.n_registers arrays of the block's shape, and its steps
-    of one variable kept in memo, a dict for one sampler call (see
-    _run_into)."""
+    program is what the grid samplers look for on a function's fn (a
+    wrapper around it has none, and is sampled as it is): a call
+    (t, s, registers, memo) runs the program with its full-grid steps in
+    registers and its steps of one variable kept in memo (see
+    run_program)."""
 
     __slots__ = ("expr", "_program")
 
@@ -599,11 +568,9 @@ class _Compiled:
             self._program = compile_expr(self.expr)
         return self._program
 
-    def __call__(self, t, s):
-        return run_program(self.program, t, s)
-
-    def into(self, t, s, registers: Sequence[np.ndarray], memo: dict):
-        return _run_into(self.program, t, s, registers, memo)
+    def __call__(self, t, s, registers: Optional[Sequence[np.ndarray]] = None,
+                 memo: Optional[dict] = None):
+        return run_program(self.program, t, s, (), registers, memo)
 
 
 def eval_expr(e: ExprNode, t: float, s: float) -> float:

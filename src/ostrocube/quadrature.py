@@ -24,29 +24,29 @@ the last bit as sampling full grids, under these rules:
   bad line's cross-section label with its count, and an error raised
   while several lines are sampled together is raised again by the first
   line that fails on its own.
-- a grid that a reduction reads whole (split_grid, integrate_2d) is
-  filled in row blocks too, so each call of f takes at most BLOCK_SAMPLES
-  values; only the grid itself grows with the node count. Its error is
-  the one the whole grid raises: after a block fails, the whole grid is
-  sampled in one call again. integrate_2d and the identity audit reduce
-  such a grid, when it can run into registers (below), without building
-  it: the integral and the sums over given row and column ranges
+- a grid that a reduction reads whole (integrate_2d) is filled in row
+  blocks too, so each call of f takes at most BLOCK_SAMPLES values; only
+  the grid itself grows with the node count. Its error is the one the
+  whole grid raises: after a block fails, the whole grid is sampled in
+  one call again. integrate_2d and the identity audit reduce such a grid,
+  when it can run into registers (below), without building it: the
+  integral and the sums over given row and column ranges
   (_split_integrals).
 - a step of one variable is evaluated once per coordinate array in a
   sampler call, not once per block, when a register run (below) takes
   several blocks: the run keeps the values of those steps that a
   full-grid step reads for the rest of the call, keyed by the array of t
   or s they were computed from, and skips the steps inside them on later
-  blocks (expr._run_into). line_integrals hands every block of lines the
-  same view of each row block of the nodes, so the steps of the node
-  variable are evaluated once per row block and those of the fixed
-  variable once per block of lines. cell_bounds runs blocks of whole
-  rows of cells against one shared array of s samples (per column chunk,
-  if a row of cells is longer than a block), so the steps of s are
-  evaluated once per chunk and those of t once per block. The first
-  block runs the whole program in order, so a failure is met where it
-  always was; the small blocks, plain callables and wrappers evaluate f
-  as it is.
+  blocks (expr.run_program given a memo). line_integrals hands every
+  block of lines the same view of each row block of the nodes, so the
+  steps of the node variable are evaluated once per row block and those
+  of the fixed variable once per block of lines. cell_bounds runs blocks
+  of whole rows of cells against one shared array of s samples (per
+  column chunk, if a row of cells is longer than a block), so the steps
+  of s are evaluated once per chunk and those of t once per block. The
+  first block runs the whole program in order, so a failure is met where
+  it always was; the small blocks, plain callables and wrappers evaluate
+  f as it is.
 - four samplers run a compiled f (or its exact mixed partial) into
   registers once a call takes more than BLOCK_SAMPLES values: each
   full-grid step of its program writes into a register, an array kept
@@ -61,8 +61,8 @@ the last bit as sampling full grids, under these rules:
   numpy's floating-point errors instead of warning, and after any failure
   or a non-finite result the call is sampled again in blocks of
   BLOCK_SAMPLES (_in_registers): warnings, errors and non-finite counts
-  are theirs. Plain callables, wrappers, grid_values, split_grid and
-  smaller calls keep blocks of BLOCK_SAMPLES values.
+  are theirs. Plain callables, wrappers, grid_values and smaller calls
+  keep blocks of BLOCK_SAMPLES values.
 
 Elementwise arithmetic gives each sample the same bits in any layout; the
 one numpy exception, power's shortcuts for a scalar exponent, is applied
@@ -102,7 +102,6 @@ __all__ = [
     "gl_nodes",
     "integrate_1d",
     "integrate_2d",
-    "split_grid",
     "grid_values",
     "line_integrals",
     "estimate_bounds",
@@ -113,12 +112,11 @@ __all__ = [
 ]
 
 # Most values one call of an integrand returns to the grid routines
-# (grid_values and split_grid; integrate_2d and the identity oracle's
-# sampling of the mixed partial for a plain callable, a grid of at most
-# this many values or a failed register run; line_integrals and
-# cell_bounds for a plain callable or small call); it keeps the
-# evaluator's temporaries flat in the grid size and small enough for the
-# heap to keep.
+# (grid_values; integrate_2d and the identity oracle's sampling of the
+# mixed partial for a plain callable, a grid of at most this many values
+# or a failed register run; line_integrals and cell_bounds for a plain
+# callable or small call); it keeps the evaluator's temporaries flat in
+# the grid size and small enough for the heap to keep.
 BLOCK_SAMPLES = 8192
 # Most values one run of a compiled integrand takes into registers, buffers
 # kept per thread (_kept), once a call takes more than BLOCK_SAMPLES values:
@@ -317,7 +315,7 @@ def _kept(key, shape: tuple) -> np.ndarray:
 def _runs_into(f: BivariateFunction, field: str) -> bool:
     """Whether f's field ("fn" or "mixed_fn") can run into registers
     (expr's compiled functions can; a plain callable or a wrapper cannot)."""
-    return f.vectorized and hasattr(getattr(f, field), "into")
+    return f.vectorized and hasattr(getattr(f, field), "program")
 
 
 def _raising():
@@ -344,14 +342,14 @@ def _run_kept(fn, views: dict, memo: dict, *coords: np.ndarray) -> np.ndarray:
     """fn (see _runs_into) over coordinates that broadcast, as _sample gives
     it, with its full-grid steps in the registers of the block's shape
     (views, built once per shape and sampler call) and its steps of one
-    variable kept in memo for the call (expr._run_into). The result may be
-    a register or a value in memo."""
+    variable kept in memo for the call (expr.run_program given a memo). The
+    result may be a register or a value in memo."""
     shape = np.broadcast(*coords).shape
     count = fn.program.n_registers
     registers = views.get(shape)
     if registers is None or len(registers) < count:
         registers = views[shape] = [_kept(_FIRST_REGISTER + k, shape) for k in range(count)]
-    out = np.asarray(fn.into(*coords, registers, memo), dtype=float)
+    out = np.asarray(fn(*coords, registers, memo), dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
@@ -418,34 +416,6 @@ def _reduction_grid(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray) -> np.
     return np.broadcast_to(value, shape) if out is None else out
 
 
-def _split_axes(r: Rectangle, q: QuadConfig, split: Optional[EvalPoint]) -> tuple:
-    """(tn, tw, sn, sw): the composite rule on each axis of r, split at the
-    lines through split."""
-    tn, tw = _axis_quadrature(r.t_axis, q, () if split is None else (split.x,))
-    sn, sw = _axis_quadrature(r.s_axis, q, () if split is None else (split.y,))
-    return tn, tw, sn, sw
-
-
-def split_grid(
-    f,
-    r: Rectangle,
-    q: QuadConfig,
-    split: Optional[EvalPoint] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(tn, tw, sn, sw, values): the composite rule's nodes and weights on
-    each axis of r, split at the lines through split, and f on their
-    tensor grid, a fresh array sampled in row blocks. `tw @ values @ sw`
-    is the integral of f over r, and over a sub-rectangle whose sides are
-    segments of the split, the same product over those rows and columns
-    (integrate_2d and the identity audit take these products from one
-    register run where they can, and build no grid). An error is the one
-    that sampling the whole grid in one call raises: after a block fails,
-    the whole grid is sampled again."""
-    f = as_bivariate(f)
-    tn, tw, sn, sw = _split_axes(r, q, split)
-    return tn, tw, sn, sw, _reduction_grid(f, tn, sn)
-
-
 def _block_sums(tw: np.ndarray, values: np.ndarray, sw: np.ndarray, blocks) -> list[float]:
     """tw[rows] @ values[rows, cols] @ sw[cols] over each (rows, cols) of
     blocks."""
@@ -496,13 +466,15 @@ def _grid_sums(fn, tn: np.ndarray, tw: np.ndarray, sn: np.ndarray, sw: np.ndarra
 def _split_integrals(f, r: Rectangle, q: QuadConfig, split: Optional[EvalPoint] = None,
                      blocks=()) -> list[float]:
     """The integral of f over r split at split (integrate_2d), then the
-    integral over each sub-rectangle of blocks, a (rows, cols) of
-    split_grid's values whose sides are segments of the split. A grid of
-    more than BLOCK_SAMPLES and at most REGISTER_BLOCK_SAMPLES values of a
-    compiled f is reduced from one register run (_register_sums); any
-    other, or one whose run fails, is split_grid's, and raises its error."""
+    integral over each sub-rectangle of blocks, a (rows, cols) of the grid
+    of f on the split axes whose sides are segments of the split. A grid
+    of more than BLOCK_SAMPLES and at most REGISTER_BLOCK_SAMPLES values of
+    a compiled f is reduced from one register run (_register_sums); any
+    other, or one whose run fails, is _reduction_grid's, and raises its
+    error."""
     f = as_bivariate(f)
-    tn, tw, sn, sw = _split_axes(r, q, split)
+    tn, tw = _axis_quadrature(r.t_axis, q, () if split is None else (split.x,))
+    sn, sw = _axis_quadrature(r.s_axis, q, () if split is None else (split.y,))
     blocks = ((slice(None), slice(None)), *blocks)
     sums = _register_sums(f, "fn", tn, tw, sn, sw, blocks)
     if sums is None:
@@ -517,7 +489,7 @@ def integrate_2d(
     split: Optional[EvalPoint] = None,
 ) -> float:
     """Tensor-product composite Gauss-Legendre integral of f over r
-    (split_grid reduced, see _split_integrals)."""
+    (see _split_integrals)."""
     return _split_integrals(f, r, q, split)[0]
 
 

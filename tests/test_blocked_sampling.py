@@ -30,9 +30,9 @@ from ostrocube.identity import (
 from ostrocube.quadrature import (
     BLOCK_SAMPLES,
     _axis_quadrature,
+    _reduction_grid,
     integrate_2d,
     sample_bivariate,
-    split_grid,
 )
 
 Q = QuadConfig()
@@ -143,10 +143,12 @@ def test_blocked_integral_equals_the_whole_grid(text):
 
 
 def test_a_constant_stays_a_zero_stride_view():
-    *_, values = split_grid(_f("2.5"), UNIT, Q)
+    tn, _ = _axis_quadrature(UNIT.t_axis, Q)
+    sn, _ = _axis_quadrature(UNIT.s_axis, Q)
+    values = _reduction_grid(_f("2.5"), tn, sn)
     assert values.shape == (128, 128) and values.strides == (0, 0)
     for text in ("sin(t)", "exp(s)", "exp(t*s)"):
-        *_, values = split_grid(_f(text), UNIT, Q)
+        values = _reduction_grid(_f(text), tn, sn)
         assert values.flags.c_contiguous, text
 
 

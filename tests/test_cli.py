@@ -201,6 +201,25 @@ def test_usage_error_exit_code():
     assert run_main([]) == 2
 
 
+# nested far deeper than Python's recursion limit: the parser, the
+# differentiation of a long sum and of a tower of powers all recurse
+_DEEP = {
+    "parentheses": "(" * 2000 + "t" + ")" * 2000,
+    "sin": "sin(" * 2000 + "t" + ")" * 2000,
+    "powers": "t^" * 2000 + "s",
+    "sum": " + ".join(["t*s"] * 2000),
+}
+
+
+@pytest.mark.parametrize("subcommand", ["enclose", "identity", "compare"])
+@pytest.mark.parametrize("name", sorted(_DEEP))
+def test_a_deeply_nested_f_is_a_usage_error(subcommand, name, capsys):
+    assert run_main([subcommand, "--f", _DEEP[name], *_UNIT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --f: the expression is nested too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommand behaviour
 # ---------------------------------------------------------------------------
@@ -397,6 +416,34 @@ def test_overflowing_point_value_is_a_numerical_failure(capsys):
     assert captured.out == ""
     assert captured.err == ("numerical failure: 1 non-finite sample(s) while "
                             "evaluating exp(709.9 * t * s)\n")
+
+
+_TINY = ["--rect", "0", "1e-200", "0", "1e-200"]
+_HUGE = ["--rect", "-1e300", "1e300", "-1e300", "1e300"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the area underflows to 0.0, and the rules divide by it
+    ["compare", "--f", "t*s", *_TINY, "--bounds", "1", "1"],
+    ["compare", "--f", "t*s", *_TINY, "--bounds", "auto"],
+    # squares of the side lengths overflow a float
+    ["compare", "--f", "1", *_HUGE, "--bounds", "0", "0"],
+    ["compare", "--f", "1", *_HUGE, "--bounds", "auto"],
+    ["enclose", "--f", "1", *_HUGE, "--bounds", "0", "0"],
+    ["enclose", "--f", "1", *_HUGE, "--bounds", "auto"],
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_arithmetic_errors_are_numerical_failures(argv, capsys):
+    assert run_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("argv", [["--f", "t*s", *_TINY], ["--f", "1", *_HUGE]])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_identity_on_extreme_rectangles_still_succeeds(argv):
+    assert _capture(["identity", *argv])[0] == 0
 
 
 def test_verify_exit_codes_and_expectations():

@@ -133,9 +133,14 @@ def test_every_call_of_f_gets_at_most_one_block(monkeypatch):
     # the lines and sampled bounds of a compiled expression run blocks of
     # up to REGISTER_BLOCK_SAMPLES values into registers
     runs = []
-    run_into = expr._run_into
-    monkeypatch.setattr(expr, "_run_into", lambda program, t, s, *rest: (
-        runs.append(np.broadcast(t, s).size), run_into(program, t, s, *rest))[1])
+    run = expr.run_program
+
+    def counted(program, t, s, inputs=(), registers=None, memo=None):
+        if registers is not None:
+            runs.append(np.broadcast(t, s).size)
+        return run(program, t, s, inputs, registers, memo)
+
+    monkeypatch.setattr(expr, "run_program", counted)
     g = _expr("sin(t)*cos(s)")
     for m, n in ((40, 24), (8, 70), (64, 64)):
         for bounds in (None, derivative_bounds(-1, 1)):

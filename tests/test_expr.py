@@ -23,6 +23,7 @@ from ostrocube.expr import (
     Unary,
     Var,
     XorShift64Star,
+    compile_expr,
     derive_seed,
     parse,
     random_polynomial,
@@ -433,3 +434,50 @@ def test_stacked_program_matches_scalar_evaluation_per_coefficient_set():
 def test_stacked_program_takes_sums_and_products_only(text):
     with pytest.raises(ValueError, match="stacked evaluation"):
         stacked_program(parse_expression(text), [])
+
+
+# ---------------------------------------------------------------------------
+# one interpreter: runs with and without registers and a memo
+# ---------------------------------------------------------------------------
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_run_with_registers_and_a_memo_equals_the_plain_run(seed):
+    # two blocks of t rows against one shared array of s, as cell_bounds
+    # hands them: the second block takes the steps of s from the memo
+    rnd = random.Random(seed)
+    ss = np.linspace(0.25, 1.2, 13)[None, :]
+    blocks = (np.linspace(0.3, 0.8, 7)[:, None], np.linspace(0.9, 1.4, 7)[:, None])
+    shape = (7, 13)
+    for _ in range(12):
+        program = compile_expr(random_ast(rnd, 5))
+        registers = [np.empty(shape) for _ in range(program.n_registers)]
+        memo: dict = {}
+        for ts in blocks:
+            plain = run_program(program, ts, ss)
+            kept = run_program(program, ts, ss, (), registers, memo)
+            assert _hex(np.broadcast_to(kept, shape)) == _hex(np.broadcast_to(plain, shape))
+            buffers = [*registers, *(value for _, values in memo.values()
+                                     for value in values.values())]
+            assert not any(np.shares_memory(plain, buf) for buf in buffers)
+        # one entry for the shared s, one for each block of t
+        assert len(memo) == 3
+
+
+@pytest.mark.parametrize("text", ["t^(1+1)*s", "(t*s)^(4*0.5)", "(t+s)^(0-1)",
+                                  "(t+s)^(0.25+0.25)"])
+def test_an_exponent_computed_from_constants_equals_the_literal_one(text):
+    # 1+1 runs as a step and reaches the power as a numpy scalar, the
+    # literal as a float: both give numpy's shortcut for 2, -1 and 0.5
+    computed = compile_expr(parse_expression(text))
+    literal = compile_expr(simplify(parse_expression(text)))
+    assert len(literal.steps) < len(computed.steps)
+    ts = np.linspace(0.3, 1.4, 9)[:, None]
+    ss = np.linspace(0.25, 1.2, 11)[None, :]
+    assert _hex(run_program(computed, ts, ss)) == _hex(run_program(literal, ts, ss))
+    for t, s in ((0.3, 0.25), (0.7, 1.1), (1.4, 0.6)):
+        assert _hex(run_program(computed, t, s)) == _hex(run_program(literal, t, s))

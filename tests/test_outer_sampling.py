@@ -183,7 +183,8 @@ def test_hoisted_samplers_match_per_line_and_per_cell_samplers(name):
 def _counting_cos(monkeypatch) -> list:
     """Patch the evaluator's cos to record how many values it computes."""
     sizes: list = []
-    monkeypatch.setitem(expr._UNARY, "cos", lambda v: sizes.append(np.size(v)) or np.cos(v))
+    monkeypatch.setitem(expr._UNARY, "cos",
+                        lambda v, out=None: sizes.append(np.size(v)) or np.cos(v, out=out))
     return sizes
 
 

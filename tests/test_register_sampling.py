@@ -93,9 +93,14 @@ def test_cell_bounds_cut_a_row_longer_than_a_register_block(name, monkeypatch):
     f = FUNCTIONS[name]
     t_edges, s_edges = np.linspace(0.3, 1.4, 4), np.linspace(0.25, 1.2, 301)
     runs = []
-    run_into = expr._run_into
-    monkeypatch.setattr(expr, "_run_into", lambda program, t, s, *rest: (
-        runs.append(np.broadcast(t, s).shape), run_into(program, t, s, *rest))[1])
+    run = expr.run_program
+
+    def counted(program, t, s, inputs=(), registers=None, memo=None):
+        if registers is not None:
+            runs.append(np.broadcast(t, s).shape)
+        return run(program, t, s, inputs, registers, memo)
+
+    monkeypatch.setattr(expr, "run_program", counted)
     got = cell_bounds(f, t_edges, s_edges, 17, 0.1)
     assert runs == [(1, 226, 17, 17), (1, 74, 17, 17)] * 3
     assert _hex(got) == _hex(reference_cell_bounds(f, t_edges, s_edges, 17, 0.1))
