@@ -551,10 +551,9 @@ class _Compiled:
     """f(t, s) of an expression, compiled into a Program on its first use.
 
     program is what the grid samplers look for on a function's fn (a
-    wrapper around it has none, and is sampled as it is): a call
-    (t, s, registers, memo) runs the program with its full-grid steps in
-    registers and its steps of one variable kept in memo (see
-    run_program)."""
+    wrapper around it has none, and is sampled as it is): they run it
+    with run_program, its full-grid steps in registers and its steps of
+    one variable kept in a memo."""
 
     __slots__ = ("expr", "_program")
 
@@ -568,9 +567,8 @@ class _Compiled:
             self._program = compile_expr(self.expr)
         return self._program
 
-    def __call__(self, t, s, registers: Optional[Sequence[np.ndarray]] = None,
-                 memo: Optional[dict] = None):
-        return run_program(self.program, t, s, (), registers, memo)
+    def __call__(self, t, s):
+        return run_program(self.program, t, s)
 
 
 def eval_expr(e: ExprNode, t: float, s: float) -> float:

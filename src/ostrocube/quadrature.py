@@ -79,6 +79,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import expr
 from .core import (
     BivariateFunction,
     DerivativeBounds,
@@ -339,17 +340,18 @@ def _in_registers(ok: bool, run, *args):
 
 
 def _run_kept(fn, views: dict, memo: dict, *coords: np.ndarray) -> np.ndarray:
-    """fn (see _runs_into) over coordinates that broadcast, as _sample gives
-    it, with its full-grid steps in the registers of the block's shape
-    (views, built once per shape and sampler call) and its steps of one
-    variable kept in memo for the call (expr.run_program given a memo). The
-    result may be a register or a value in memo."""
+    """fn's program (see _runs_into) over coordinates that broadcast, as
+    _sample gives them, run by expr.run_program with its full-grid steps in
+    the registers of the block's shape (views, built once per shape and
+    sampler call) and its steps of one variable kept in memo for the call.
+    The result may be a register or a value in memo."""
     shape = np.broadcast(*coords).shape
-    count = fn.program.n_registers
+    program = fn.program
     registers = views.get(shape)
-    if registers is None or len(registers) < count:
-        registers = views[shape] = [_kept(_FIRST_REGISTER + k, shape) for k in range(count)]
-    out = np.asarray(fn(*coords, registers, memo), dtype=float)
+    if registers is None or len(registers) < program.n_registers:
+        registers = views[shape] = [_kept(_FIRST_REGISTER + k, shape)
+                                    for k in range(program.n_registers)]
+    out = np.asarray(expr.run_program(program, *coords, (), registers, memo), dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
