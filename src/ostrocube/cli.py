@@ -858,8 +858,14 @@ def run(inv: CliInvocation, stdout=None) -> int:
     except PointOutsideLambdaBox as exc:
         # bad --point / --lambda combination, not a numerical failure
         raise UsageError(str(exc))
-    except (NonFiniteSample, DomainError, ArithmeticError) as exc:
+    except (NonFiniteSample, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # Python's own text names no input, so name the rectangle
+        rect = inv.options.get("rect")
+        where = "" if rect is None else " on --rect " + " ".join(map(str, rect))
+        print(f"numerical failure: {exc}{where}", file=sys.stderr)
         return 1
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,11 +16,10 @@ decimal point ("2.5", "1e-3"; not ".5").
 Evaluation accepts scalars or numpy arrays. An expression is compiled
 once into a Program, one step per distinct subtree, and every evaluation
 runs that program: the functions of `to_bivariate` and `to_univariate`
-and `eval_expr` (`stacked_program` compiles a polynomial template for many
-coefficient sets, which the tests hold the audit's recurrences to). The
-grid samplers also give `run_program` arrays the sampler keeps, for each
-full-grid step to write into, and a memo that keeps each step of one
-variable for the next block over the same coordinates.
+and `eval_expr`. The grid samplers also give `run_program` arrays the
+sampler keeps, for each full-grid step to write into, and a memo that
+keeps each step of one variable for the next block over the same
+coordinates.
 Differentiation is symbolic (product/quotient/chain rules), with
 constant-folding simplification applied to each node as it is built;
 `to_bivariate` packages an expression together with its exact mixed
@@ -72,7 +71,6 @@ __all__ = [
     "Program",
     "compile_expr",
     "run_program",
-    "stacked_program",
 ]
 
 
@@ -367,35 +365,31 @@ class Program(NamedTuple):
 
     The distinct subtrees of the expression (by identity) are its steps,
     in the order a recursive walk evaluates them: children first, left
-    before right. Step n is (op, a, b): "t" and "s" read a variable,
-    "const" is the literal a and "input" reads inputs[a]; "neg" and the
-    functions apply to step a, and "+", "-", "*", "/" and "^" combine steps
-    a and b. Every step applies its node's numpy operation, with the
-    DomainError guard of log, sqrt, "/" and "^", so a shared subtree is
-    evaluated once, and the first step that fails is the first node that
-    fails. reads[n] holds the variables step n depends on, as bits (_T for
-    t, _S for s); the last step is the root.
+    before right. Step n is (op, a, b): "t" and "s" read a variable and
+    "const" is the literal a; "neg" and the functions apply to step a, and
+    "+", "-", "*", "/" and "^" combine steps a and b. Every step applies
+    its node's numpy operation, with the DomainError guard of log, sqrt,
+    "/" and "^", so a shared subtree is evaluated once, and the first step
+    that fails is the first node that fails. The last step is the root.
 
     The rest is the form a run takes. A run starts from the values of the
-    leaves, [t, s, *consts, *inputs[:n_inputs]], and appends the value of
-    each operation: code holds (function, a, b, frees, register, var,
-    keep) per operation, with a and b indices into those values (b None
-    for a unary one) and frees the values it uses for the last time, which
-    are dropped so that few intermediates are alive at a time. out is the
-    index of the root's value. A full-grid step, one that reads both t and
-    s and so has the whole shape of the run, has a register, one of
-    n_registers arrays of that shape it may write into with out= (see
-    _link); any other step has register None. var is the variable, _T or
-    _S, of a step that reads one variable and no other, and 0 for any
-    other step; keep is whether such a step's value is the result or is
-    read by a full-grid step, the values a run given a memo keeps for the
-    next run over the same coordinates.
+    leaves, [t, s, *consts], and appends the value of each operation: code
+    holds (function, a, b, frees, register, var, keep) per operation, with
+    a and b indices into those values (b None for a unary one) and frees
+    the values it uses for the last time, which are dropped so that few
+    intermediates are alive at a time. out is the index of the root's
+    value. A full-grid step, one that reads both t and s and so has the
+    whole shape of the run, has a register, one of n_registers arrays of
+    that shape it may write into with out= (see _link); any other step has
+    register None. var is the variable, _T or _S, of a step that reads one
+    variable and no other, and 0 for any other step; keep is whether such
+    a step's value is the result or is read by a full-grid step, the
+    values a run given a memo keeps for the next run over the same
+    coordinates.
     """
 
     steps: tuple
-    reads: tuple
     consts: tuple
-    n_inputs: int
     code: tuple
     out: int
     n_registers: int
@@ -405,13 +399,13 @@ _T, _S = 1, 2
 
 
 def _link(steps: list, reads: list) -> Program:
-    """The Program of steps, see Program. A full-grid operation's register
-    is taken from those free, the ones its operands free included (so the
-    operation runs in place), and freed at the last use of its value. "^"
-    is given none of its operands' registers, as its array-exponent form
-    reads them after writing."""
+    """The Program of steps, see Program, where reads[n] holds the
+    variables step n depends on, as bits (_T for t, _S for s). A full-grid
+    operation's register is taken from those free, the ones its operands
+    free included (so the operation runs in place), and freed at the last
+    use of its value. "^" is given none of its operands' registers, as its
+    array-exponent form reads them after writing."""
     consts = [a for op, a, _ in steps if op == "const"]
-    n_inputs = 1 + max([a for op, a, _ in steps if op == "input"], default=-1)
     # where each step's value sits in a run, each operation as (op, a, b,
     # reads) over those places, and the operation that last reads each
     # value (never the root's, which no operation reads)
@@ -419,13 +413,11 @@ def _link(steps: list, reads: list) -> Program:
     ops: list[tuple] = []
     last_use: dict = {}
     const_at = 2
-    first = 2 + len(consts) + n_inputs
+    first = 2 + len(consts)
     for (op, a, b), r in zip(steps, reads):
         if op == "const":
             at.append(const_at)
             const_at += 1
-        elif op == "input":
-            at.append(2 + len(consts) + a)
         elif op in ("t", "s"):
             at.append(0 if op == "t" else 1)
         else:
@@ -461,14 +453,11 @@ def _link(steps: list, reads: list) -> Program:
         var = r if r in (_T, _S) else 0
         code.append(((_UNARY if b is None else _BINARY)[op], a, b, tuple(free), reg, var,
                      bool(var) and first + k in read))
-    return Program(tuple(steps), tuple(reads), tuple(consts), n_inputs, tuple(code), at[-1],
-                   n_registers)
+    return Program(tuple(steps), tuple(consts), tuple(code), at[-1], n_registers)
 
 
-def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
-    """e as a Program. A constant whose value is slots[j] becomes the step
-    ("input", j); any other constant is a literal."""
-    column = {value: j for j, value in enumerate(slots)}
+def compile_expr(e: ExprNode) -> Program:
+    """e as a Program."""
     steps: list[tuple] = []
     reads: list[int] = []
     index: dict[int, int] = {}
@@ -483,8 +472,7 @@ def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
             steps.append((node.op, a, b))
             reads.append(reads[a] | reads[b])
         elif isinstance(node, Const):
-            j = column.get(node.value)
-            steps.append(("const", node.value, None) if j is None else ("input", j, None))
+            steps.append(("const", node.value, None))
             reads.append(0)
         elif isinstance(node, Var):
             steps.append((node.name, None, None))
@@ -502,12 +490,12 @@ def compile_expr(e: ExprNode, slots: Sequence[float] = ()) -> Program:
     return _link(steps, reads)
 
 
-def run_program(program: Program, t, s, inputs: Sequence = (),
-                registers: Optional[Sequence[np.ndarray]] = None, memo: Optional[dict] = None):
+def run_program(program: Program, t, s, registers: Optional[Sequence[np.ndarray]] = None,
+                memo: Optional[dict] = None):
     """The value of a program at t and s (scalars, or arrays that
-    broadcast against each other), with inputs[j] for ("input", j). A
-    value that varies along fewer axes than t and s keeps the smaller
-    shape, and one that reads no array stays a scalar.
+    broadcast against each other). A value that varies along fewer axes
+    than t and s keeps the smaller shape, and one that reads no array stays
+    a scalar.
 
     With registers, at least program.n_registers arrays of the broadcast
     shape of t and s, each full-grid step writes into its register;
@@ -518,9 +506,7 @@ def run_program(program: Program, t, s, inputs: Sequence = (),
     (variable, id of the array) to the array and the values kept over it,
     the array held so that its id cannot be reused. The result may be a
     register or a kept value."""
-    vals = [t, s, *program.consts, *inputs[:program.n_inputs]]
-    if len(vals) != 2 + len(program.consts) + program.n_inputs:
-        raise ValueError(f"the program reads {program.n_inputs} inputs, got {len(inputs)}")
+    vals = [t, s, *program.consts]
     push = vals.append
     found = (None, None, None) if memo is None else (
         None, memo.get((_T, id(t))), memo.get((_S, id(s))))
@@ -573,22 +559,6 @@ class _Compiled:
 
 def eval_expr(e: ExprNode, t: float, s: float) -> float:
     return float(run_program(compile_expr(e), float(t), float(s)))
-
-
-def stacked_program(e: ExprNode, slots: Sequence[float]) -> Program:
-    """Compile e, a polynomial template, for evaluation over many
-    coefficient sets at once: a constant whose value is slots[j] reads
-    inputs[j], coefficient j of every set, shaped to broadcast against t
-    and s (sets along a leading axis, say, with t and s per-axis
-    coordinates behind it). Every sample then equals, bit for bit, running
-    the template with that set's coefficients in its slots. Only + and *
-    are allowed: Horner trees and their derivatives use no other
-    operation, and a guarded operation would fail every set for one."""
-    program = compile_expr(e, slots)
-    for op, _, _ in program.steps:
-        if op not in ("+", "*", "const", "input", "t", "s"):
-            raise ValueError(f"stacked evaluation takes + and * only, not {op!r} in {e!r}")
-    return program
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .core import (
 )
 from .kernels import Kernel1D, abs_moment, s_kernel, signed_moment, t_kernel
 from .quadrature import (
+    NonFiniteSample,
     _axis_quadrature,
     _block_sums,
     _check_finite,
@@ -449,7 +450,8 @@ def identity_report(
 
     Requires an exact mixed partial. Status is OK iff the derived full
     expansion agrees with the oracle to tol * (1 + |oracle|); the stated
-    discrepancy is reported, never corrected.
+    discrepancy is reported, never corrected. A NonFiniteSample is raised
+    if the oracle, an expansion or a quadrant's value is not finite.
     """
     if not f.has_exact_mixed:
         raise MissingMixedPartial(
@@ -464,6 +466,10 @@ def identity_report(
     oracle = sum(c.oracle for c in per_quadrant.values())
     verbatim = verbatim_from_terms(samples[0])
     derived = derived_from_terms(samples[0])
+    values = [oracle, verbatim, derived,
+              *(v for c in per_quadrant.values() for v in (c.verbatim, c.derived, c.oracle))]
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteSample(f"the identity of {f.label} is not finite on this rectangle")
     disc_verbatim = abs(verbatim - oracle)
     disc_derived = abs(derived - oracle)
     for comp in per_quadrant.values():

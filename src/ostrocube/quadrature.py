@@ -351,7 +351,7 @@ def _run_kept(fn, views: dict, memo: dict, *coords: np.ndarray) -> np.ndarray:
     if registers is None or len(registers) < program.n_registers:
         registers = views[shape] = [_kept(_FIRST_REGISTER + k, shape)
                                     for k in range(program.n_registers)]
-    out = np.asarray(expr.run_program(program, *coords, (), registers, memo), dtype=float)
+    out = np.asarray(expr.run_program(program, *coords, registers, memo), dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 

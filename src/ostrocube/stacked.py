@@ -9,10 +9,11 @@ are the slopes of those sums (`_horner_slope`). Each step of a
 recurrence is the operation that the trial's own tree, the Horner tree
 that `expr.polynomial` builds and `expr.differentiate` differentiates,
 takes at that node, so every sample keeps the tree's bits: a padded
-coefficient only adds a signed zero to a nonzero value. Every step over a
-full grid writes into kept buffer 0 or 1 of this thread
-(`quadrature._kept`, whose buffers from 2 on are the registers of
-compiled runs), so a chunk faults in no new memory.
+coefficient only adds a signed zero to a nonzero value (the tests compare
+each recurrence with every trial's own tree, run on that trial's rows of
+the same coordinates). Every step over a full grid writes into kept
+buffer 0 or 1 of this thread (`quadrature._kept`, whose buffers from 2 on
+are the registers of compiled runs), so a chunk faults in no new memory.
 
 The samples are kept as columns, one row per case (`IntervalSamples`,
 `AnchorSamples`), none of them a view of a kept buffer, from which the

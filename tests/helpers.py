@@ -18,9 +18,7 @@ must turn into the one-pass derivative, and the reference verify loop
 samples each trial's own trees one trial at a time, which the stacked
 chunks must match byte for byte. It takes the anchor terms of a trial's
 anchors p and q together, as anchor_terms did when it took several
-anchors at once (`reference_anchor_terms`). The stacked programs of
-`templates` are the trees whose every step the stacked recurrences
-must repeat bit for bit.
+anchors at once (`reference_anchor_terms`).
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import os
 import random
 import subprocess
 import sys
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -55,14 +52,12 @@ from ostrocube.expr import (
     Var,
     XorShift64Star,
     derive_seed,
-    differentiate,
     draw_polynomial_1d,
     parse_expression,
     polynomial,
     polynomial_1d,
     random_polynomial,
     simplify,
-    stacked_program,
     to_bivariate,
     to_univariate,
 )
@@ -1032,32 +1027,6 @@ def reference_run_verify(opts: dict, crafted: Optional[dict] = None):
             exit_code = 3
     total = sum(t.violations for t in tallies.values())
     return results, {"rigorous": False, "violations": total}, exit_code
-
-
-# one entry per --degree value
-@lru_cache(maxsize=7)
-def templates(degree: int) -> tuple:
-    """Stacked programs of f, its mixed partial, g and g' for the trials of
-    `--degree degree`, for expr.run_program with one coefficient column
-    per slot.
-
-    The templates are the Horner trees of a full (degree+1) x (degree+1)
-    polynomial (slot i * (degree+1) + j holds the coefficient of t^i s^j)
-    and of a degree+1 coefficient univariate one, over slot constants,
-    differentiated as to_bivariate and to_univariate do. The slots are
-    distinct and neither 0 nor 1, so no unit law of simplify fires and
-    every coefficient keeps its own node. A trial fills the slots with its
-    coefficients, padded with zeros to the full degree. A padded node adds
-    a signed zero to a nonzero value, which leaves it unchanged, so every
-    sample equals the one the trial's own tree gives (the tree in which
-    simplify has dropped those nodes).
-    """
-    n = degree + 1
-    slots = [2.0 + j / 256.0 for j in range(n * n)]
-    f = polynomial([slots[i * n:(i + 1) * n] for i in range(n)])
-    g = polynomial_1d(slots[:n])
-    trees = (f, differentiate(differentiate(f, "t"), "s"), g, differentiate(g, "t"))
-    return tuple(stacked_program(e, slots) for e in trees)
 
 
 # ---------------------------------------------------------------------------

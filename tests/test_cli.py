@@ -438,17 +438,38 @@ def test_arithmetic_errors_are_numerical_failures(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure: ")
+    # Python's own text names no input: the line names the rectangle
+    at = argv.index("--rect") + 1
+    rect = " ".join(str(float(v)) for v in argv[at:at + 4])
+    assert captured.err.endswith(f" on --rect {rect}\n")
 
 
 @pytest.mark.parametrize("text,rect", [("t*s", _TINY[1:]), ("1", _HUGE[1:])])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_identity_on_extreme_rectangles_raises_no_arithmetic_error(text, rect):
-    # so reporting an ArithmeticError as a numerical failure leaves the
-    # outcome of identity on these rectangles as it was. Only that is
-    # checked: on the 1e300 square the outcome is NaN throughout.
+    # identity succeeds on the 1e-200 square, where the integrals underflow
+    # to 0; on the 1e300 square the products of the node offsets overflow,
+    # and the NaN they leave is a non-finite failure, not a report
     r = ostrocube.make_rectangle(*map(float, rect))
     f = ostrocube.to_bivariate(ostrocube.parse_expression(text))
-    ostrocube.identity_report(f, r, r.center, ostrocube.QuadConfig())
+    if rect == _TINY[1:]:
+        report = ostrocube.identity_report(f, r, r.center, ostrocube.QuadConfig())
+        assert report.status_ok and report.oracle_value == 0.0
+    else:
+        with pytest.raises(ostrocube.NonFiniteSample, match="identity of 1 "):
+            ostrocube.identity_report(f, r, r.center, ostrocube.QuadConfig())
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_identity_does_not_certify_non_finite_values(mode, capsys):
+    # the oracle and every expansion are NaN on this square: no report,
+    # rigorous or not, is printed
+    assert run_main(["identity", "--f", "1", *_HUGE, *mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: the identity of 1 is not finite "
+                            "on this rectangle\n")
 
 
 def test_verify_exit_codes_and_expectations():

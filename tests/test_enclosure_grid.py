@@ -135,10 +135,10 @@ def test_every_call_of_f_gets_at_most_one_block(monkeypatch):
     runs = []
     run = expr.run_program
 
-    def counted(program, t, s, inputs=(), registers=None, memo=None):
+    def counted(program, t, s, registers=None, memo=None):
         if registers is not None:
             runs.append(np.broadcast(t, s).size)
-        return run(program, t, s, inputs, registers, memo)
+        return run(program, t, s, registers, memo)
 
     monkeypatch.setattr(expr, "run_program", counted)
     g = _expr("sin(t)*cos(s)")

@@ -29,7 +29,6 @@ from ostrocube.expr import (
     random_polynomial,
     run_program,
     simplify,
-    stacked_program,
 )
 
 # ---------------------------------------------------------------------------
@@ -411,31 +410,6 @@ def test_random_polynomial_coefficients_in_range():
         assert abs(f.eval(0.0, 0.0)) <= 1.0, text  # constant coefficient
 
 
-def test_stacked_program_matches_scalar_evaluation_per_coefficient_set():
-    # slots 2.5 and 3.5 become coefficient columns; 7 stays a literal; the
-    # shared subtree t*s is one step
-    shared = parse_expression("t*s")
-
-    def tree(a, b):
-        return Binary("+", Binary("+", Binary("*", Const(a), shared), shared),
-                      Binary("*", Const(b), Binary("+", Var("t"), Const(7.0))))
-
-    program = stacked_program(tree(2.5, 3.5), [2.5, 3.5])
-    assert [step[0] for step in program.steps].count("*") == 3
-    coeffs = np.array([[2.5, 3.5], [-0.3, 1.7], [0.9, -2.2]])
-    ts = np.array([-1.0, 0.25, 0.6])
-    ss = np.array([0.5, -0.75])
-    got = run_program(program, ts[None, :, None], ss[None, None, :], coeffs.T[:, :, None, None])
-    for k, (a, b) in enumerate(coeffs):
-        assert got[k].tolist() == [[eval_expr(tree(a, b), t, s) for s in ss] for t in ts]
-
-
-@pytest.mark.parametrize("text", ["sin(t) + s", "t - s", "-t", "t / s", "t^2"])
-def test_stacked_program_takes_sums_and_products_only(text):
-    with pytest.raises(ValueError, match="stacked evaluation"):
-        stacked_program(parse_expression(text), [])
-
-
 # ---------------------------------------------------------------------------
 # one interpreter: runs with and without registers and a memo
 # ---------------------------------------------------------------------------
@@ -459,7 +433,7 @@ def test_a_run_with_registers_and_a_memo_equals_the_plain_run(seed):
         memo: dict = {}
         for ts in blocks:
             plain = run_program(program, ts, ss)
-            kept = run_program(program, ts, ss, (), registers, memo)
+            kept = run_program(program, ts, ss, registers, memo)
             assert _hex(np.broadcast_to(kept, shape)) == _hex(np.broadcast_to(plain, shape))
             buffers = [*registers, *(value for _, values in memo.values()
                                      for value in values.values())]

@@ -95,10 +95,10 @@ def test_cell_bounds_cut_a_row_longer_than_a_register_block(name, monkeypatch):
     runs = []
     run = expr.run_program
 
-    def counted(program, t, s, inputs=(), registers=None, memo=None):
+    def counted(program, t, s, registers=None, memo=None):
         if registers is not None:
             runs.append(np.broadcast(t, s).shape)
-        return run(program, t, s, inputs, registers, memo)
+        return run(program, t, s, registers, memo)
 
     monkeypatch.setattr(expr, "run_program", counted)
     got = cell_bounds(f, t_edges, s_edges, 17, 0.1)
