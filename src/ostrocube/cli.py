@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -115,7 +116,7 @@ RULE_ORDER = ("t1", "t2", "t3", "t4", "t5", "corrected")
 # grids grow to its largest grid (1 MiB and 0.5 MiB at 64 trials and two
 # anchors), and smaller chunks pay the per-call cost of numpy more often
 _CHUNK_TRIALS = 64
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
 @lru_cache(maxsize=512)
@@ -137,8 +138,9 @@ class CliInvocation:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse's own pattern misses exponent forms such as -1.5e-05 and
-        # would read them as options; subparsers are _Parser instances too
+        # argparse's own pattern misses exponent forms such as -1.5e-05,
+        # -inf and -nan and would read them as options; subparsers are
+        # _Parser instances too
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -200,14 +202,21 @@ def _parse_bounds(raw: Sequence[str]) -> object:
             lo, hi = float(raw[0]), float(raw[1])
         except ValueError as exc:
             raise UsageError(f"--bounds expects two numbers or 'auto': {exc}")
+        _require_finite("--bounds", lo, hi)
         if lo > hi:
             raise UsageError(f"--bounds requires lower <= upper, got {lo} > {hi}")
         return [lo, hi]
     raise UsageError("--bounds expects two numbers or the word 'auto'")
 
 
+def _require_finite(option: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{option} must be finite, got {' '.join(map(str, values))}")
+
+
 def _validated_rect(values: Sequence[float]) -> list[float]:
     a, b, c, d = (float(v) for v in values)
+    _require_finite("--rect", a, b, c, d)
     if a >= b or c >= d:
         raise UsageError(f"--rect requires a < b and c < d, got {a} {b} {c} {d}")
     return [a, b, c, d]
@@ -252,6 +261,7 @@ def parse_args(argv: Sequence[str]) -> CliInvocation:
         a, b, c, d = opts["rect"]
         if ns.point is not None:
             x, y = (float(v) for v in ns.point)
+            _require_finite("--point", x, y)
             if not (a <= x <= b and c <= y <= d):
                 raise UsageError(f"--point ({x}, {y}) lies outside --rect")
             opts["point"] = [x, y]
@@ -907,7 +917,15 @@ def run_main(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_main(sys.argv[1:]))
+    try:
+        code = run_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone: point stdout at the null device, so
+        # that the interpreter's last flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,10 @@ read its 3x3 point values too, plus twelve half-line integrals (every node
 line over each half of the other axis) and the four quadrant integrals.
 An identity report samples f once on the anchor's split grid, whose
 reductions are the terms' double integral and the quadrant integrals, and
-the exact mixed partial once over the same nodes for the four oracles.
+the exact mixed partial times the kernels once over the same nodes for
+the four oracles. quadrature._split_integrals reduces both grids, and
+quadrature._axis_lines integrates the half-lines; on a failure, both
+grids replay the quadrants one by one (integrate_2d, quadrant_oracle).
 
 The derived form must agree with the oracle (that agreement is the
 acceptance gate); the stated form does not. Two distinct defects are
@@ -54,18 +57,16 @@ from .core import (
     Rectangle,
     make_point,
 )
-from .kernels import Kernel1D, abs_moment, s_kernel, signed_moment, t_kernel
+from .kernels import abs_moment, s_kernel, signed_moment, t_kernel
 from .quadrature import (
     NonFiniteSample,
+    _axis_lines,
     _axis_quadrature,
-    _block_sums,
     _check_finite,
-    _register_sums,
-    _row_blocks,
+    _split_axis,
     _split_integrals,
     grid_values,
     integrate_2d,
-    line_integrals,
     sample_mixed,
 )
 from .rules import AnchorTerms, RuleOutcome, anchor_terms
@@ -138,33 +139,21 @@ def quadrant_oracle(
     return float(tw @ integrand @ sw)
 
 
-def _halves(
-    iv: Interval1D, anchor: float, q: QuadConfig
-) -> tuple[Optional[slice], Optional[slice]]:
-    """The rows of [iv.lo, anchor] and of [anchor, iv.hi] among the nodes of
-    iv split at the anchor, q.panels * q.gl_order per segment (quadrature
-    splits an axis only inside it); None for a half of zero width, as
-    _quadrant_rect gives it."""
-    if anchor - iv.lo <= 0.0:
-        return None, slice(None)
-    if iv.hi - anchor <= 0.0:
-        return slice(None), None
-    width = q.panels * q.gl_order
-    return slice(None, width), slice(width, None)
-
-
-def _quadrant_blocks(r: Rectangle, pt: EvalPoint, q: QuadConfig) -> dict:
-    """The (rows, cols) of each quadrant in a grid on the split nodes of r,
-    whose reduction is the value a grid of that quadrant alone gives; None
-    for a quadrant of zero width, whose integral is exactly 0.0."""
-    t_halves = _halves(r.t_axis, pt.x, q)
-    s_halves = _halves(r.s_axis, pt.y, q)
-    out = {}
+def _quadrant_blocks(r: Rectangle, pt: EvalPoint, q: QuadConfig) -> tuple[dict, list]:
+    """The (rows, cols) of each quadrant in a grid on the nodes of r split at
+    pt, whose reduction is the value a grid of that quadrant alone gives
+    (None for a quadrant of zero width, whose integral is exactly 0.0), and
+    each split axis (quadrature._split_axis)."""
+    make_point(r, pt.x, pt.y)  # the split nodes cover r only
+    axes = [_split_axis(r.t_axis, q, pt.x), _split_axis(r.s_axis, q, pt.y)]
+    halves = [(slice(None, lo) if lo else None, slice(lo, None) if hi else None)
+              for _, _, (lo, hi) in axes]
+    blocks = {}
     for quad in Quadrant:
         bt, bs = _branches(quad)
-        rows, cols = t_halves[bt], s_halves[bs]
-        out[quad] = None if rows is None or cols is None else (rows, cols)
-    return out
+        rows, cols = halves[0][bt], halves[1][bs]
+        blocks[quad] = None if rows is None or cols is None else (rows, cols)
+    return blocks, axes
 
 
 def _per_quadrant(blocks: dict, sums) -> dict:
@@ -174,52 +163,25 @@ def _per_quadrant(blocks: dict, sums) -> dict:
     return {quad: 0.0 if block is None else next(sums) for quad, block in blocks.items()}
 
 
-def _kernel_factor(
-    nodes: np.ndarray, iv: Interval1D, anchor: float, kernel: Kernel1D, q: QuadConfig
-) -> np.ndarray:
-    """The kernel at each of the split nodes of iv: node - offset, with the
-    offset of the node's half (T - t_off of quadrant_oracle)."""
-    out = np.empty(len(nodes))
-    offsets = (kernel.left_offset, kernel.right_offset)
-    for half, off in zip(_halves(iv, anchor, q), offsets):
-        if half is not None:
-            out[half] = nodes[half] - off
-    return out
-
-
 def _quadrant_oracles(f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: QuadConfig) -> dict:
-    """quadrant_oracle of every quadrant, bit for bit, from one sampling of
-    the mixed partial over the split nodes: (T - t_off) * (S - s_off) *
-    mixed takes the kernel offsets of each row's and column's half, and
-    each quadrant's block of it is reduced as quadrant_oracle reduces it.
-    A compiled exact partial on a grid of more than BLOCK_SAMPLES and at
-    most REGISTER_BLOCK_SAMPLES values runs once into registers, its
-    product with the kernels into a register that the run leaves free
-    (quadrature._register_sums); any other is sampled one row block at a
-    time. An error is the one the quadrants raise one by one: after a
-    block fails, they are sampled again in turn."""
-    make_point(r, pt.x, pt.y)  # the split nodes cover r only
-    tn, tw = _axis_quadrature(r.t_axis, q, (pt.x,))
-    sn, sw = _axis_quadrature(r.s_axis, q, (pt.y,))
-    t_fac = _kernel_factor(tn, r.t_axis, pt.x, t_kernel(r, pt), q)
-    s_fac = _kernel_factor(sn, r.s_axis, pt.y, s_kernel(r, pt), q)
-    quadrants = _quadrant_blocks(r, pt, q)
+    """quadrant_oracle of every quadrant, bit for bit, from one grid of the
+    mixed partial over the split nodes, times (T - t_off) * (S - s_off) with
+    the offsets of each row's and column's half, each quadrant's block of
+    it reduced as quadrant_oracle reduces it (quadrature._split_integrals).
+    An error is the one the quadrants raise one by one: after a block
+    fails, they are sampled again in turn."""
+    quadrants, axes = _quadrant_blocks(r, pt, q)
+    # the kernel at each node: node - the offset of its half
+    factors = [nodes - np.repeat((kernel.left_offset, kernel.right_offset), sizes)
+               for (nodes, _, sizes), kernel in zip(axes, (t_kernel(r, pt), s_kernel(r, pt)))]
+
+    def replay() -> None:
+        for quad in Quadrant:
+            quadrant_oracle(f, r, pt, quad, q)
+
     blocks = [block for block in quadrants.values() if block is not None]
-    sums = _register_sums(f, "mixed_fn", tn, tw, sn, sw, blocks, (t_fac, s_fac))
-    if sums is None:
-        integrand = np.empty((len(tn), len(sn)))
-        try:
-            for rows in _row_blocks(len(tn), len(sn)):
-                mixed = sample_mixed(f, tn[rows, None], sn[None, :])
-                _check_finite(mixed, f"mixed partial of {f.label}")
-                block = np.multiply(t_fac[rows, None], s_fac, out=integrand[rows])
-                block *= mixed
-        except Exception:
-            for quad in Quadrant:
-                quadrant_oracle(f, r, pt, quad, q)
-            raise
-        sums = _block_sums(tw, integrand, sw, blocks)
-    return _per_quadrant(quadrants, sums)
+    return _per_quadrant(quadrants, _split_integrals(f, r, q, pt, blocks, "mixed_fn", factors,
+                                                     replay))
 
 
 def kernel_weighted_integral(
@@ -229,20 +191,6 @@ def kernel_weighted_integral(
     anchor lines so every quadrature panel sees a smooth integrand;
     MissingMixedPartial if f carries no exact mixed partial."""
     return sum(_quadrant_oracles(f, r, pt, q).values())
-
-
-def _half_lines(
-    f: BivariateFunction, axis: str, fixed: list, iv: Interval1D, anchor: float, q: QuadConfig
-) -> list:
-    """Integrals of the cross-sections of f at each fixed coordinate over
-    [iv.lo, anchor] and [anchor, iv.hi], over the segments of iv's split
-    axis; a half of zero width gives exactly 0.0 and is not sampled."""
-    nodes, weights = (a.reshape(-1, q.panels * q.gl_order)
-                      for a in _axis_quadrature(iv, q, (anchor,)))
-    keep = [half is not None for half in _halves(iv, anchor, q)]
-    out = np.zeros((len(fixed), 2))
-    out[:, keep] = line_integrals(f, axis, fixed, nodes, weights)
-    return out.tolist()
 
 
 def _quadrant_samples(
@@ -257,21 +205,21 @@ def _quadrant_samples(
     grid, sampled once (quadrature._split_integrals). An error is the one
     the quadrants raise one by one, as they are the first samples an audit
     takes."""
-    make_point(r, pt.x, pt.y)  # the split grid covers r only
-    quadrants = _quadrant_blocks(r, pt, q)
-    try:
-        double, *sums = _split_integrals(
-            f, r, q, pt, [block for block in quadrants.values() if block is not None])
-    except Exception:
+    quadrants, _ = _quadrant_blocks(r, pt, q)
+
+    def replay() -> None:
         for quad in Quadrant:
             sub = _quadrant_rect(r, pt, quad)
             if sub is not None:
                 integrate_2d(f, sub, q)
-        raise
+
+    blocks = [block for block in quadrants.values() if block is not None]
+    double, *sums = _split_integrals(f, r, q, pt, [(slice(None), slice(None)), *blocks],
+                                     replay=replay)
     return (
         anchor_terms(f, r, pt, q, double=double),
-        _half_lines(f, "s", [pt.y, r.s_axis.lo, r.s_axis.hi], r.t_axis, pt.x, q),
-        _half_lines(f, "t", [pt.x, r.t_axis.lo, r.t_axis.hi], r.s_axis, pt.y, q),
+        _axis_lines(f, "s", [pt.y, r.s_axis.lo, r.s_axis.hi], r.t_axis, q, pt.x).tolist(),
+        _axis_lines(f, "t", [pt.x, r.t_axis.lo, r.t_axis.hi], r.s_axis, q, pt.y).tolist(),
         _per_quadrant(quadrants, sums),
     )
 

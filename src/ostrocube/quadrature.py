@@ -24,14 +24,16 @@ the last bit as sampling full grids, under these rules:
   bad line's cross-section label with its count, and an error raised
   while several lines are sampled together is raised again by the first
   line that fails on its own.
-- a grid that a reduction reads whole (integrate_2d) is filled in row
-  blocks too, so each call of f takes at most BLOCK_SAMPLES values; only
-  the grid itself grows with the node count. Its error is the one the
-  whole grid raises: after a block fails, the whole grid is sampled in
-  one call again. integrate_2d and the identity audit reduce such a grid,
-  when it can run into registers (below), without building it: the
-  integral and the sums over given row and column ranges
-  (_split_integrals).
+- a grid that a reduction reads whole is filled in row blocks too, so
+  each call of f takes at most BLOCK_SAMPLES values; only the grid itself
+  grows with the node count. One routine reduces every such grid
+  (_split_integrals): f, or its mixed partial times per-axis factors, on
+  the nodes of a rectangle split at an anchor, summed over given row and
+  column ranges. integrate_2d takes the whole grid; the identity audit
+  takes the quadrants of f and of the kernel-weighted mixed partial. Its
+  error is the one a replay raises after a block fails: the whole grid
+  sampled in one call, or the quadrants one by one. When the grid can
+  run into registers (below), it is reduced without being built.
 - a step of one variable is evaluated once per coordinate array in a
   sampler call, not once per block, when a register run (below) takes
   several blocks: the run keeps the values of those steps that a
@@ -47,17 +49,15 @@ the last bit as sampling full grids, under these rules:
   first block runs the whole program in order, so a failure is met where
   it always was; the small blocks, plain callables and wrappers evaluate
   f as it is.
-- four samplers run a compiled f (or its exact mixed partial) into
+- three samplers run a compiled f (or its exact mixed partial) into
   registers once a call takes more than BLOCK_SAMPLES values: each
   full-grid step of its program writes into a register, an array kept
   per thread (_kept, which also holds stacked's chunk grids and other
   kept buffers), so these runs fault in no new memory. line_integrals
   and cell_bounds reduce blocks of up to REGISTER_BLOCK_SAMPLES values
-  as they come; an anchor's split grid of f (integrate_2d, the identity
-  audit's quadrant integrals) and the identity oracle's kernel-weighted
-  grid of the mixed partial, of at most REGISTER_BLOCK_SAMPLES values, are
-  each one run, reduced at once into the integral and its quadrants
-  (_register_sums). Nothing returned is a register. A register run raises
+  as they come; _split_integrals runs a grid of at most
+  REGISTER_BLOCK_SAMPLES values at once and reduces it into the integral
+  and its quadrants. Nothing returned is a register. A register run raises
   numpy's floating-point errors instead of warning, and after any failure
   or a non-finite result the call is sampled again in blocks of
   BLOCK_SAMPLES (_in_registers): warnings, errors and non-finite counts
@@ -113,18 +113,18 @@ __all__ = [
 ]
 
 # Most values one call of an integrand returns to the grid routines
-# (grid_values; integrate_2d and the identity oracle's sampling of the
-# mixed partial for a plain callable, a grid of at most this many values
-# or a failed register run; line_integrals and cell_bounds for a plain
-# callable or small call); it keeps the evaluator's temporaries flat in
-# the grid size and small enough for the heap to keep.
+# (grid_values; _split_integrals for a plain callable, a grid of at most
+# this many values or a failed register run; line_integrals and
+# cell_bounds for a plain callable or small call); it keeps the
+# evaluator's temporaries flat in the grid size and small enough for the
+# heap to keep.
 BLOCK_SAMPLES = 8192
 # Most values one run of a compiled integrand takes into registers, buffers
 # kept per thread (_kept), once a call takes more than BLOCK_SAMPLES values:
 # blocks of line_integrals and of cell_bounds on an exact mixed partial (up
-# to 8x fewer runs), and the whole grid of integrate_2d or of the identity
-# oracle (an anchor's 256 x 256 split grid is exactly this many), which
-# then fault in no new memory.
+# to 8x fewer runs), and the whole grid of _split_integrals (an anchor's
+# 256 x 256 split grid is exactly this many), which then fault in no new
+# memory.
 REGISTER_BLOCK_SAMPLES = 1 << 16
 
 
@@ -238,6 +238,21 @@ def _segments_quadrature(
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+def _split_axis(iv: Interval1D, q: QuadConfig, split: Optional[float] = None
+                ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The nodes and weights of iv, split at split if given
+    (_axis_quadrature), and how many of them lie in each part: in [iv.lo,
+    split] and in [split, iv.hi], a segment each, or 0 for a part of zero
+    width (a split on an end of iv, which is then not split); all of them,
+    in one part, if split is None."""
+    nodes, weights = _axis_quadrature(iv, q, () if split is None else (split,))
+    n = len(nodes)
+    if split is None:
+        return nodes, weights, (n,)
+    sizes = (0, n) if split <= iv.lo else (n, 0) if split >= iv.hi else (n // 2, n // 2)
+    return nodes, weights, sizes
 
 
 def as_univariate(g) -> UnivariateFunction:
@@ -388,33 +403,45 @@ def _row_blocks(rows: int, width: int, min_rows: int = 1,
     return [slice(k, k + per_block) for k in range(0, rows, per_block)]
 
 
-def _reduction_grid(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """f on the outer grid ts x ss in the layout a quadrature reduction
-    takes it: laid out in full, as matmul reduces a full grid in another
-    order than a zero-stride one, unless f is a constant, which stays a
-    zero-stride view. Each call of f receives a block of whole rows, at
-    most BLOCK_SAMPLES values (two rows if a row is longer than half of
-    that, so that a zero-stride block shows f varies along neither axis).
-    An error is the one that sampling the whole grid in one call raises:
-    after a block fails, the whole grid is sampled again (NonFiniteSample
-    for a non-finite sample)."""
+def _sampled(f: BivariateFunction, field: str, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """f's field, "fn" (sample_bivariate) or "mixed_fn" (sample_mixed), at
+    coordinates that broadcast, checked finite."""
+    if field == "fn":
+        values, what = sample_bivariate(f, ts, ss), f.label
+    else:
+        values, what = sample_mixed(f, ts, ss), f"mixed partial of {f.label}"
+    _check_finite(values, what)
+    return values
+
+
+def _reduction_grid(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray, field: str = "fn",
+                    factors: Optional[tuple] = None) -> np.ndarray:
+    """f's field ("fn" or "mixed_fn") on the outer grid ts x ss, times
+    factors[0][:, None] * factors[1] if factors are given, in the layout a
+    quadrature reduction takes it: laid out in full, as matmul reduces a
+    full grid in another order than a zero-stride one, unless it is a
+    constant without factors, which stays a zero-stride view. Each call of
+    f receives a block of whole rows, at most BLOCK_SAMPLES values (two rows
+    if a row is longer than half of that, so that a zero-stride block shows
+    f varies along neither axis). Raises the error of the first block that
+    fails (NonFiniteSample for a non-finite sample)."""
     shape = (len(ts), len(ss))
     out, value = None, None
-    try:
-        for rows in _row_blocks(*shape, min_rows=2):
-            block = sample_bivariate(f, ts[rows, None], ss[None, :])
-            _check_finite(block, f.label)
-            if out is None:
-                if not any(block.strides) and (value is None or value == block[0, 0]):
-                    value = block[0, 0]  # a constant so far: nothing to lay out
-                    continue
-                out = np.empty(shape)
-                if rows.start:
-                    out[:rows.start] = value
+    for rows in _row_blocks(*shape, min_rows=2):
+        block = _sampled(f, field, ts[rows, None], ss[None, :])
+        if out is None:
+            if (factors is None and not any(block.strides)
+                    and (value is None or value == block[0, 0])):
+                value = block[0, 0]  # a constant so far: nothing to lay out
+                continue
+            out = np.empty(shape)
+            if rows.start:
+                out[:rows.start] = value
+        if factors is None:
             out[rows] = block
-    except Exception:
-        _check_finite(sample_bivariate(f, ts[:, None], ss[None, :]), f.label)
-        raise
+        else:
+            np.multiply(factors[0][rows, None], factors[1], out=out[rows])
+            out[rows] *= block
     return np.broadcast_to(value, shape) if out is None else out
 
 
@@ -424,26 +451,9 @@ def _block_sums(tw: np.ndarray, values: np.ndarray, sw: np.ndarray, blocks) -> l
     return [float(tw[rows] @ values[rows, cols] @ sw[cols]) for rows, cols in blocks]
 
 
-def _register_sums(f: BivariateFunction, field: str, tn: np.ndarray, tw: np.ndarray,
-                   sn: np.ndarray, sw: np.ndarray, blocks, factors: Optional[tuple] = None
-                   ) -> Optional[list[float]]:
-    """_block_sums of f's field ("fn" or "mixed_fn") on the outer grid
-    tn x sn, times factors[0][:, None] * factors[1] if factors are given,
-    from one register run; the grid is never built outside the registers.
-    None unless the grid holds more than BLOCK_SAMPLES and at most
-    REGISTER_BLOCK_SAMPLES values and the field runs into registers, and
-    None if the run fails, meets a floating-point error or gives a
-    non-finite sum: the caller then samples the grid in blocks, which
-    report it. The blocks must cover the grid: the weights are positive and
-    the factors finite, so finite sums prove every sample finite."""
-    return _in_registers(BLOCK_SAMPLES < len(tn) * len(sn) <= REGISTER_BLOCK_SAMPLES
-                         and _runs_into(f, field), _grid_sums, getattr(f, field),
-                         tn, tw, sn, sw, blocks, factors)
-
-
 def _grid_sums(fn, tn: np.ndarray, tw: np.ndarray, sn: np.ndarray, sw: np.ndarray, blocks,
                factors: Optional[tuple]) -> Optional[list[float]]:
-    """_register_sums' run, in the layout _reduction_grid gives."""
+    """_split_integrals' register run, in the layout _reduction_grid gives."""
     shape = (len(tn), len(sn))
     views: dict = {}
     values = _run_kept(fn, views, {}, tn[:, None], sn[None, :])
@@ -466,21 +476,36 @@ def _grid_sums(fn, tn: np.ndarray, tw: np.ndarray, sn: np.ndarray, sw: np.ndarra
 
 
 def _split_integrals(f, r: Rectangle, q: QuadConfig, split: Optional[EvalPoint] = None,
-                     blocks=()) -> list[float]:
-    """The integral of f over r split at split (integrate_2d), then the
-    integral over each sub-rectangle of blocks, a (rows, cols) of the grid
-    of f on the split axes whose sides are segments of the split. A grid
-    of more than BLOCK_SAMPLES and at most REGISTER_BLOCK_SAMPLES values of
-    a compiled f is reduced from one register run (_register_sums); any
-    other, or one whose run fails, is _reduction_grid's, and raises its
-    error."""
+                     blocks=((slice(None), slice(None)),), field: str = "fn",
+                     factors: Optional[tuple] = None, replay=None) -> list[float]:
+    """_block_sums over each (rows, cols) of blocks of the grid of f's field
+    ("fn" or "mixed_fn") on r's nodes split at split, times factors[0][:,
+    None] * factors[1] if per-axis factors are given; by default the whole
+    grid, the integral over r (integrate_2d). A grid of more than
+    BLOCK_SAMPLES and at most REGISTER_BLOCK_SAMPLES values of a compiled
+    field is reduced from one register run, never built outside the
+    registers; the blocks must then cover it, as the weights are positive
+    and the factors finite, so finite sums prove every sample finite. Any
+    other grid, or one whose run fails, meets a floating-point error or
+    gives a non-finite sum, is sampled in row blocks (_reduction_grid).
+    After a block fails, replay() runs, by default sampling the whole grid
+    in one call, and the block's error is raised if replay raises none."""
     f = as_bivariate(f)
     tn, tw = _axis_quadrature(r.t_axis, q, () if split is None else (split.x,))
     sn, sw = _axis_quadrature(r.s_axis, q, () if split is None else (split.y,))
-    blocks = ((slice(None), slice(None)), *blocks)
-    sums = _register_sums(f, "fn", tn, tw, sn, sw, blocks)
+    sums = _in_registers(BLOCK_SAMPLES < len(tn) * len(sn) <= REGISTER_BLOCK_SAMPLES
+                         and _runs_into(f, field), _grid_sums, getattr(f, field),
+                         tn, tw, sn, sw, blocks, factors)
     if sums is None:
-        sums = _block_sums(tw, _reduction_grid(f, tn, sn), sw, blocks)
+        try:
+            values = _reduction_grid(f, tn, sn, field, factors)
+        except Exception:
+            if replay is None:
+                _sampled(f, field, tn[:, None], sn[None, :])
+            else:
+                replay()
+            raise
+        sums = _block_sums(tw, values, sw, blocks)
     return sums
 
 
@@ -537,6 +562,23 @@ def line_integrals(
                         _line_integrals, f, fixed_axis, fixed, nodes, weights, True)
     if out is None:
         out = _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=False)
+    return out
+
+
+def _axis_lines(f, fixed_axis: str, fixed: Sequence[float], iv: Interval1D, q: QuadConfig,
+                split: Optional[float] = None) -> np.ndarray:
+    """line_integrals of the cross-sections of f at each fixed coordinate
+    over each part of iv (_split_axis), shape (len(fixed), parts): over iv,
+    or over [iv.lo, split] and [split, iv.hi], where a part of zero width
+    gives exactly 0.0 and is not sampled."""
+    nodes, weights, sizes = _split_axis(iv, q, split)
+    parts = [k for k, size in enumerate(sizes) if size]
+    lines = line_integrals(f, fixed_axis, fixed, nodes.reshape(len(parts), -1),
+                           weights.reshape(len(parts), -1))
+    if len(parts) == len(sizes):
+        return lines
+    out = np.zeros((len(fixed), len(sizes)))
+    out[:, parts] = lines
     return out
 
 

@@ -63,13 +63,7 @@ from .core import (
     UnivariateFunction,
     square,
 )
-from .quadrature import (
-    _axis_quadrature,
-    grid_values,
-    integrate_1d,
-    integrate_2d,
-    line_integrals,
-)
+from .quadrature import _axis_lines, grid_values, integrate_1d, integrate_2d
 
 __all__ = [
     "PointOutsideLambdaBox",
@@ -258,15 +252,6 @@ class AnchorTerms:
     double: float
 
 
-def _lines(
-    f: BivariateFunction, fixed_axis: str, fixed: list, iv: Interval1D, q: QuadConfig
-) -> list[float]:
-    """Integrals over iv of the cross-sections of f at each fixed
-    coordinate (quadrature.line_integrals), each line one segment."""
-    nodes, weights = _axis_quadrature(iv, q)
-    return line_integrals(f, fixed_axis, fixed, nodes[None, :], weights[None, :])[:, 0].tolist()
-
-
 def anchor_terms(
     f: BivariateFunction,
     r: Rectangle,
@@ -284,8 +269,8 @@ def anchor_terms(
         rect=r,
         point=pt,
         values=tuple(map(tuple, values)),
-        along_t=tuple(_lines(f, "s", [pt.y, c, d], r.t_axis, q)),
-        along_s=tuple(_lines(f, "t", [pt.x, a, b], r.s_axis, q)),
+        along_t=tuple(_axis_lines(f, "s", [pt.y, c, d], r.t_axis, q)[:, 0].tolist()),
+        along_s=tuple(_axis_lines(f, "t", [pt.x, a, b], r.s_axis, q)[:, 0].tolist()),
         double=integrate_2d(f, r, q, split=pt) if double is None else double,
     )
 

@@ -78,8 +78,14 @@ def _oracles(f, r, pt) -> dict:
 
 @pytest.mark.parametrize("text", TEXTS)
 @pytest.mark.parametrize("u, v", ANCHORS)
-@pytest.mark.parametrize("rect", [UNIT, STRADDLING], ids=["unit", "straddling"])
-def test_anchor_grids_equal_the_reference(text, u, v, rect):
+# at the default register cap, and at BLOCK_SAMPLES, where no grid fits a
+# register run and every one is sampled and reduced in blocks
+@pytest.mark.parametrize("rect, cap", [
+    (UNIT, quadrature.REGISTER_BLOCK_SAMPLES), (STRADDLING, quadrature.REGISTER_BLOCK_SAMPLES),
+    (UNIT, BLOCK_SAMPLES), (STRADDLING, BLOCK_SAMPLES),
+], ids=["unit", "straddling", "unit-blocks", "straddling-blocks"])
+def test_anchor_grids_equal_the_reference(text, u, v, rect, cap, monkeypatch):
+    monkeypatch.setattr(quadrature, "REGISTER_BLOCK_SAMPLES", cap)
     f, pt = _f(text), _point(rect, u, v)
     assert integrate_2d(f, rect, Q, split=pt).hex() == \
         reference_integrate_2d(f, rect, Q, split=pt).hex()

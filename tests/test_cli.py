@@ -175,6 +175,27 @@ def test_tol_out_of_range_is_a_usage_error(argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # a NaN or infinite --rect or --bounds failed in the engine with exit 1
+    ["enclose", "--f", "t", "--rect", "nan", "1", "0", "1", "--bounds", "0", "1"],
+    ["enclose", "--f", "t", "--rect", "0", "inf", "0", "1", "--bounds", "0", "1"],
+    ["identity", "--f", "t*s", "--rect", "0", "1", "0", "1e400"],
+    ["enclose", "--f", "t", *_UNIT, "--bounds", "0", "inf"],
+    ["compare", "--f", "t*s", *_UNIT, "--bounds", "nan", "1"],
+    # argparse read -inf and -nan as options: "expected at least one argument"
+    ["enclose", "--f", "t", *_UNIT, "--bounds", "-inf", "inf"],
+    ["compare", "--f", "t*s", *_UNIT, "--bounds", "-nan", "1"],
+    ["enclose", "--f", "t", "--rect", "-Infinity", "1", "0", "1", "--bounds", "0", "1"],
+    # a NaN --point was reported as lying outside --rect
+    ["identity", "--f", "t*s", *_UNIT, "--point", "nan", "0.5"],
+    ["compare", "--f", "t*s", *_UNIT, "--point", "0.5", "-inf", "--bounds", "1", "1"],
+])
+def test_non_finite_numbers_are_usage_errors(argv):
+    with pytest.raises(UsageError, match=r"^--(rect|bounds|point) must be finite, got "):
+        parse_args(argv)
+    assert _capture(argv) == (2, "")
+
+
 @pytest.mark.parametrize("m,n", [(30000, 30000), (1024, 1025), (1, 1 << 20), (4097, 1)])
 def test_subdivide_above_the_cell_caps_is_a_usage_error(m, n):
     # 30000 x 30000 cells ran out of memory, and 1 x 2^20 took 6.6 GB,
@@ -714,3 +735,24 @@ def test_python_m_ostrocube_runs_the_cli(argv):
     proc = subprocess.run([sys.executable, "-m", "ostrocube", *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout) == _capture(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["identity", "--f", "1", *_UNIT],
+    ["verify", "--trials", "8", "--json"],
+])
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(argv):
+    # the reader's end is closed before the run, so the first write or the
+    # last flush meets a broken pipe; it raised BrokenPipeError out of the CLI
+    package = Path(ostrocube.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ostrocube", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
