@@ -294,6 +294,10 @@ def parse_args(argv: Sequence[str]) -> CliInvocation:
             lam=float(ns.lam),
             expect_hold=_validated_rules(ns.expect_hold) if ns.expect_hold else [],
         )
+        unaudited = [r for r in opts["expect_hold"] if r not in opts["rules"]]
+        if unaudited:
+            raise UsageError("--expect-hold names rules that --rules leaves out: "
+                             + ", ".join(unaudited))
     elif ns.subcommand == "identity":
         if not (math.isfinite(ns.tol) and ns.tol > 0):
             raise UsageError(f"--tol must be finite and > 0, got {ns.tol}")
@@ -853,16 +857,19 @@ def run(inv: CliInvocation, stdout=None) -> int:
     stream = stdout if stdout is not None else sys.stdout
     started = time.perf_counter()
     try:
-        if inv.subcommand == "enclose":
-            results, flags, code = _run_enclose(inv.options)
-        elif inv.subcommand == "verify":
-            results, flags, code = _run_verify(inv.options)
-        elif inv.subcommand == "identity":
-            results, flags, code = _run_identity(inv.options)
-        elif inv.subcommand == "compare":
-            results, flags, code = _run_compare(inv.options)
-        else:
-            raise UsageError(f"unknown subcommand {inv.subcommand!r}")
+        # the package's guards and finite checks report every numerical
+        # failure; numpy's warnings would only repeat them
+        with np.errstate(all="ignore"):
+            if inv.subcommand == "enclose":
+                results, flags, code = _run_enclose(inv.options)
+            elif inv.subcommand == "verify":
+                results, flags, code = _run_verify(inv.options)
+            elif inv.subcommand == "identity":
+                results, flags, code = _run_identity(inv.options)
+            elif inv.subcommand == "compare":
+                results, flags, code = _run_compare(inv.options)
+            else:
+                raise UsageError(f"unknown subcommand {inv.subcommand!r}")
     except UsageError:
         raise
     except PointOutsideLambdaBox as exc:
@@ -894,8 +901,12 @@ def run(inv: CliInvocation, stdout=None) -> int:
     if inv.output_mode == "json" or inv.options.get("out"):
         rendered = _render_json(doc) + "\n"
         if inv.options.get("out"):
-            with open(inv.options["out"], "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+            try:
+                with open(inv.options["out"], "w", encoding="utf-8") as fh:
+                    fh.write(rendered)
+            except OSError as exc:
+                raise UsageError(f"--out: cannot write {inv.options['out']}: "
+                                 f"{exc.strerror or exc}")
         if inv.output_mode == "json":
             stream.write(rendered)
             return code

@@ -29,8 +29,7 @@ An identity report samples f once on the anchor's split grid, whose
 reductions are the terms' double integral and the quadrant integrals, and
 the exact mixed partial times the kernels once over the same nodes for
 the four oracles. quadrature._split_integrals reduces both grids, and
-quadrature._axis_lines integrates the half-lines; on a failure, both
-grids replay the quadrants one by one (integrate_2d, quadrant_oracle).
+quadrature._axis_lines integrates the half-lines.
 
 The derived form must agree with the oracle (that agreement is the
 acceptance gate); the stated form does not. Two distinct defects are
@@ -66,14 +65,13 @@ from .quadrature import (
     _split_axis,
     _split_integrals,
     grid_values,
-    integrate_2d,
     sample_mixed,
 )
 from .rules import AnchorTerms, RuleOutcome, anchor_terms
 
-# no longer called here; it stays importable from this module, where
-# perfbench/tracing.py counts it
-from .quadrature import integrate_1d  # noqa: F401
+# no longer called here; they stay importable from this module, where
+# perfbench/tracing.py counts them
+from .quadrature import integrate_1d, integrate_2d  # noqa: F401
 
 __all__ = [
     "Quadrant",
@@ -167,21 +165,14 @@ def _quadrant_oracles(f: BivariateFunction, r: Rectangle, pt: EvalPoint, q: Quad
     """quadrant_oracle of every quadrant, bit for bit, from one grid of the
     mixed partial over the split nodes, times (T - t_off) * (S - s_off) with
     the offsets of each row's and column's half, each quadrant's block of
-    it reduced as quadrant_oracle reduces it (quadrature._split_integrals).
-    An error is the one the quadrants raise one by one: after a block
-    fails, they are sampled again in turn."""
+    it reduced as quadrant_oracle reduces it (quadrature._split_integrals,
+    whose failure rule takes the whole grid as one unit)."""
     quadrants, axes = _quadrant_blocks(r, pt, q)
     # the kernel at each node: node - the offset of its half
     factors = [nodes - np.repeat((kernel.left_offset, kernel.right_offset), sizes)
                for (nodes, _, sizes), kernel in zip(axes, (t_kernel(r, pt), s_kernel(r, pt)))]
-
-    def replay() -> None:
-        for quad in Quadrant:
-            quadrant_oracle(f, r, pt, quad, q)
-
     blocks = [block for block in quadrants.values() if block is not None]
-    return _per_quadrant(quadrants, _split_integrals(f, r, q, pt, blocks, "mixed_fn", factors,
-                                                     replay))
+    return _per_quadrant(quadrants, _split_integrals(f, r, q, pt, blocks, "mixed_fn", factors))
 
 
 def kernel_weighted_integral(
@@ -202,20 +193,10 @@ def _quadrant_samples(
     [x, b]); along_s[i][k], that of f((x, a, b)[i], s) over the s-half k
     ([c, y], then [y, d]); and the integral over each quadrant. The terms'
     double integral and the quadrants' are reductions of f on the split
-    grid, sampled once (quadrature._split_integrals). An error is the one
-    the quadrants raise one by one, as they are the first samples an audit
-    takes."""
+    grid, sampled once (quadrature._split_integrals)."""
     quadrants, _ = _quadrant_blocks(r, pt, q)
-
-    def replay() -> None:
-        for quad in Quadrant:
-            sub = _quadrant_rect(r, pt, quad)
-            if sub is not None:
-                integrate_2d(f, sub, q)
-
     blocks = [block for block in quadrants.values() if block is not None]
-    double, *sums = _split_integrals(f, r, q, pt, [(slice(None), slice(None)), *blocks],
-                                     replay=replay)
+    double, *sums = _split_integrals(f, r, q, pt, [(slice(None), slice(None)), *blocks])
     return (
         anchor_terms(f, r, pt, q, double=double),
         _axis_lines(f, "s", [pt.y, r.s_axis.lo, r.s_axis.hi], r.t_axis, q, pt.x).tolist(),

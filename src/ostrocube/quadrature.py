@@ -12,57 +12,43 @@ per-axis coordinates that broadcast against each other (t along one axis,
 s along another; for line integrals the fixed coordinates along a leading
 axis in front of the node rows), so each one-variable subtree of an
 expression is computed along its own axis only. Results are the same to
-the last bit as sampling full grids, under these rules:
+the last bit as sampling full grids, because a reduction sees the layout
+it would see from a full grid. Along a line, a value that does not vary
+stays a zero-stride row, as a scalar fixed coordinate gives it; in a
+split grid, a one-variable result is laid out in full and only a constant
+stays a zero-stride view. (`np.vecdot` and matmul reduce zero-stride and
+contiguous rows in different orders; min and max do not care.)
 
-- a reduction sees the layout it would see from a full grid. Along a line,
-  a value that does not vary stays a zero-stride row, as a scalar fixed
-  coordinate gives it; in integrate_2d, a one-variable result is laid out
-  in full and only a constant stays a zero-stride view. (`np.vecdot` and
-  matmul reduce zero-stride and contiguous rows in different orders;
-  min and max do not care.)
-- a failing line is reported as before: a NonFiniteSample names the first
-  bad line's cross-section label with its count, and an error raised
-  while several lines are sampled together is raised again by the first
-  line that fails on its own.
-- a grid that a reduction reads whole is filled in row blocks too, so
-  each call of f takes at most BLOCK_SAMPLES values; only the grid itself
-  grows with the node count. One routine reduces every such grid
-  (_split_integrals): f, or its mixed partial times per-axis factors, on
-  the nodes of a rectangle split at an anchor, summed over given row and
-  column ranges. integrate_2d takes the whole grid; the identity audit
-  takes the quadrants of f and of the kernel-weighted mixed partial. Its
-  error is the one a replay raises after a block fails: the whole grid
-  sampled in one call, or the quadrants one by one. When the grid can
-  run into registers (below), it is reduced without being built.
-- a step of one variable is evaluated once per coordinate array in a
-  sampler call, not once per block, when a register run (below) takes
-  several blocks: the run keeps the values of those steps that a
-  full-grid step reads for the rest of the call, keyed by the array of t
-  or s they were computed from, and skips the steps inside them on later
-  blocks (expr.run_program given a memo). line_integrals hands every
-  block of lines the same view of each row block of the nodes, so the
-  steps of the node variable are evaluated once per row block and those
-  of the fixed variable once per block of lines. cell_bounds runs blocks
-  of whole rows of cells against one shared array of s samples (per
-  column chunk, if a row of cells is longer than a block), so the steps
-  of s are evaluated once per chunk and those of t once per block. The
-  first block runs the whole program in order, so a failure is met where
-  it always was; the small blocks, plain callables and wrappers evaluate
-  f as it is.
-- three samplers run a compiled f (or its exact mixed partial) into
-  registers once a call takes more than BLOCK_SAMPLES values: each
-  full-grid step of its program writes into a register, an array kept
-  per thread (_kept, which also holds stacked's chunk grids and other
-  kept buffers), so these runs fault in no new memory. line_integrals
-  and cell_bounds reduce blocks of up to REGISTER_BLOCK_SAMPLES values
-  as they come; _split_integrals runs a grid of at most
-  REGISTER_BLOCK_SAMPLES values at once and reduces it into the integral
-  and its quadrants. Nothing returned is a register. A register run raises
-  numpy's floating-point errors instead of warning, and after any failure
-  or a non-finite result the call is sampled again in blocks of
-  BLOCK_SAMPLES (_in_registers): warnings, errors and non-finite counts
-  are theirs. Plain callables, wrappers, grid_values and smaller calls
-  keep blocks of BLOCK_SAMPLES values.
+Three samplers take f, or its exact mixed partial, in blocks: the line
+integrals (line_integrals), the sampled bounds of each cell (cell_bounds)
+and a grid on the nodes of a rectangle split at an anchor, summed over
+given blocks of it (_split_integrals: integrate_2d, and the identity
+audit's quadrants of f and of the kernel-weighted mixed partial). Each has
+one loop for every integrand:
+
+- a compiled f (expr's functions, which carry a program) runs into
+  registers, in blocks of up to REGISTER_BLOCK_SAMPLES values: each
+  full-grid step of its program writes into an array kept per thread
+  (_kept, which also holds stacked's chunk grids), so these runs fault in
+  no new memory, and its steps of one variable are evaluated once per
+  coordinate array in a call (expr.run_program given a memo). The lines
+  of a block share one view of each row block of the nodes, and the cells
+  of a block (whole rows of cells, or a column chunk of one row) one
+  array of s samples. Nothing returned is a register.
+- a plain callable or a wrapper is called by sample_bivariate or
+  sample_mixed, in blocks of BLOCK_SAMPLES values, in the same loop.
+
+One failure rule holds for both. When a block raises, or reduces to a
+non-finite value, its units are sampled again one at a time, each in one
+call: its lines in the order of the fixed coordinates, its cells in
+row-major order, or the whole split grid. The first unit that fails raises
+its error, which is the first guard that fails over it, or a
+NonFiniteSample with its label and its count of non-finite values. What a
+failure reports thus depends on the units only, not on the block size or
+the kind of integrand. A unit that does not fail (a sum that overflowed
+from finite samples) leaves the block's result as it is. numpy's own
+floating-point warnings are left to the caller's error state; the CLI
+ignores them.
 
 Elementwise arithmetic gives each sample the same bits in any layout; the
 one numpy exception, power's shortcuts for a scalar exponent, is applied
@@ -112,19 +98,14 @@ __all__ = [
     "sample_mixed",
 ]
 
-# Most values one call of an integrand returns to the grid routines
-# (grid_values; _split_integrals for a plain callable, a grid of at most
-# this many values or a failed register run; line_integrals and
-# cell_bounds for a plain callable or small call); it keeps the
-# evaluator's temporaries flat in the grid size and small enough for the
-# heap to keep.
+# Most values one call of a plain callable or a wrapper returns to the grid
+# routines (grid_values, and the samplers' blocks); it keeps the
+# temporaries flat in the grid size and small enough for the heap to keep.
 BLOCK_SAMPLES = 8192
 # Most values one run of a compiled integrand takes into registers, buffers
-# kept per thread (_kept), once a call takes more than BLOCK_SAMPLES values:
-# blocks of line_integrals and of cell_bounds on an exact mixed partial (up
-# to 8x fewer runs), and the whole grid of _split_integrals (an anchor's
-# 256 x 256 split grid is exactly this many), which then fault in no new
-# memory.
+# kept per thread (_kept), in the samplers' blocks: an anchor's 256 x 256
+# split grid is exactly this many, and runs that fill the registers fault in
+# no new memory.
 REGISTER_BLOCK_SAMPLES = 1 << 16
 
 
@@ -299,10 +280,12 @@ def sample_bivariate(f, T: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 class _Kept(threading.local):
     """The flat buffers kept per thread, by key, each grown when a larger
-    view of it is asked for."""
+    view of it is asked for, and the register views of recent block shapes
+    (_registers), dropped whenever a buffer grows."""
 
     def __init__(self) -> None:
         self.flat: dict = {}
+        self.views: dict = {}
 
 
 _KEPT = _Kept()
@@ -325,48 +308,50 @@ def _kept(key, shape: tuple) -> np.ndarray:
     flat = _KEPT.flat.get(key)
     if flat is None or flat.size < size:
         flat = _KEPT.flat[key] = np.empty(max(size, _KEPT_MIN))
+        _KEPT.views.clear()  # some may view the buffer this one replaces
     return flat[:size].reshape(shape)
 
 
-def _runs_into(f: BivariateFunction, field: str) -> bool:
-    """Whether f's field ("fn" or "mixed_fn") can run into registers
-    (expr's compiled functions can; a plain callable or a wrapper cannot)."""
-    return f.vectorized and hasattr(getattr(f, field), "program")
+def _registers(n: int, shape: tuple) -> list:
+    """The first n registers of this thread, viewed as shape. The views of
+    up to 256 shapes are kept, so that a run of a small block does not
+    spend more on building them than on its arithmetic."""
+    views = _KEPT.views.get(shape)
+    if views is None or len(views) < n:
+        if len(_KEPT.views) >= 256:
+            _KEPT.views.clear()
+        views = [_kept(_FIRST_REGISTER + k, shape) for k in range(n)]
+        _KEPT.views[shape] = views
+    return views
 
 
-def _raising():
-    """numpy's error state with each floating-point error that it would
-    report raised instead: a register run reports nothing itself, and the
-    small blocks that sample again after it fails report what they did."""
-    return np.errstate(**{k: v if v == "ignore" else "raise" for k, v in np.geterr().items()})
+def _sampled(f: BivariateFunction, field: str, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """f's field, "fn" (sample_bivariate) or "mixed_fn" (sample_mixed), at
+    coordinates that broadcast, in one call."""
+    return sample_bivariate(f, t, s) if field == "fn" else sample_mixed(f, t, s)
 
 
-def _in_registers(ok: bool, run, *args):
-    """run(*args), a sampler's register run, under _raising() if ok; None
-    if not ok, or if the run fails or meets a floating-point error: the
-    caller then samples in blocks of BLOCK_SAMPLES, which report it."""
-    if not ok:
-        return None
-    try:
-        with _raising():
-            return run(*args)
-    except (EngineError, ArithmeticError):
-        return None
+def _sampler(f: BivariateFunction, field: str):
+    """(block size, sample) of a sampler's loop over f's field ("fn" or
+    "mixed_fn"), sample(t, s) taking coordinates that broadcast: a compiled
+    field runs into registers (_run_kept), with its steps of one variable
+    kept for the call; a plain callable or a wrapper is _sampled."""
+    fn = getattr(f, field)
+    if f.vectorized and hasattr(fn, "program"):
+        memo: dict = {}
+        return REGISTER_BLOCK_SAMPLES, lambda t, s: _run_kept(fn, memo, t, s)
+    return BLOCK_SAMPLES, lambda t, s: _sampled(f, field, t, s)
 
 
-def _run_kept(fn, views: dict, memo: dict, *coords: np.ndarray) -> np.ndarray:
-    """fn's program (see _runs_into) over coordinates that broadcast, as
-    _sample gives them, run by expr.run_program with its full-grid steps in
-    the registers of the block's shape (views, built once per shape and
-    sampler call) and its steps of one variable kept in memo for the call.
-    The result may be a register or a value in memo."""
+def _run_kept(fn, memo: dict, *coords: np.ndarray) -> np.ndarray:
+    """fn's program over coordinates that broadcast, as _sample gives them,
+    run by expr.run_program with its full-grid steps in the registers of
+    the block's shape and its steps of one variable kept in memo for the
+    call. The result may be a register or a value in memo."""
     shape = np.broadcast(*coords).shape
     program = fn.program
-    registers = views.get(shape)
-    if registers is None or len(registers) < program.n_registers:
-        registers = views[shape] = [_kept(_FIRST_REGISTER + k, shape)
-                                    for k in range(program.n_registers)]
-    out = np.asarray(expr.run_program(program, *coords, registers, memo), dtype=float)
+    out = np.asarray(expr.run_program(program, *coords, _registers(program.n_registers, shape),
+                                      memo), dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
@@ -374,6 +359,24 @@ def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         bad = int(np.count_nonzero(~np.isfinite(values)))
         raise NonFiniteSample(f"{bad} non-finite sample(s) while evaluating {what}")
+
+
+def _under_rule(block, f: BivariateFunction, field: str, units):
+    """block(), one block of a sampler's loop over f's field, under the
+    failure rule: if it raises or returns a non-finite value, each of
+    units, (label, t, s) in order, is sampled on its own in one call, and
+    the first that fails raises its error, or NonFiniteSample with its
+    label and count. The block's error is raised if none fails."""
+    try:
+        out = block()
+    except Exception:
+        for label, t, s in units:
+            _check_finite(_sampled(f, field, t, s), label)
+        raise
+    if not np.isfinite(out).all():
+        for label, t, s in units:
+            _check_finite(_sampled(f, field, t, s), label)
+    return out
 
 
 def integrate_1d(
@@ -403,38 +406,31 @@ def _row_blocks(rows: int, width: int, min_rows: int = 1,
     return [slice(k, k + per_block) for k in range(0, rows, per_block)]
 
 
-def _sampled(f: BivariateFunction, field: str, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
-    """f's field, "fn" (sample_bivariate) or "mixed_fn" (sample_mixed), at
-    coordinates that broadcast, checked finite."""
-    if field == "fn":
-        values, what = sample_bivariate(f, ts, ss), f.label
-    else:
-        values, what = sample_mixed(f, ts, ss), f"mixed partial of {f.label}"
-    _check_finite(values, what)
-    return values
-
-
 def _reduction_grid(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray, field: str = "fn",
                     factors: Optional[tuple] = None) -> np.ndarray:
     """f's field ("fn" or "mixed_fn") on the outer grid ts x ss, times
     factors[0][:, None] * factors[1] if factors are given, in the layout a
-    quadrature reduction takes it: laid out in full, as matmul reduces a
-    full grid in another order than a zero-stride one, unless it is a
-    constant without factors, which stays a zero-stride view. Each call of
-    f receives a block of whole rows, at most BLOCK_SAMPLES values (two rows
-    if a row is longer than half of that, so that a zero-stride block shows
-    f varies along neither axis). Raises the error of the first block that
-    fails (NonFiniteSample for a non-finite sample)."""
+    quadrature reduction takes it: laid out in full in C order, as matmul
+    reduces a full grid in another order than a zero-stride one, unless it
+    is a constant without factors, which stays a zero-stride view. It is
+    sampled in blocks of whole rows (_sampler; two rows if a row is longer
+    than half a block, so that a zero-stride block shows f varies along
+    neither axis). The grid may be a buffer kept per thread, or a
+    register: reduce it before the next sampler call."""
+    cap, sample = _sampler(f, field)
     shape = (len(ts), len(ss))
+    blocks = _row_blocks(*shape, min_rows=2, cap=cap)
     out, value = None, None
-    for rows in _row_blocks(*shape, min_rows=2):
-        block = _sampled(f, field, ts[rows, None], ss[None, :])
+    for rows in blocks:
+        block = sample(ts[rows, None], ss[None, :])
         if out is None:
             if (factors is None and not any(block.strides)
                     and (value is None or value == block[0, 0])):
                 value = block[0, 0]  # a constant so far: nothing to lay out
                 continue
-            out = np.empty(shape)
+            if len(blocks) == 1 and factors is None and block.flags.c_contiguous:
+                return block
+            out = _kept("grid", shape)
             if rows.start:
                 out[:rows.start] = value
         if factors is None:
@@ -451,62 +447,23 @@ def _block_sums(tw: np.ndarray, values: np.ndarray, sw: np.ndarray, blocks) -> l
     return [float(tw[rows] @ values[rows, cols] @ sw[cols]) for rows, cols in blocks]
 
 
-def _grid_sums(fn, tn: np.ndarray, tw: np.ndarray, sn: np.ndarray, sw: np.ndarray, blocks,
-               factors: Optional[tuple]) -> Optional[list[float]]:
-    """_split_integrals' register run, in the layout _reduction_grid gives."""
-    shape = (len(tn), len(sn))
-    views: dict = {}
-    values = _run_kept(fn, views, {}, tn[:, None], sn[None, :])
-    if factors is not None or (any(values.strides) and not values.flags.c_contiguous):
-        # the product with the factors, or f of one variable laid out in
-        # full in C order as the blocks lay it out (np.array of the view
-        # would keep its F order), in the first register the result leaves
-        registers = views[shape]
-        free = next((k for k, register in enumerate(registers)
-                     if not np.may_share_memory(register, values)), len(registers))
-        grid = _kept(_FIRST_REGISTER + free, shape)
-        if factors is None:
-            grid[...] = values
-        else:
-            np.multiply(factors[0][:, None], factors[1], out=grid)
-            grid *= values
-        values = grid
-    sums = _block_sums(tw, values, sw, blocks)
-    return sums if np.isfinite(sums).all() else None
-
-
 def _split_integrals(f, r: Rectangle, q: QuadConfig, split: Optional[EvalPoint] = None,
                      blocks=((slice(None), slice(None)),), field: str = "fn",
-                     factors: Optional[tuple] = None, replay=None) -> list[float]:
+                     factors: Optional[tuple] = None) -> list[float]:
     """_block_sums over each (rows, cols) of blocks of the grid of f's field
     ("fn" or "mixed_fn") on r's nodes split at split, times factors[0][:,
-    None] * factors[1] if per-axis factors are given; by default the whole
-    grid, the integral over r (integrate_2d). A grid of more than
-    BLOCK_SAMPLES and at most REGISTER_BLOCK_SAMPLES values of a compiled
-    field is reduced from one register run, never built outside the
-    registers; the blocks must then cover it, as the weights are positive
-    and the factors finite, so finite sums prove every sample finite. Any
-    other grid, or one whose run fails, meets a floating-point error or
-    gives a non-finite sum, is sampled in row blocks (_reduction_grid).
-    After a block fails, replay() runs, by default sampling the whole grid
-    in one call, and the block's error is raised if replay raises none."""
+    None] * factors[1] if per-axis factors are given (_reduction_grid); by
+    default the whole grid, the integral over r (integrate_2d). The blocks
+    must cover the grid: the weights are positive and the factors finite,
+    so a non-finite sample leaves a sum non-finite. The whole grid is one
+    unit of the failure rule."""
     f = as_bivariate(f)
     tn, tw = _axis_quadrature(r.t_axis, q, () if split is None else (split.x,))
     sn, sw = _axis_quadrature(r.s_axis, q, () if split is None else (split.y,))
-    sums = _in_registers(BLOCK_SAMPLES < len(tn) * len(sn) <= REGISTER_BLOCK_SAMPLES
-                         and _runs_into(f, field), _grid_sums, getattr(f, field),
-                         tn, tw, sn, sw, blocks, factors)
-    if sums is None:
-        try:
-            values = _reduction_grid(f, tn, sn, field, factors)
-        except Exception:
-            if replay is None:
-                _sampled(f, field, tn[:, None], sn[None, :])
-            else:
-                replay()
-            raise
-        sums = _block_sums(tw, values, sw, blocks)
-    return sums
+    label = f.label if field == "fn" else f"mixed partial of {f.label}"
+    return _under_rule(lambda: _block_sums(tw, _reduction_grid(f, tn, sn, field, factors), sw,
+                                           blocks),
+                       f, field, [(label, tn[:, None], sn[None, :])])
 
 
 def integrate_2d(
@@ -545,23 +502,32 @@ def line_integrals(
     segment k. f receives the fixed coordinates along a leading axis and
     the nodes behind it, so a value that does not vary along a line stays a
     zero-stride row, as a scalar fixed coordinate would give it, and each
-    row's dot product is the one `weights @ values` computes. Each call of
-    f returns whole lines, at most BLOCK_SAMPLES values (blocks of one
-    line's rows if a line is longer). A call of more than BLOCK_SAMPLES
-    values of a compiled f runs blocks of up to REGISTER_BLOCK_SAMPLES
-    values into registers instead, which evaluate f's steps of the node
-    variable once per row block of nodes; if one of them fails or meets a
-    floating-point error, the whole call is sampled again in the small
-    blocks, which report it. A non-finite sample is reported
-    with the first bad line's cross-section label and its count in that
-    call.
+    row's dot product is the one `weights @ values` computes. Each block
+    holds whole lines, or row blocks of one line if a line is longer than
+    a block (_sampler); the row blocks are the same views for every block
+    of lines, so a register run evaluates f's steps of the node variable
+    once per row block. Each line is a unit of the failure rule, labelled
+    with its cross-section, f(x, .) or f(., y).
     """
     f = as_bivariate(f)
-    out = _in_registers(len(fixed) * nodes.size > BLOCK_SAMPLES
-                        and nodes.shape[1] <= REGISTER_BLOCK_SAMPLES and _runs_into(f, "fn"),
-                        _line_integrals, f, fixed_axis, fixed, nodes, weights, True)
-    if out is None:
-        out = _line_integrals(f, fixed_axis, fixed, nodes, weights, kept=False)
+    cap, sample = _sampler(f, "fn")
+    rows, width = nodes.shape
+    lines_per_block = max(1, cap // (rows * width))
+    row_blocks = [(rb, nodes[rb]) for rb in _row_blocks(rows, width, cap=cap)]
+    at = np.asarray(fixed, dtype=float)[:, None, None]
+
+    def line(j: int) -> tuple:
+        if fixed_axis == "t":
+            return f"{f.label}({fixed[j]}, .)", at[j], nodes
+        return f"{f.label}(., {fixed[j]})", nodes, at[j]
+
+    out = np.empty((len(fixed), rows))
+    for i in range(0, len(fixed), lines_per_block):
+        x = at[i:i + lines_per_block]
+        for rb, node_rows in row_blocks:
+            coords = (x, node_rows) if fixed_axis == "t" else (node_rows, x)
+            out[i:i + len(x), rb] = _under_rule(lambda: np.vecdot(weights[rb], sample(*coords)),
+                                                f, "fn", map(line, range(i, i + len(x))))
     return out
 
 
@@ -579,51 +545,6 @@ def _axis_lines(f, fixed_axis: str, fixed: Sequence[float], iv: Interval1D, q: Q
         return lines
     out = np.zeros((len(fixed), len(sizes)))
     out[:, parts] = lines
-    return out
-
-
-def _line_integrals(f: BivariateFunction, fixed_axis: str, fixed: Sequence[float],
-                    nodes: np.ndarray, weights: np.ndarray, kept: bool) -> np.ndarray:
-    """line_integrals in blocks of BLOCK_SAMPLES values, or, if kept, of
-    REGISTER_BLOCK_SAMPLES values run into registers; these raise on a
-    failure too, but not what line_integrals reports."""
-    cap = REGISTER_BLOCK_SAMPLES if kept else BLOCK_SAMPLES
-    rows, width = nodes.shape
-    lines_per_block = max(1, cap // (rows * width))
-    # one view per row block, the same array for every block of lines, so
-    # that a register run finds the steps of the node variable it kept
-    row_blocks = [(rb, nodes[rb]) for rb in _row_blocks(rows, width, cap=cap)]
-    views: dict = {}
-    memo: dict = {}
-    at = np.asarray(fixed, dtype=float)[:, None, None]
-    out = np.empty((len(fixed), rows))
-    for i in range(0, len(fixed), lines_per_block):
-        x = at[i:i + lines_per_block]
-        for rb, node_rows in row_blocks:
-            coords = (x, node_rows) if fixed_axis == "t" else (node_rows, x)
-            if kept:
-                vals = _run_kept(f.fn, views, memo, *coords)
-            else:
-                try:
-                    vals = sample_bivariate(f, *coords)
-                except Exception:
-                    if len(x) > 1:
-                        # one line at a time, so that the first failing line
-                        # raises what it would raise alone
-                        for j in range(i, i + len(x)):
-                            line_integrals(f, fixed_axis, fixed[j:j + 1], nodes, weights)
-                    raise
-            sums = np.vecdot(weights[rb], vals)
-            # the weights are finite, so a non-finite sample leaves its
-            # line's sum non-finite: only then are the samples scanned
-            if not np.isfinite(sums).all():
-                finite = np.isfinite(vals).reshape(len(x), -1).all(axis=1)
-                if not finite.all():
-                    j = int(np.argmin(finite))
-                    at_j = fixed[i + j]
-                    _check_finite(vals[j], f"{f.label}({at_j}, .)" if fixed_axis == "t"
-                                  else f"{f.label}(., {at_j})")
-            out[i:i + len(x), rb] = sums
     return out
 
 
@@ -648,14 +569,11 @@ def cell_bounds(
     Its bounds are the min/max over a grid_n x grid_n grid of the cell
     (boundary lines included), widened by pad_rel * (max - min) plus an
     absolute floor of 1e-12 on each side; MissingMixedPartial if f carries
-    no exact mixed partial. Cells are sampled in row-major blocks of at
-    most BLOCK_SAMPLES values (one cell if a cell grid is larger). A
-    compiled partial over more than BLOCK_SAMPLES values runs blocks of
-    up to REGISTER_BLOCK_SAMPLES values into registers instead: whole rows
-    of cells, or column chunks of one row if a row is longer, each laid
-    out as (cell rows, cell columns, grid_n, grid_n) (see _cell_extremes).
-    It is sampled again in the small blocks if one of them fails or meets
-    a floating-point error. Returns (lower, upper), each of shape (m, n).
+    no exact mixed partial. Each block (_sampler) holds whole rows of
+    cells against one shared array of s samples, or a column chunk of one
+    row if a row is longer than a block (one cell if a cell is), laid out
+    as (cell rows, cell columns, grid_n, grid_n). Each cell is a unit of
+    the failure rule. Returns (lower, upper), each of shape (m, n).
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -667,63 +585,33 @@ def cell_bounds(
     ends = np.concatenate((t_edges[1:], s_edges[1:]))
     samples = np.linspace(starts, ends, grid_n).T
     ts, ss = samples[:m], samples[m:]
-    extremes = _in_registers(m * n * grid_n * grid_n > BLOCK_SAMPLES
-                             and grid_n * grid_n <= REGISTER_BLOCK_SAMPLES
-                             and _runs_into(f, "mixed_fn"), _cell_extremes, f, ts, ss, True)
-    if extremes is None:
-        extremes = _cell_extremes(f, ts, ss, kept=False)
-    lo, hi = extremes
+    cap, sample = _sampler(f, "mixed_fn")
+    rows_per_block = max(1, cap // (n * grid_n * grid_n))
+    chunk = max(1, min(n, cap // (grid_n * grid_n)))
+    # one view per column chunk, the same array for every block, so that a
+    # register run finds the steps of s it kept
+    chunks = [(cols, ss[None, cols, None, :])
+              for cols in (slice(k, k + chunk) for k in range(0, n, chunk))]
+    label = f"mixed partial of {f.label}"
+    lo = np.empty((m, n))
+    hi = np.empty((m, n))
+    for start in range(0, m, rows_per_block):
+        rows = slice(start, start + rows_per_block)
+        t = ts[rows, None, :, None]
+        for cols, s in chunks:
+            def extremes() -> tuple:
+                vals = sample(t, s)
+                return vals.min(axis=(2, 3)), vals.max(axis=(2, 3))
+
+            cells = ((label, ts[i, :, None], ss[j, None, :])
+                     for i in range(m)[rows] for j in range(n)[cols])
+            lo[rows, cols], hi[rows, cols] = _under_rule(extremes, f, "mixed_fn", cells)
     pad = pad_rel * (hi - lo) + 1e-12
     lower = lo - pad
     upper = hi + pad
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise InvalidBounds("derivative bounds must be finite")
     return lower, upper
-
-
-def _cell_extremes(f: BivariateFunction, ts: np.ndarray, ss: np.ndarray,
-                   kept: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The min and max of the mixed partial over the sample rows ts[i] x
-    ss[j] of every cell (i, j), each of shape (m, n): by sample_mixed in
-    row-major blocks of BLOCK_SAMPLES values, or, if kept, by the compiled
-    exact partial run into registers, raising on any failure without
-    counting it. A register block of at most REGISTER_BLOCK_SAMPLES values
-    is whole rows of cells against one shared array of s samples, or a
-    column chunk of one row if a row is longer, laid out as (cell rows,
-    cell columns, grid_n, grid_n) so that each cell's samples are
-    contiguous."""
-    (m, grid_n), n = ts.shape, len(ss)
-    lo = np.empty((m, n))
-    hi = np.empty((m, n))
-    if not kept:
-        per_block = max(1, BLOCK_SAMPLES // (grid_n * grid_n))
-        for start in range(0, m * n, per_block):
-            cells = np.arange(start, min(start + per_block, m * n))
-            i, j = np.divmod(cells, n)
-            vals = sample_mixed(f, ts[i, :, None], ss[j, None, :])
-            _check_finite(vals, f"mixed partial of {f.label}")
-            lo.flat[cells] = vals.min(axis=(1, 2))
-            hi.flat[cells] = vals.max(axis=(1, 2))
-        return lo, hi
-    rows_per_block = max(1, REGISTER_BLOCK_SAMPLES // (n * grid_n * grid_n))
-    chunk = min(n, REGISTER_BLOCK_SAMPLES // (grid_n * grid_n))
-    # one view per column chunk, the same array for every block, so that
-    # the run finds the steps of s it kept
-    chunks = [(cols, ss[None, cols, None, :])
-              for cols in (slice(k, k + chunk) for k in range(0, n, chunk))]
-    views: dict = {}
-    memo: dict = {}
-    for start in range(0, m, rows_per_block):
-        rows = slice(start, start + rows_per_block)
-        t = ts[rows, None, :, None]
-        for cols, s in chunks:
-            vals = _run_kept(f.mixed_fn, views, memo, t, s)
-            lo[rows, cols] = vals.min(axis=(2, 3))
-            hi[rows, cols] = vals.max(axis=(2, 3))
-    # min and max take a NaN, and an infinity makes one of them infinite
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise NonFiniteSample("a non-finite sample in a register run")
-    return lo, hi
 
 
 def estimate_bounds(

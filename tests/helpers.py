@@ -673,7 +673,10 @@ def reference_identity_report(f, r, pt, q, tol=1e-9):
 # coordinates: every call of f gets full meshgrids, and each line is a
 # univariate cross-section (fix_t / fix_s) sampled with its fixed
 # coordinate as a scalar. The outer-product samplers must match them bit
-# for bit.
+# for bit. Their errors follow the samplers' failure rule: the first unit
+# that fails (a line, in the order of the fixed coordinates; a cell, in
+# row-major order; the whole grid), sampled in one call, raises its first
+# failing guard or its count of non-finite samples.
 
 
 def reference_integrate_2d(f, r, q, split=None) -> float:
@@ -727,10 +730,10 @@ def reference_line_integrals(f, fixed_axis, fixed, nodes, weights) -> np.ndarray
     out = np.empty((len(fixed), rows))
     for i, x in enumerate(fixed):
         g = f.fix_t(x) if fixed_axis == "t" else f.fix_s(x)
+        _check_finite(sample_univariate(g, nodes.ravel()), g.label)
         for k in range(0, rows, per_block):
             block = nodes[k:k + per_block]
             vals = sample_univariate(g, block.ravel()).reshape(block.shape)
-            _check_finite(vals, g.label)
             out[i, k:k + per_block] = np.vecdot(weights[k:k + per_block], vals)
     return out
 
@@ -743,6 +746,10 @@ def reference_cell_bounds(f, t_edges, s_edges, grid_n: int, pad_rel: float):
     ends = np.concatenate((t_edges[1:], s_edges[1:]))
     samples = np.linspace(starts, ends, grid_n).T
     ts, ss = samples[:m], samples[m:]
+    for i in range(m):
+        for j in range(n):
+            T, S = np.meshgrid(ts[i], ss[j], indexing="ij")
+            _check_finite(sample_mixed(f, T, S), f"mixed partial of {f.label}")
     lo = np.empty(m * n)
     hi = np.empty(m * n)
     per_block = max(1, BLOCK_SAMPLES // (grid_n * grid_n))
@@ -753,7 +760,6 @@ def reference_cell_bounds(f, t_edges, s_edges, grid_n: int, pad_rel: float):
         T = np.ascontiguousarray(np.broadcast_to(ts[i, :, None], shape))
         S = np.ascontiguousarray(np.broadcast_to(ss[j, None, :], shape))
         vals = sample_mixed(f, T, S)
-        _check_finite(vals, f"mixed partial of {f.label}")
         lo[cells] = vals.min(axis=(1, 2))
         hi[cells] = vals.max(axis=(1, 2))
     pad = pad_rel * (hi - lo) + 1e-12

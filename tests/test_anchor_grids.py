@@ -3,12 +3,11 @@
 f's split grid (integrate_2d, identity._quadrant_samples) and the kernel-
 weighted mixed partial of the four quadrant oracles
 (identity._quadrant_oracles) of a compiled integrand are sampled in one
-run into registers when the grid holds more than BLOCK_SAMPLES and at most
-REGISTER_BLOCK_SAMPLES values: the 256 x 256 grid of an interior anchor,
-128 x 256 with the anchor on an edge. Every value must equal, bit for bit,
-the whole-grid reference samplers in helpers.py, and every error, warning
-and non-finite count must be the one the blocks of BLOCK_SAMPLES values
-report.
+run into registers when the grid holds at most REGISTER_BLOCK_SAMPLES
+values: the 256 x 256 grid of an interior anchor, 128 x 256 with the
+anchor on an edge. Every value must equal, bit for bit, the whole-grid
+reference samplers in helpers.py, and every error and non-finite count
+must be the whole grid's, sampled in one call, whatever the block size.
 """
 
 import io
@@ -22,7 +21,7 @@ import pytest
 
 from helpers import minor_faults, reference_integrate_2d, reference_quadrant_samples
 from ostrocube import QuadConfig, cli, make_point, make_rectangle, parse_expression, to_bivariate
-from ostrocube import quadrature
+from ostrocube import expr, quadrature
 from ostrocube.core import BivariateFunction
 from ostrocube.identity import (
     Quadrant,
@@ -107,19 +106,21 @@ def test_the_quadrants_and_the_unsplit_grid_equal_the_reference(text):
 
 @pytest.mark.parametrize("text", ["exp(t*s)", "log(2+t+s)*t", "exp(t)*s", "t*exp(s)", "2.5"])
 def test_the_grids_of_a_compiled_integrand_run_in_registers(text, monkeypatch):
+    # f's grid and the oracle's, each in one register run; the lines run in
+    # registers too, with three dimensions
     runs = []
-    grid_sums = quadrature._grid_sums
+    run = expr.run_program
 
-    def spy(*args):
-        sums = grid_sums(*args)
-        runs.append(sums is not None)
-        return sums
+    def counted(program, t, s, registers=None, memo=None):
+        if registers is not None:
+            runs.append(np.broadcast(t, s).shape)
+        return run(program, t, s, registers, memo)
 
-    monkeypatch.setattr(quadrature, "_grid_sums", spy)
+    monkeypatch.setattr(expr, "run_program", counted)
     f = _f(text)
     identity_report(f, UNIT, make_point(UNIT, 0.3, 0.6), Q)
     identity_report(f, UNIT, make_point(UNIT, 0.0, 0.6), Q)
-    assert runs == [True] * 4
+    assert [shape for shape in runs if len(shape) == 2] == [(256, 256)] * 2 + [(128, 256)] * 2
 
 
 def test_a_plain_callable_keeps_its_blocks():
@@ -159,12 +160,11 @@ def _run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue(), [(w.category, str(w.message)) for w in caught]
 
 
-# (argv, the error line printed at the parent commit, where every grid was
-# sampled in blocks)
+# (argv, the error line: the whole split grid's, sampled in one call)
 _FAILURES = {
     "overflow": (["identity", "--f", "exp(800*t)*(s+1)", "--rect", "0", "1", "0", "1",
                   "--point", "0.3", "0.6", "--json"],
-                 "numerical failure: 2816 non-finite sample(s) while evaluating "
+                 "numerical failure: 5632 non-finite sample(s) while evaluating "
                  "exp(800 * t) * (s + 1)\n"),
     "domain": (["identity", "--f", "log(t-0.3)*s", "--rect", "0", "1", "0", "1",
                 "--point", "0.5", "0.6", "--json"],
@@ -179,9 +179,10 @@ _FAILURES = {
 
 @pytest.mark.parametrize("name", sorted(_FAILURES))
 def test_a_failing_grid_reports_what_the_blocks_report(name, monkeypatch):
+    # the report is the unit's, so blocks of either size give the same one
     argv, line = _FAILURES[name]
     got = _run(argv)
-    assert got[0] == 1 and got[2].endswith(line)
+    assert got[0] == 1 and got[2] == line and got[3] == []
     # no grid fits a register run: every one is sampled in blocks
     monkeypatch.setattr(quadrature, "REGISTER_BLOCK_SAMPLES", BLOCK_SAMPLES)
     assert _run(argv) == got
@@ -190,9 +191,10 @@ def test_a_failing_grid_reports_what_the_blocks_report(name, monkeypatch):
 @pytest.mark.parametrize("text", ["exp(900*s)*t", "exp(900*(s-0.1))*t+log(t+1)"])
 def test_with_numpy_errors_ignored_a_non_finite_grid_is_counted_in_blocks(text):
     # nothing raises in the register runs, and the infinities of f (its
-    # split grid) and of its mixed partial (the oracle) must still send them
-    # to the blocks, whose counts the errors report
+    # split grid) and of its mixed partial (the oracle) must still send the
+    # grid to the failure rule, which counts the whole grid's
     f, pt = _f(text), make_point(UNIT, 0.3, 0.6)
+    mixed = BivariateFunction(fn=f.mixed_fn, vectorized=True, label=f"mixed partial of {f.label}")
 
     def raised(call) -> tuple:
         with pytest.raises(NonFiniteSample) as info:
@@ -200,13 +202,11 @@ def test_with_numpy_errors_ignored_a_non_finite_grid_is_counted_in_blocks(text):
         return str(info.value)
 
     with np.errstate(all="ignore"):
-        assert raised(lambda: integrate_2d(f, UNIT, Q, split=pt)) == \
-            raised(lambda: reference_integrate_2d(f, UNIT, Q, split=pt))
-        assert raised(lambda: _quadrant_samples(f, UNIT, pt, Q)) == \
-            raised(lambda: [reference_integrate_2d(f, _quadrant_rect(UNIT, pt, quad), Q)
-                            for quad in Quadrant])
+        whole = raised(lambda: reference_integrate_2d(f, UNIT, Q, split=pt))
+        assert raised(lambda: integrate_2d(f, UNIT, Q, split=pt)) == whole
+        assert raised(lambda: _quadrant_samples(f, UNIT, pt, Q)) == whole
         assert raised(lambda: _quadrant_oracles(f, UNIT, pt, Q)) == \
-            raised(lambda: _oracles(f, UNIT, pt))
+            raised(lambda: reference_integrate_2d(mixed, UNIT, Q, split=pt))
 
 
 _ANCHOR_OPS = {

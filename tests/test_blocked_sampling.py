@@ -181,23 +181,27 @@ def test_blocked_grid_counts_the_non_finite_samples_of_the_whole_grid():
     assert message == "768 non-finite sample(s) while evaluating exp(3000 * (t - 0.5)^2) * s"
 
 
-def test_identity_report_raises_what_the_quadrants_raise_one_by_one():
+def test_identity_report_raises_what_its_whole_grids_raise():
+    # each split grid is one unit of the failure rule, sampled in one call,
+    # not its quadrants one by one: the first quadrant meets the log guard
     pt = make_point(UNIT, 0.3, 0.6)
     f = _f(TWO_GUARDS)
-
-    def quadrants():
-        for quad in Quadrant:
-            integrate_2d(f, _quadrant_rect(UNIT, pt, quad), Q)
-
-    assert _raised(quadrants)[1] == "log of a non-positive value"
-    assert _raised(lambda: identity_report(f, UNIT, pt, Q)) == _raised(quadrants)
-    # the mixed partial overflows in three quadrants; the first one decides
+    first_quadrant = _raised(lambda: integrate_2d(f, _quadrant_rect(UNIT, pt, Quadrant.LL), Q))
+    assert first_quadrant[1] == "log of a non-positive value"
+    whole = _raised(lambda: reference_integrate_2d(f, UNIT, Q, split=pt))
+    assert whole[1] == "sqrt of a negative value"
+    assert _raised(lambda: identity_report(f, UNIT, pt, Q)) == whole
+    # the mixed partial overflows in three quadrants (4 samples in the
+    # first), and the oracle counts the whole grid's
     f = _f("exp(354*(t+s))")
     pt = make_point(UNIT, 0.99, 0.99)
-    with np.errstate(over="ignore"):
-        oracles = _raised(lambda: [quadrant_oracle(f, UNIT, pt, quad, Q) for quad in Quadrant])
-        assert _raised(lambda: identity_report(f, UNIT, pt, Q)) == oracles
-    assert oracles[1].startswith("4 non-finite sample(s) while evaluating mixed partial")
+    mixed = BivariateFunction(fn=f.mixed_fn, vectorized=True, label=f"mixed partial of {f.label}")
+    with np.errstate(all="ignore"):
+        first_quadrant = _raised(lambda: quadrant_oracle(f, UNIT, pt, Quadrant.LL, Q))
+        whole = _raised(lambda: reference_integrate_2d(mixed, UNIT, Q, split=pt))
+        assert _raised(lambda: identity_report(f, UNIT, pt, Q)) == whole
+    assert first_quadrant[1].startswith("4 non-finite sample(s) while evaluating mixed partial")
+    assert whole[1].startswith("17226 non-finite sample(s) while evaluating mixed partial")
 
 
 def test_an_anchor_outside_the_rectangle_is_rejected():

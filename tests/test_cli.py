@@ -512,6 +512,20 @@ def test_verify_exit_codes_and_expectations():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--rules", "t1", "--expect-hold", "t5"],
+    ["--rules", "t3,t4", "--expect-hold", "t4,corrected"],
+])
+def test_expect_hold_on_a_rule_not_audited_is_a_usage_error(argv, capsys):
+    # it used to pass silently: a rule that is not audited has no violations
+    assert run_main(["verify", "--trials", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    unaudited = "t5" if "t5" in argv else "corrected"
+    assert captured.err == ("usage error: --expect-hold names rules that --rules leaves "
+                            f"out: {unaudited}\n")
+
+
 def test_verify_worst_case_reruns_to_reported_values():
     from ostrocube.cli import _VERIFY_CFG, _eval_rule_case
 
@@ -585,6 +599,19 @@ def test_out_flag_writes_json_file(tmp_path):
     assert "results" in doc
     # stdout stayed in text mode
     assert text.startswith("ostrocube enclose")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+def test_an_out_path_that_cannot_be_written_is_a_usage_error(mode, kind, tmp_path, capsys):
+    # open() used to raise FileNotFoundError or IsADirectoryError out of run
+    target = tmp_path / "missing" / "x.json" if kind == "missing-dir" else tmp_path
+    argv = ["identity", "--f", "exp(t*s)", *_UNIT, *mode, "--out", str(target)]
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "No such file or directory" if kind == "missing-dir" else "Is a directory"
+    assert captured.err == f"usage error: --out: cannot write {target}: {reason}\n"
 
 
 def test_text_mode_renders_no_json_document(monkeypatch):

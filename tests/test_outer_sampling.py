@@ -242,8 +242,8 @@ def _outcome(sampler, *args):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_hoisted_line_errors_match_per_line_sampler(text, fixed):
     # a failing step of the node variable fails the first register block,
-    # and the small blocks sample again: the error, its count and the
-    # first bad line are what the plain loop reports
+    # and its lines are sampled again one by one: the error, its count and
+    # the first bad line are what the plain loop reports
     f = to_bivariate(parse_expression(text))
     failures = 0
     for axis in ("t", "s"):
